@@ -5,9 +5,9 @@ experiment <name>. Exit codes: 0 all checks pass, 1 a check or a
 computation failed, 2 a precondition or config key was rejected.
 
 Determinism: every command is a pure function of (config, seed, conv
-path); ``--threads`` is accepted for interface compatibility but the
-computation is single-threaded and bit-reproducible regardless, so
-artifacts do not depend on it.
+path); the computation is single-threaded and bit-reproducible.
+``--with-timing`` adds the run's wall time to the report JSON, which is
+then no longer byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ def _kernel_csv(path, kernel) -> None:
             fh.write(",".join(cols) + "\n")
 
 
-def _emit(report: Report, outdir: str, stem: str, with_timing: bool) -> None:
+def _emit(report: Report, outdir: str, stem: str, args) -> None:
     from . import __version__
 
     report.meta.setdefault("package_version", __version__)
-    report.write_json(os.path.join(outdir, f"{stem}.report.json"), with_timing)
+    report.wall_time = time.perf_counter() - args.started
+    report.write_json(os.path.join(outdir, f"{stem}.report.json"), args.with_timing)
     report.write_csv(os.path.join(outdir, f"{stem}.checks.csv"))
 
 
@@ -104,7 +105,7 @@ def cmd_solve(cfg, args, outdir) -> int:
     field_to_csv(res.u, os.path.join(outdir, "field.csv"))
     _write_progress(os.path.join(outdir, "progress.csv"), res.log_rows)
     _kernel_csv(os.path.join(outdir, "kernel.csv"), p.kernel)
-    _emit(rep, outdir, "solve", args.with_timing)
+    _emit(rep, outdir, "solve", args)
     return 0 if rep.passed else 1
 
 
@@ -129,7 +130,7 @@ def cmd_maximal(cfg, args, outdir) -> int:
         fh.write("iteration,decrease,worst_rise\n")
         for it, dec, rise in v.history:
             fh.write(f"{it},{dec:.17g},{rise:.17g}\n")
-    _emit(rep, outdir, "maximal", args.with_timing)
+    _emit(rep, outdir, "maximal", args)
     return 0 if rep.passed else 1
 
 
@@ -149,7 +150,7 @@ def cmd_front(cfg, args, outdir) -> int:
         fh.write("x,phi\n")
         for x, v in zip(coords, phi.values):
             fh.write(f"{x:.17g},{v:.17g}\n")
-    _emit(rep, outdir, "front", args.with_timing)
+    _emit(rep, outdir, "front", args)
     return 0 if rep.passed else 1
 
 
@@ -170,7 +171,7 @@ def cmd_subsolution(cfg, args, outdir) -> int:
     rep.add("certificate_min", w.verify_min >= -w.tol_geom, w.verify_min,
             -w.tol_geom, w.tol_geom, note=f"delta = {delta!r}")
     field_to_csv(w.field, os.path.join(outdir, "subsolution.csv"))
-    _emit(rep, outdir, "subsolution", args.with_timing)
+    _emit(rep, outdir, "subsolution", args)
     return 0 if rep.passed else 1
 
 
@@ -192,10 +193,10 @@ def cmd_verify(cfg, args, outdir) -> int:
             raise NumericalFailure("bounds suite needs a converged stationary field")
         rep = bounds_suite(res.u, p, phi, kc, alphas=cfg["experiment"]["alphas"],
                            probe_deltas=cfg["experiment"]["probe_deltas"],
-                           max_pairs=cfg["experiment"]["max_pairs"], config=resolve(cfg))
+                           config=resolve(cfg))
     else:
         raise PreconditionError(f"unknown verify suite {suite!r}")
-    _emit(rep, outdir, f"verify_{suite}", args.with_timing)
+    _emit(rep, outdir, f"verify_{suite}", args)
     return 0 if rep.passed else 1
 
 
@@ -237,14 +238,13 @@ def cmd_experiment(cfg, args, outdir) -> int:
             pass_eps=cfg["experiment"]["pass_eps"],
             residual_tol=cfg["solver"]["tol"],
             max_steps=cfg["solver"]["max_steps"],
-            max_pairs=cfg["experiment"]["max_pairs"],
             config=resolve(cfg),
         )
     else:
         raise PreconditionError(f"unknown experiment {name!r}")
     for stem, fld in getattr(rep, "fields", {}).items():
         field_to_csv(fld, os.path.join(outdir, f"{stem}.csv"))
-    _emit(rep, outdir, name, args.with_timing)
+    _emit(rep, outdir, name, args)
     return 0 if rep.passed else 1
 
 
@@ -259,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--conv", default="fast", choices=["direct", "fast", "both"],
                     help="convolution path ('both' cross-checks every application)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; outputs are identical for any value")
     ap.add_argument("--with-timing", action="store_true",
                     help="include wall time in the report JSON (breaks byte determinism)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -280,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not hasattr(args, "mode"):
         args.mode = "standard"
-    t0 = time.time()
+    args.started = time.perf_counter()
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
@@ -299,7 +297,8 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    print(f"{args.command}: exit {code} ({time.time() - t0:.1f}s)", file=sys.stderr)
+    elapsed = time.perf_counter() - args.started
+    print(f"{args.command}: exit {code} ({elapsed:.1f}s)", file=sys.stderr)
     return code
 
 

@@ -8,6 +8,7 @@ its report so artifacts are reproducible from the echo alone.
 from __future__ import annotations
 
 import configparser
+import math
 
 from .errors import PreconditionError
 from .grid import Grid, make_grid
@@ -19,8 +20,15 @@ from .operators import Problem
 __all__ = ["load_config", "resolve", "build_problem", "build_pieces"]
 
 
+def _float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("value must be finite")
+    return v
+
+
 def _floats(s: str):
-    return tuple(float(v) for v in s.split(",") if v.strip() != "")
+    return tuple(_float(v) for v in s.split(",") if v.strip() != "")
 
 
 def _vertices(s: str):
@@ -34,74 +42,73 @@ def _vertices(s: str):
 
 
 def _float_or_auto(s: str):
-    return None if s.strip() == "auto" else float(s)
+    return None if s.strip() == "auto" else _float(s)
 
 
 _SCHEMA: dict = {
     "grid": {
         "lo": (_floats, "-8,-8"),
         "hi": (_floats, "8,8"),
-        "h": (float, "0.0625"),
+        "h": (_float, "0.0625"),
     },
     "kernel": {
         "profile": (str, "quartic"),
-        "radius": (float, "0.5"),
-        "inner_radius": (float, "0.25"),
+        "radius": (_float, "0.5"),
+        "inner_radius": (_float, "0.25"),
     },
     "f": {
-        "theta": (float, "0.3"),
-        "amplitude": (float, "1.0"),
+        "theta": (_float, "0.3"),
+        "amplitude": (_float, "1.0"),
         "extension": (str, "zero-left"),
     },
     "obstacle": {
         "family": (str, "ball"),
         "center": (_floats, "0,0"),
-        "radius": (float, "1.0"),
-        "a": (float, "2.0"),
-        "b": (float, "0.8"),
+        "radius": (_float, "1.0"),
+        "a": (_float, "2.0"),
+        "b": (_float, "0.8"),
         "vertices": (_vertices, "-1,-1;1,-1;1,1;-1,1"),
-        "r1": (float, "1.0"),
-        "r2": (float, "2.0"),
-        "r0": (float, "1.0"),
-        "ramp": (float, "0.4"),
+        "r1": (_float, "1.0"),
+        "r2": (_float, "2.0"),
+        "r0": (_float, "1.0"),
+        "ramp": (_float, "0.4"),
         "points": (int, "5"),
-        "epsilon": (float, "0.1"),
+        "epsilon": (_float, "0.1"),
         "psi": (str, "cos_clipped"),
         "psi_k": (int, "6"),
-        "psi_amp": (float, "1.0"),
-        "margin": (float, "1.5"),
+        "psi_amp": (_float, "1.0"),
+        "margin": (_float, "1.5"),
     },
     "problem": {
-        "far_field": (float, "1.0"),
+        "far_field": (_float, "1.0"),
         "clamp_width": (_float_or_auto, "auto"),
     },
     "solver": {
         "dt": (_float_or_auto, "auto"),
-        "tol": (float, "1e-8"),
+        "tol": (_float, "1e-8"),
         "max_steps": (int, "200000"),
         "log_every": (int, "1000"),
         "u0": (str, "hostile"),
     },
     "ball": {
         "center": (_floats, "0,0"),
-        "radius": (float, "15.0"),
-        "tol": (float, "1e-10"),
+        "radius": (_float, "15.0"),
+        "tol": (_float, "1e-10"),
     },
     "subsolution": {
         "delta": (_float_or_auto, "auto"),
     },
     "front": {
         "line_length": (_float_or_auto, "auto"),
-        "tol": (float, "1e-12"),
+        "tol": (_float, "1e-12"),
     },
     "experiment": {
         "alphas": (_floats, "0.5,1.0"),
         "epsilons": (_floats, "1,0.5,0.2,0.1,0.05"),
-        "pass_eps": (float, "0.1"),
+        "pass_eps": (_float, "0.1"),
         "trials": (int, "100"),
         "probe_deltas": (_floats, "0.1,0.01"),
-        "max_pairs": (int, "2000000"),
-        "sweep_epsilon": (float, "0.25"),
+        "sweep_epsilon": (_float, "0.25"),
         "sweep_ball_radius": (_float_or_auto, "auto"),
         "sweep_angles": (int, "16"),
     },
@@ -109,7 +116,17 @@ _SCHEMA: dict = {
 
 
 def load_config(path: str | None) -> dict:
-    """Parse and validate an INI file against the schema; fill defaults."""
+    """Parse and validate an INI file against the schema; fill defaults.
+
+    Malformed INI syntax (a duplicate section, say) and non-finite numbers
+    are rejected as preconditions, like unknown keys."""
+    try:
+        return _load(path)
+    except configparser.Error as exc:
+        raise PreconditionError(" ".join(str(exc).split())) from None
+
+
+def _load(path: str | None) -> dict:
     cp = configparser.ConfigParser()
     if path is not None:
         read = cp.read(path)

@@ -8,6 +8,11 @@ cell belongs to the computational domain). Masked-out cells always store
 
 Fields are immutable after construction: the backing arrays are marked
 read-only and every operation returns a new ``Field``.
+
+The discrete Hoelder seminorm is exact. :func:`holder_quotient` sweeps
+the lattice offsets of a half-plane in increasing length, one vectorised
+pass per offset, and stops once the oscillation of the field over the
+remaining distances cannot beat the running maximum.
 """
 
 from __future__ import annotations
@@ -124,10 +129,6 @@ class Field:
     def masked_in(self) -> np.ndarray:
         return self.values[self.mask]
 
-    @property
-    def n_masked(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -190,118 +191,63 @@ def sup_metrics(a: Field, b: Field) -> dict:
 
 @dataclass(frozen=True)
 class HolderEstimate:
-    """Discrete Hoelder quotient; ``exact`` is False on a subsampled pair set
-    (the value is then a lower bound of the full discrete seminorm)."""
+    """Discrete Hoelder quotient. ``exact`` is always True: the offset sweep
+    bounds every pair it skips. ``pairs_used`` counts the masked-in pairs
+    examined before the sweep stopped."""
 
     value: float
     exact: bool
     pairs_used: int
 
 
-def _pair_decode(k: np.ndarray, n: int) -> tuple:
-    # inverse of the triangular enumeration of pairs (i<j) of range(n)
-    i = (2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * k)) // 2
-    i = i.astype(np.int64)
-    # guard rounding at block edges
-    base = i * (2 * n - i - 1) // 2
-    over = base > k
-    i[over] -= 1
-    base = i * (2 * n - i - 1) // 2
-    j = (k - base) + i + 1
-    return i, j.astype(np.int64)
+def _half_plane_offsets(shape: tuple) -> np.ndarray:
+    """Nonzero lattice offsets whose first nonzero entry is positive: one
+    representative of each pair {d, -d}, as rows of an (m, dim) array."""
+    axes = [np.arange(1 - n, n) for n in shape]
+    axes[0] = np.arange(shape[0])
+    offs = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    keep = offs[:, 0] > 0
+    if len(shape) == 2:
+        keep |= (offs[:, 0] == 0) & (offs[:, 1] > 0)
+    return offs[keep]
 
 
-def _lcg_prefix(total: int, count: int) -> np.ndarray:
-    """First ``count`` members of a fixed full-period LCG permutation of
-    ``range(2**m >= total)``, filtered to ``< total``. Nested as a prefix:
-    growing ``count`` only appends pairs, keeping the estimate monotone."""
-    m = max(4, int(np.ceil(np.log2(max(total, 2)))))
-    modulus = 1 << m
-    a = 5  # a ≡ 1 (mod 4) gives full period with odd increment
-    c = 12345
-    out = np.empty(count, dtype=np.int64)
-    got = 0
-    x = 0
-    while got < count:
-        take = min(4 * (count - got) + 64, modulus)
-        seq = np.empty(take, dtype=np.int64)
-        for t in range(take):
-            seq[t] = x
-            x = (a * x + c) % modulus
-        seq = seq[seq < total]
-        k = min(seq.size, count - got)
-        out[got : got + k] = seq[:k]
-        got += k
-    return out
+def holder_quotient(u: Field, alpha: float) -> HolderEstimate:
+    """Discrete C^{0,alpha} seminorm: max |u(x)-u(y)| / |x-y|^alpha over
+    masked-in pairs, computed exactly.
 
-
-def holder_quotient(u: Field, alpha: float, max_pairs: int = 2_000_000) -> HolderEstimate:
-    """Discrete C^{0,alpha} seminorm: sup |u(x)-u(y)| / |x-y|^alpha over
-    masked-in pairs.
-
-    Exact when the pair count fits in ``max_pairs``; otherwise the maximum
-    is taken over a deterministic subsample (all axis-adjacent pairs first,
-    then a fixed pseudo-random prefix of the remaining enumeration) and the
-    result is flagged as a lower bound.
+    The lattice offsets d of a half-plane are swept in increasing distance
+    ``|d| = sqrt((d0 h)^2 + (d1 h)^2)``. Each offset takes one vectorised
+    pass over every pair ``(x, x + d)``; masked-out cells hold NaN and
+    ``np.fmax`` skips them. With ``osc = max u - min u`` over the mask, no
+    pair at distance ``>= |d|`` can exceed ``osc / |d|^alpha``, so the
+    sweep stops at the first offset where that bound is ``<=`` the running
+    maximum. Rounding is monotone, so the cut holds in floating point too.
     """
     if not (0.0 < alpha <= 1.0):
         raise PreconditionError(f"alpha must lie in (0, 1], got {alpha}")
-    idx = np.argwhere(u.mask)
-    n = idx.shape[0]
-    if n < 2:
+    vals = u.masked_in()
+    if vals.size < 2:
         raise PreconditionError("holder_quotient needs at least 2 masked-in cells")
-    vals = u.values[u.mask].astype(np.float64)
-    coords = idx.astype(np.float64) * u.grid.h  # offsets cancel in differences
-    total = n * (n - 1) // 2
-
-    def quotient(i: np.ndarray, j: np.ndarray) -> float:
-        d = np.sqrt(np.sum((coords[i] - coords[j]) ** 2, axis=1))
-        q = np.abs(vals[i] - vals[j]) / d**alpha
-        return float(np.max(q)) if q.size else 0.0
-
-    if total <= max_pairs:
-        best = 0.0
-        used = 0
-        block = 4096
-        for s in range(0, n, block):
-            e = min(s + block, n)
-            for i0 in range(s, e):
-                j = np.arange(i0 + 1, n)
-                if j.size:
-                    best = max(best, quotient(np.full(j.size, i0), j))
-                    used += j.size
-        return HolderEstimate(best, True, used)
-
-    # subsample: adjacency pairs, then a fixed LCG prefix of all pairs
-    pos_of = -np.ones(u.grid.shape, dtype=np.int64)
-    pos_of[tuple(idx.T)] = np.arange(n)
-    adj_i, adj_j = [], []
-    for a in range(u.grid.dim):
-        nb = idx.copy()
-        nb[:, a] += 1
-        ok = nb[:, a] < u.grid.shape[a]
-        if not np.any(ok):
-            continue
-        q = pos_of[tuple(nb[ok].T)]
-        keep = q >= 0
-        adj_i.append(np.arange(n)[ok][keep])
-        adj_j.append(q[keep])
+    if not np.all(np.isfinite(vals)):
+        raise PreconditionError("holder_quotient needs finite masked-in values")
+    osc = float(np.max(vals) - np.min(vals))
+    w = np.where(u.mask, u.values, np.nan)
+    offs = _half_plane_offsets(u.grid.shape)
+    den = np.sqrt(np.sum((offs * u.grid.h) ** 2, axis=1)) ** alpha
+    order = np.argsort(den, kind="stable")
     best = 0.0
     used = 0
-    if adj_i:
-        i = np.concatenate(adj_i)
-        j = np.concatenate(adj_j)
-        if i.size > max_pairs:
-            i, j = i[:max_pairs], j[:max_pairs]
-        best = quotient(i, j)
-        used = i.size
-    remaining = max_pairs - used
-    if remaining > 0:
-        ks = _lcg_prefix(total, remaining)
-        i, j = _pair_decode(ks.astype(np.float64), n)
-        best = max(best, quotient(i, j))
-        used += ks.size
-    return HolderEstimate(best, False, used)
+    for k in order:
+        if osc / den[k] <= best:
+            break
+        here = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(offs[k], u.grid.shape))
+        there = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(offs[k], u.grid.shape))
+        diff = np.fmax.reduce(np.abs(w[there] - w[here]), axis=None)
+        if diff == diff:  # NaN when no masked-in pair has this offset
+            best = max(best, float(diff / den[k]))
+            used += int(np.count_nonzero(u.mask[here] & u.mask[there]))
+    return HolderEstimate(best, True, used)
 
 
 def field_to_csv(f: Field, path) -> None:

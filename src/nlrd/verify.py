@@ -255,7 +255,6 @@ def bounds_suite(
     kc: KernelConstants,
     alphas=(0.5, 1.0),
     probe_deltas=(0.1, 0.01),
-    max_pairs: int = 2_000_000,
     config: dict | None = None,
 ) -> Report:
     """Post-hoc checks on a stationary field: the Hoelder transfer bound,
@@ -272,7 +271,7 @@ def bounds_suite(
         if nik is None or not math.isfinite(nik):
             rep.add(f"holder_alpha_{alpha}", None, note="skipped: no Nikolskii constant")
             continue
-        est = holder_quotient(u, alpha, max_pairs)
+        est = holder_quotient(u, alpha)
         lhs = (min_j - maxfp) * est.value
         slack = holder_slack(h, alpha, nik)
         bound = 2.0 * nik + slack
@@ -287,7 +286,7 @@ def bounds_suite(
         else:
             rep.add(
                 f"holder_alpha_{alpha}", lhs <= bound, lhs, bound, slack,
-                note=f"quotient {est.value:.6g} ({'exact' if est.exact else 'subsampled'})",
+                note=f"quotient {est.value:.6g} (exact)",
             )
 
     # smallest r0 with phi(|x| - r0) <= u everywhere (bisection over the grid)
@@ -776,7 +775,6 @@ def robustness_experiment(
     pass_eps: float = 0.1,
     residual_tol: float = 1e-8,
     max_steps: int = 200_000,
-    max_pairs: int = 500_000,
     config: dict | None = None,
 ) -> Report:
     """Deformed-obstacle sweep: solve on R^N minus K_eps for a decreasing
@@ -837,7 +835,7 @@ def robustness_experiment(
         if ok and (empirical is None or e > empirical):
             empirical = e
         for a in alphas:
-            est = holder_quotient(res.u, a, max_pairs)
+            est = holder_quotient(res.u, a)
             slack = holder_slack(grid.h, a, kc.nikolskii[float(a)])
             rep.add(
                 f"eps_{e}_holder_alpha_{a}",

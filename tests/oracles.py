@@ -141,3 +141,17 @@ def shifted_l1_tophat_axis(kernel, cells: int) -> float:
     moved = np.zeros_like(big)
     moved[cells:, :] = big[:-cells, :]
     return float(np.sum(np.abs(moved - big))) * kernel.h**2
+
+
+def holder_quotient_pairs(u, alpha: float) -> float:
+    """max |u(x)-u(y)| / |x-y|^alpha over all masked-in pairs, one source
+    cell at a time, with the distance sqrt((di h)^2 + (dj h)^2)."""
+    idx = np.argwhere(u.mask).T.copy()
+    vals = u.values[u.mask]
+    h = u.grid.h
+    best = 0.0
+    for p in range(vals.size - 1):
+        d2 = sum(((ax[p + 1:] - ax[p]) * h) ** 2 for ax in idx)
+        q = np.abs(vals[p + 1:] - vals[p]) / np.sqrt(d2) ** alpha
+        best = max(best, float(np.max(q)))
+    return best

@@ -342,8 +342,7 @@ def test_criterion_10_holder_bounds(liouville_runs, phi_ref, kc_ref):
     details = []
     for name in ("disk", "ellipse", "square"):
         p, res, _ = liouville_runs[(name, H)]
-        rep = bounds_suite(res.u, p, phi_ref, kc_ref, alphas=(0.5, 1.0),
-                           max_pairs=300_000)
+        rep = bounds_suite(res.u, p, phi_ref, kc_ref, alphas=(0.5, 1.0))
         by = {c.name: c for c in rep.checks}
         for alpha in (0.5, 1.0):
             c = by[f"holder_alpha_{alpha}"]
@@ -364,7 +363,7 @@ def test_criterion_11_robustness(kq8, grid8):
     rep = robustness_experiment(
         fam, grid8, kq8, fz_rob, kc_rob,
         eps_grid=(1.0, 0.5, 0.2, 0.1, 0.05), alphas=(0.5, 1.0),
-        pass_eps=0.1, max_pairs=300_000,
+        pass_eps=0.1,
     )
     by = {c.name: c for c in rep.checks}
     ok = rep.passed
@@ -402,10 +401,10 @@ alphas = 1.0
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(ini)
     outs = []
-    for i, threads in enumerate((1, 4, 16)):
+    for i in range(3):
         out = tmp_path / f"run{i}"
         code = cli_main([
-            "--config", str(cfg), "--out", str(out), "--threads", str(threads),
+            "--config", str(cfg), "--out", str(out),
             "--seed", "0", "experiment", "liouville",
         ])
         assert code == 0
@@ -415,4 +414,4 @@ alphas = 1.0
                  "progress.csv"):
         blobs = [(o / name).read_bytes() for o in outs]
         ok &= blobs[0] == blobs[1] == blobs[2]
-    _line(12, "determinism", ok, "3 runs with threads 1/4/16: byte-identical artifacts")
+    _line(12, "determinism", ok, "3 runs: byte-identical artifacts")

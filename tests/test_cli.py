@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nlrd.cli import main
 
 COUNTEREXAMPLE_INI = """
@@ -104,6 +106,37 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "wavelength" in err
 
 
+@pytest.mark.parametrize("bad", [
+    COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = nan"),
+    COUNTEREXAMPLE_INI.replace("h = 0.0625", "h = inf"),
+    COUNTEREXAMPLE_INI.replace("lo = -4,-4", "lo = -4,-inf"),
+    COUNTEREXAMPLE_INI + "\n[grid]\nh = 0.125\n",
+], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section"])
+def test_malformed_config_exits_two_without_traceback(tmp_path, bad):
+    cfg = _cfg(tmp_path, bad)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlrd.cli", "--config", cfg,
+         "--out", str(tmp_path / "o"), "experiment", "counterexample"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("precondition rejected:")
+
+
+def test_with_timing_records_wall_time(tmp_path):
+    cfg = _cfg(tmp_path, COUNTEREXAMPLE_INI)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--with-timing",
+                 "experiment", "counterexample"]) == 0
+    report = json.loads((out / "counterexample.report.json").read_text())
+    assert report["wall_time_s"] > 0
+    assert main(["--config", cfg, "--out", str(out), "experiment", "counterexample"]) == 0
+    report = json.loads((out / "counterexample.report.json").read_text())
+    assert "wall_time_s" not in report
+
+
 def test_wide_kernel_precondition_exits_two(tmp_path):
     bad = COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = 0.6")
     cfg = _cfg(tmp_path, bad)
@@ -111,13 +144,13 @@ def test_wide_kernel_precondition_exits_two(tmp_path):
     assert code == 2
 
 
-def test_rerun_is_byte_identical_and_thread_flag_inert(tmp_path):
+def test_rerun_is_byte_identical(tmp_path):
     cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI)
     outs = []
-    for i, threads in enumerate((1, 8)):
+    for i in range(2):
         out = tmp_path / f"out{i}"
         code = main([
-            "--config", cfg, "--out", str(out), "--threads", str(threads),
+            "--config", cfg, "--out", str(out),
             "--seed", "0", "experiment", "liouville",
         ])
         assert code == 0

@@ -106,8 +106,7 @@ def test_counterexample_rejects_wide_kernel(ref_fz):
 
 
 def test_bounds_suite_on_converged_disk(disk_solution, disk_problem, phi_ref, kc_ref):
-    rep = bounds_suite(disk_solution.u, disk_problem, phi_ref, kc_ref,
-                       max_pairs=200_000)
+    rep = bounds_suite(disk_solution.u, disk_problem, phi_ref, kc_ref)
     assert rep.passed
     names = {c.name: c for c in rep.checks}
     for alpha in (0.5, 1.0):
@@ -123,7 +122,7 @@ def test_bounds_suite_informational_on_annulus(annulus_problem, phi_ref, ref_f):
     p = annulus_problem
     kc = kernel_constants(p.kernel, ref_f, [1.0])
     u = counterexample_field(p)
-    rep = bounds_suite(u, p, phi_ref, kc, alphas=(1.0,), max_pairs=50_000)
+    rep = bounds_suite(u, p, phi_ref, kc, alphas=(1.0,))
     names = {c.name: c for c in rep.checks}
     assert names["holder_alpha_1.0"].passed is None  # informational off convexity
     assert names["convex_mass_bound"].passed is None
@@ -140,7 +139,7 @@ def test_holder_midrun_field_recorded_not_asserted(disk_problem, phi_ref, kc_ref
     p = disk_problem
     res = evolve(p, p.hostile_datum(), max_steps=30, residual_tol=1e-30)
     assert not res.converged
-    rep = bounds_suite(res.u, p, phi_ref, kc_ref, alphas=(0.5,), max_pairs=50_000)
+    rep = bounds_suite(res.u, p, phi_ref, kc_ref, alphas=(0.5,))
     c = {c.name: c for c in rep.checks}["holder_alpha_0.5"]
     assert c.measured is not None
 
@@ -234,7 +233,7 @@ def test_robustness_quick(ref_f, ref_fz, kq8, grid8, kc_ref):
     fam = deformation_family(1.0, PsiSpec())
     rep = robustness_experiment(
         fam, grid8, kq8, ref_fz, kc_ref,
-        eps_grid=(0.2, 0.05), alphas=(1.0,), pass_eps=0.1, max_pairs=100_000,
+        eps_grid=(0.2, 0.05), alphas=(1.0,), pass_eps=0.1,
     )
     assert rep.passed
     names = {c.name: c for c in rep.checks}
