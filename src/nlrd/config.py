@@ -45,6 +45,18 @@ def _float_or_auto(s: str):
     return None if s.strip() == "auto" else _float(s)
 
 
+def _positive(parse):
+    """``parse``, then reject values <= 0 (``auto``/None passes through)."""
+
+    def checked(s: str):
+        v = parse(s)
+        if v is not None and v <= 0:
+            raise ValueError("value must be positive")
+        return v
+
+    return checked
+
+
 _SCHEMA: dict = {
     "grid": {
         "lo": (_floats, "-8,-8"),
@@ -84,16 +96,16 @@ _SCHEMA: dict = {
         "clamp_width": (_float_or_auto, "auto"),
     },
     "solver": {
-        "dt": (_float_or_auto, "auto"),
-        "tol": (_float, "1e-8"),
-        "max_steps": (int, "200000"),
+        "dt": (_positive(_float_or_auto), "auto"),
+        "tol": (_positive(_float), "1e-8"),
+        "max_steps": (_positive(int), "200000"),
         "log_every": (int, "1000"),
         "u0": (str, "hostile"),
     },
     "ball": {
         "center": (_floats, "0,0"),
         "radius": (_float, "15.0"),
-        "tol": (_float, "1e-10"),
+        "tol": (_positive(_float), "1e-10"),
     },
     "subsolution": {
         "delta": (_float_or_auto, "auto"),
@@ -106,7 +118,7 @@ _SCHEMA: dict = {
         "alphas": (_floats, "0.5,1.0"),
         "epsilons": (_floats, "1,0.5,0.2,0.1,0.05"),
         "pass_eps": (_float, "0.1"),
-        "trials": (int, "100"),
+        "trials": (_positive(int), "100"),
         "probe_deltas": (_floats, "0.1,0.01"),
         "sweep_epsilon": (_float, "0.25"),
         "sweep_ball_radius": (_float_or_auto, "auto"),
@@ -118,8 +130,9 @@ _SCHEMA: dict = {
 def load_config(path: str | None) -> dict:
     """Parse and validate an INI file against the schema; fill defaults.
 
-    Malformed INI syntax (a duplicate section, say) and non-finite numbers
-    are rejected as preconditions, like unknown keys."""
+    Malformed INI syntax (a duplicate section, say), non-finite numbers
+    and non-positive solver tolerances, steps, step budgets and trial
+    counts are rejected as preconditions, like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:

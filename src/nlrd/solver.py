@@ -15,6 +15,16 @@ Scheme notes
   s -> k s + f(s) increasing, i.e. k >= -min f' (the steep downhill side
   of f is the binding constraint); the inner linear solve then contracts
   with factor <= 1/(k+1).
+* The inner solves are inexact (Dembo, Eisenstat and Steihaug, SIAM J.
+  Numer. Anal. 19, 1982): each stops at an increment of a hundredth of
+  the previous outer decrease, floored at 1e-13, and the first makes a
+  single sweep. A sweep w -> (L_B w + k v_n + f(v_n))/(k+1) is order
+  preserving and v_n is a super-solution of it, so every partial solve
+  lands between the exact v_{n+1} and v_n: descent, the bound from below
+  by the maximal solution, and the limit are all kept. The linear gate is
+  the sweep's stop test itself: the returned iterate's linear residual
+  is L_B applied to the last increment, so its sup is at most that
+  increment. The limit is gated by the ball-equation residual (<= 1e-9).
 * ``front_profile`` relaxes the clamped truncated-line problem. The
   damped iteration preserves monotonicity in x and converges to the
   stationary profile of the clamped line; the translation is fixed
@@ -186,7 +196,14 @@ def resolvent_solve(
 ) -> np.ndarray:
     """Solve L_B[w] - (kshift+1) w = rhs by the contraction
     w <- (L_B[w] - rhs) / (kshift+1); factor <= 1/(kshift+1) since the
-    operator's row sums are at most 1."""
+    operator's row sums are at most 1.
+
+    Sweeps run until the first increment sup |w_new - w| <= ``tol``, at
+    least one sweep. The returned w_new has linear residual L_B[w_new - w]
+    (up to roundoff), so its sup is at most that last increment: ``tol``
+    bounds the linear residual of the result with no convolution beyond
+    the sweeps themselves.
+    """
     if kshift <= 0.0:
         raise PreconditionError("resolvent shift must be positive for contraction")
     w = np.zeros(bmask.shape) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
@@ -198,14 +215,8 @@ def resolvent_solve(
         inc = float(np.max(np.abs(new - w)))
         w = new
         if inc <= tol:
-            break
-    else:
-        raise NumericalFailure("resolvent contraction did not converge")
-    lin = convolve(w * bmask, k, path) - denom * w - rhs
-    lin_sup = float(np.max(np.abs(lin[bmask])))
-    if lin_sup > 1e-11:
-        raise NumericalFailure(f"resolvent residual {lin_sup:.3e} > 1e-11")
-    return w
+            return w
+    raise NumericalFailure("resolvent contraction did not converge")
 
 
 @dataclass
@@ -243,9 +254,12 @@ def maximal_solution(
     """Monotone resolvent iteration from v_0 = 1 on the closed ball.
 
     Requires R >= d0 (existence threshold from ``kernel_constants``) and the
-    zero-left extension, under which every iterate stays nonnegative. The
-    sequence is checked to be non-increasing to 1e-12 at every step; the
-    final field solves the ball equation to 1e-9 and exceeds theta
+    zero-left extension, under which every iterate stays nonnegative. Each
+    step calls :func:`resolvent_solve` warm-started at v_n with increment
+    tolerance max(1e-13, 0.01 x the previous decrease), so the inner
+    accuracy follows the outer progress. The sequence is checked to be non-increasing to
+    1e-12 at every step; the loop stops once a decrease is <= ``tol``, and
+    the final field solves the ball equation to 1e-9 and exceeds theta
     somewhere, else the run is reported as collapsed.
     """
     if f.mode != "zero-left":
@@ -265,7 +279,9 @@ def maximal_solution(
     history: list = []
     while iterations < max_outer:
         rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
-        new = resolvent_solve(k, bmask, kshift, rhs, w0=v, path=path)
+        # inc is still inf on the first step: one sweep, hence a decrease > 0
+        new = resolvent_solve(k, bmask, kshift, rhs, w0=v, tol=max(1e-13, 0.01 * inc),
+                              path=path)
         # 1 is a super-solution, so exact iterates stay <= 1; trimming the
         # odd ulp of convolution roundoff keeps the invariant checkable
         np.minimum(new, 1.0, out=new)

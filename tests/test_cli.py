@@ -111,7 +111,14 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     COUNTEREXAMPLE_INI.replace("h = 0.0625", "h = inf"),
     COUNTEREXAMPLE_INI.replace("lo = -4,-4", "lo = -4,-inf"),
     COUNTEREXAMPLE_INI + "\n[grid]\nh = 0.125\n",
-], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section"])
+    COUNTEREXAMPLE_INI + "\n[ball]\ntol = -1\n",
+    COUNTEREXAMPLE_INI + "\n[solver]\ntol = 0\n",
+    COUNTEREXAMPLE_INI + "\n[solver]\ndt = 0\n",
+    COUNTEREXAMPLE_INI + "\n[solver]\nmax_steps = -5\n",
+    COUNTEREXAMPLE_INI + "\n[experiment]\ntrials = -3\n",
+], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
+        "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
+        "negative_trials"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -213,6 +220,10 @@ def test_maximal_and_subsolution_commands(tmp_path):
     logs = (out / "iterations.csv").read_text().strip().split("\n")
     assert logs[0] == "iteration,decrease,worst_rise"
     assert len(logs) > 2
+    again = tmp_path / "again"
+    assert main(["--config", cfg, "--out", str(again), "maximal"]) == 0
+    for name in ("maximal.report.json", "maximal.checks.csv", "maximal.csv", "iterations.csv"):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
     code = main(["--config", cfg, "--out", str(out), "subsolution"])
     assert code == 0
     rep = json.loads((out / "subsolution.report.json").read_text())

@@ -200,3 +200,18 @@ def test_field_csv_format(tmp_path):
     rows = [ln.split(",") for ln in lines[1:]]
     masked_out = [r for r in rows if r[3] == "0"]
     assert all(float(r[2]) == 0.0 for r in masked_out)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_csv_matches_row_writer(tmp_path, dim):
+    import oracles
+
+    # 2-D: 6400 cells, more than one write block of the writer
+    g = make_grid([-5.0] * dim, [5.0] * dim, 0.125)
+    rng = np.random.default_rng(5)
+    mask = rng.uniform(size=g.shape) < 0.7
+    f = Field(g, np.where(mask, rng.normal(size=g.shape) / 3.0, 0.0), mask)
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    field_to_csv(f, fast)
+    oracles.field_csv_rows(f, ref)
+    assert fast.read_bytes() == ref.read_bytes()
