@@ -112,7 +112,7 @@ _SCHEMA: dict = {
     },
     "front": {
         "line_length": (_float_or_auto, "auto"),
-        "tol": (_float, "1e-12"),
+        "tol": (_positive(_float), "1e-12"),
     },
     "experiment": {
         "alphas": (_floats, "0.5,1.0"),
@@ -122,7 +122,7 @@ _SCHEMA: dict = {
         "probe_deltas": (_floats, "0.1,0.01"),
         "sweep_epsilon": (_float, "0.25"),
         "sweep_ball_radius": (_float_or_auto, "auto"),
-        "sweep_angles": (int, "16"),
+        "sweep_angles": (_positive(int), "16"),
     },
 }
 

@@ -2,9 +2,13 @@
 
 Two interchangeable paths:
 
-* ``direct`` — explicit shifted-slice accumulation over the offset table,
-  in a fixed order. Exact summation structure; translation-equivariant to
-  the bit.
+* ``direct`` — the input is zero-padded once by the kernel reach, and each
+  nonzero tap (``Kernel.taps``, row-major table order) adds its weight
+  times one contiguous window of the flattened padded input. Every cell
+  therefore sums the same taps in the same fixed order, whatever its
+  position in the box (an out-of-box tap adds an exact zero), so the path
+  is translation-equivariant to the bit. :func:`convolve_at` evaluates
+  one cell with the same taps in the same order and returns the same bits.
 * ``fast``   — FFT on a box zero-padded past the kernel support and rounded
   up to a 5-smooth length, so the transform is an exact linear convolution
   (no wrap-around). The kernel spectrum is cached per padded shape.
@@ -15,12 +19,14 @@ sup norm, returning the direct result.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalFailure
 from .kernels import Kernel
 
-__all__ = ["convolve", "next_fast_len"]
+__all__ = ["convolve", "convolve_at", "next_fast_len"]
 
 PATHS = ("direct", "fast", "both")
 
@@ -46,33 +52,37 @@ def next_fast_len(n: int) -> int:
 
 
 def _conv_direct(arr: np.ndarray, k: Kernel) -> np.ndarray:
-    out = np.zeros_like(arr)
+    # The box, zero-padded by the reach, is laid out flat in a buffer with
+    # room past its end; tap d then reads one contiguous window shifted by
+    # d's flat offset. Output rows keep the padded row length, and the
+    # extra columns (read across the row seam) are dropped at the end.
     m = k.reach
-    w = k.weights
-    if k.dim == 1:
-        n0 = arr.shape[0]
-        for u in range(2 * m + 1):
-            c = w[u]
-            if c == 0.0:
-                continue
-            d = u - m
-            src = arr[max(0, d) : n0 + min(0, d)]
-            dst = out[max(0, -d) : n0 + min(0, -d)]
-            dst += c * src
-        return out * k.h
-    n0, n1 = arr.shape
-    for u in range(2 * m + 1):
-        di = u - m
-        row = w[u]
-        for v in range(2 * m + 1):
-            c = row[v]
-            if c == 0.0:
-                continue
-            dj = v - m
-            src = arr[max(0, di) : n0 + min(0, di), max(0, dj) : n1 + min(0, dj)]
-            dst = out[max(0, -di) : n0 + min(0, -di), max(0, -dj) : n1 + min(0, -dj)]
-            dst += c * src
-    return out * k.h**2
+    shape = arr.shape
+    padded = tuple(n + 2 * m for n in shape)
+    strides = [math.prod(padded[a + 1 :]) for a in range(arr.ndim)]
+    size = shape[0] * strides[0]
+    centre = m * sum(strides)
+    buf = np.zeros(2 * centre + size)
+    box = buf[: math.prod(padded)].reshape(padded)
+    box[tuple(slice(m, m + n) for n in shape)] = arr
+    out = np.zeros(size)
+    for d, c in k.taps:
+        o = centre + sum(di * s for di, s in zip(d, strides))
+        out += c * buf[o : o + size]
+    out = out.reshape((shape[0],) + padded[1:])[tuple(map(slice, shape))]
+    return out * k.h**k.dim
+
+
+def convolve_at(arr: np.ndarray, k: Kernel, idx) -> float:
+    """``convolve(arr, k, "direct")[idx]``, bit for bit, from one cell's taps."""
+    arr = np.asarray(arr, dtype=np.float64)
+    idx = tuple(int(i) for i in idx)
+    total = 0.0
+    for d, c in k.taps:
+        y = tuple(i + di for i, di in zip(idx, d))
+        inside = all(0 <= yi < n for yi, n in zip(y, arr.shape))
+        total += c * (float(arr[y]) if inside else 0.0)
+    return total * k.h**k.dim
 
 
 def _kernel_spectrum(k: Kernel, shape_full: tuple) -> np.ndarray:

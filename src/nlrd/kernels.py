@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,16 @@ class Kernel:
     def center_weight(self) -> float:
         idx = (self.reach,) * self.dim
         return float(self.weights[idx])
+
+    @cached_property
+    def taps(self) -> tuple:
+        """Nonzero ``(offset, weight)`` pairs in row-major table order."""
+        m = self.reach
+        return tuple(
+            (tuple(i - m for i in u), float(self.weights[u]))
+            for u in np.ndindex(self.weights.shape)
+            if self.weights[u] != 0.0
+        )
 
     def offsets(self):
         """Integer offset grids matching the weight table."""

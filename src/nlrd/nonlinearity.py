@@ -221,6 +221,9 @@ class ExtendedNonlinearity:
     def f(self, s):
         s = np.asarray(s, dtype=np.float64)
         base = self.base
+        if s.ndim and s.size and 0.0 <= s.min() and s.max() <= 1.0:
+            # the general path below reduces to base.f(s) here; NaN fails the test
+            return np.asarray(base.f(s), dtype=np.float64)
         fp0 = float(base.fprime(0.0))
         mid = base.f(np.clip(s, 0.0, 1.0))
         hi = self._upper(s)

@@ -92,6 +92,14 @@ class Problem:
         values[~self.domain_mask] = 0.0
         return values
 
+    def rate(self, values: np.ndarray, path: str | None = None) -> np.ndarray:
+        """Explicit-step rate ``J * u - jself u + f(u)`` on the raw array.
+
+        No mask is applied: :func:`residual` is the masked form.
+        """
+        conv = convolve(values, self.kernel, path or self.conv_path)
+        return conv - self.jself * values + self.f.f(values)
+
     def check_clamped(self, u: Field) -> None:
         if u.grid != self.grid or not np.array_equal(u.mask, self.domain_mask):
             raise PreconditionError("field does not live on this problem's domain")

@@ -115,8 +115,7 @@ def evolve(
     log_rows: list = []
     steps = 0
     while True:
-        conv = convolve(u, p.kernel, path)
-        r = conv - p.jself * u + p.f.f(u)
+        r = p.rate(u, path)
         sup = float(np.max(np.abs(r[inter])))
         if not math.isfinite(sup):
             raise NumericalFailure(f"non-finite residual at step {steps}")

@@ -167,8 +167,11 @@ def conv_box(arr: np.ndarray, kernel) -> np.ndarray:
         if c == 0.0:
             continue
         d = [ui - m for ui in u]
-        dst = tuple(slice(max(0, -di), n - max(0, di)) for di, n in zip(d, arr.shape))
-        src = tuple(slice(max(0, di), n - max(0, -di)) for di, n in zip(d, arr.shape))
+        # stops clamped at 0: an offset longer than the axis reaches no cell
+        dst = tuple(slice(max(0, -di), max(0, n - max(0, di)))
+                    for di, n in zip(d, arr.shape))
+        src = tuple(slice(max(0, di), max(0, n - max(0, -di)))
+                    for di, n in zip(d, arr.shape))
         out[dst] += c * arr[src]
     return out * kernel.h**arr.ndim
 

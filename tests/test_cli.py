@@ -116,9 +116,11 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     COUNTEREXAMPLE_INI + "\n[solver]\ndt = 0\n",
     COUNTEREXAMPLE_INI + "\n[solver]\nmax_steps = -5\n",
     COUNTEREXAMPLE_INI + "\n[experiment]\ntrials = -3\n",
+    COUNTEREXAMPLE_INI + "\n[experiment]\nsweep_angles = -5\n",
+    COUNTEREXAMPLE_INI + "\n[front]\ntol = -1\n",
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
-        "negative_trials"])
+        "negative_trials", "negative_sweep_angles", "negative_front_tol"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(

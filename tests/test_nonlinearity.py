@@ -115,3 +115,29 @@ def test_generic_callable_validation():
     assert abs(ok.int_f - 1 / 30) < 1e-9
     with pytest.raises(PreconditionError):
         bistable_from_callables(lambda s: np.abs(f.f(s)), lambda s: f.fprime(s), 0.3)
+
+
+@pytest.mark.parametrize("mode", ["odd", "linear-tails", "zero-left"])
+def test_in_range_shortcut_matches_general_path(ref_f, mode):
+    ext = extend(ref_f, mode)
+    rng = np.random.default_rng(11)
+    s = np.concatenate([[0.0, -0.0, ref_f.theta, 1.0], rng.uniform(0.0, 1.0, 500)])
+    fast = ext.f(s)
+    # one out-of-range entry sends the whole array down the general path
+    general = ext.f(np.append(s, 1.5))
+    assert fast.view(np.uint64).tolist() == general[:-1].view(np.uint64).tolist()
+    assert fast.view(np.uint64).tolist() == ref_f.f(s).view(np.uint64).tolist()
+    # and that entry still gets the tail value, on either side
+    assert general[-1] == float(ref_f.fprime(1.0)) * 0.5
+    low = ext.f(np.append(s, -0.5))
+    assert low[-1] == ext.f(-0.5) and low[-1] == {
+        "odd": -float(ref_f.f(0.5)),
+        "linear-tails": float(ref_f.fprime(0.0)) * -0.5,
+        "zero-left": 0.0,
+    }[mode]
+    # 0-d inputs keep returning a Python float
+    for x in (0.5, np.float64(0.5), np.array(1.0), -0.5, 1.5):
+        assert type(ext.f(x)) is float
+    assert ext.f(0.5) == float(ref_f.f(0.5))
+    # NaN is not in [0, 1]: it takes the general path and stays NaN
+    assert np.isnan(ext.f(np.array([0.5, np.nan]))[1])
