@@ -57,6 +57,13 @@ def _positive(parse):
     return checked
 
 
+def _nonnegative(s: str) -> float:
+    v = _float(s)
+    if v < 0:
+        raise ValueError("value must be non-negative")
+    return v
+
+
 _SCHEMA: dict = {
     "grid": {
         "lo": (_floats, "-8,-8"),
@@ -76,9 +83,9 @@ _SCHEMA: dict = {
     "obstacle": {
         "family": (str, "ball"),
         "center": (_floats, "0,0"),
-        "radius": (_float, "1.0"),
-        "a": (_float, "2.0"),
-        "b": (_float, "0.8"),
+        "radius": (_positive(_float), "1.0"),
+        "a": (_positive(_float), "2.0"),
+        "b": (_positive(_float), "0.8"),
         "vertices": (_vertices, "-1,-1;1,-1;1,1;-1,1"),
         "r1": (_float, "1.0"),
         "r2": (_float, "2.0"),
@@ -89,7 +96,7 @@ _SCHEMA: dict = {
         "psi": (str, "cos_clipped"),
         "psi_k": (int, "6"),
         "psi_amp": (_float, "1.0"),
-        "margin": (_float, "1.5"),
+        "margin": (_nonnegative, "1.5"),
     },
     "problem": {
         "far_field": (_float, "1.0"),
@@ -130,9 +137,10 @@ _SCHEMA: dict = {
 def load_config(path: str | None) -> dict:
     """Parse and validate an INI file against the schema; fill defaults.
 
-    Malformed INI syntax (a duplicate section, say), non-finite numbers
-    and non-positive solver tolerances, steps, step budgets and trial
-    counts are rejected as preconditions, like unknown keys."""
+    Malformed INI syntax (a duplicate section, say), non-finite numbers,
+    non-positive solver tolerances, steps, step budgets, trial counts and
+    obstacle radii, and a negative obstacle margin are rejected as
+    preconditions, like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:
@@ -205,6 +213,11 @@ def build_obstacle_cfg(cfg: dict, grid: Grid) -> Obstacle:
     o = cfg["obstacle"]
     fam = o["family"]
     params: dict = {}
+    if fam in ("ball", "ellipse") and len(o["center"]) != grid.dim:
+        raise PreconditionError(
+            f"[obstacle] center has {len(o['center'])} coordinates on a "
+            f"{grid.dim}-D grid"
+        )
     if fam == "ball":
         params = {"center": o["center"], "radius": o["radius"]}
     elif fam == "ellipse":

@@ -11,7 +11,15 @@ Two interchangeable paths:
   one cell with the same taps in the same order and returns the same bits.
 * ``fast``   — FFT on a box zero-padded past the kernel support and rounded
   up to a 5-smooth length, so the transform is an exact linear convolution
-  (no wrap-around). The kernel spectrum is cached per padded shape.
+  (no wrap-around). The kernel spectrum is cached per padded shape. The
+  path runs the 1-D transforms of ``rfftn``/``irfftn`` one axis at a time
+  (``rfft`` on the last axis, ``fft`` on axis 0, and back) through two
+  buffers, the half-spectrum and the real padded box; its bits equal the
+  one-shot ``irfftn(rfftn(...))``. Inside a :func:`fft_buffers` block the
+  buffers are reused from call to call; outside one they are allocated
+  per call.
+
+Every path writes into ``out=`` when it is given and returns it.
 
 ``path='both'`` runs the two and raises if they disagree beyond 1e-10 in
 sup norm, returning the direct result.
@@ -20,13 +28,14 @@ sup norm, returning the direct result.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .kernels import Kernel
 
-__all__ = ["convolve", "convolve_at", "next_fast_len"]
+__all__ = ["convolve", "convolve_at", "fft_buffers", "next_fast_len"]
 
 PATHS = ("direct", "fast", "both")
 
@@ -96,32 +105,82 @@ def _kernel_spectrum(k: Kernel, shape_full: tuple) -> np.ndarray:
     return spec
 
 
-def _conv_fft(arr: np.ndarray, k: Kernel) -> np.ndarray:
+_BUFFERS = "buffers"  # key of the parked buffers; spectra use ("rfft", shape)
+
+
+@contextmanager
+def fft_buffers(k: Kernel):
+    """Reuse the fast path's transform buffers for ``k`` inside the block.
+
+    The buffers are parked on ``k._fft_cache`` by padded shape and dropped
+    when the outermost block exits; nested blocks share them.
+    """
+    if _BUFFERS in k._fft_cache:
+        yield
+        return
+    k._fft_cache[_BUFFERS] = {}
+    try:
+        yield
+    finally:
+        del k._fft_cache[_BUFFERS]
+
+
+def _fft_scratch(k: Kernel, shape_full: tuple) -> tuple:
+    parked = k._fft_cache.get(_BUFFERS)
+    bufs = None if parked is None else parked.get(shape_full)
+    if bufs is None:
+        half = shape_full[:-1] + (shape_full[-1] // 2 + 1,)
+        bufs = (np.empty(half, dtype=np.complex128), np.empty(shape_full))
+        if parked is not None:
+            parked[shape_full] = bufs
+    return bufs
+
+
+def _conv_fft(arr: np.ndarray, k: Kernel, out: np.ndarray | None = None) -> np.ndarray:
     m = k.reach
     shape_full = tuple(next_fast_len(n + 2 * m) for n in arr.shape)
     spec = _kernel_spectrum(k, shape_full)
-    axes = tuple(range(arr.ndim))
-    full = np.fft.irfftn(
-        np.fft.rfftn(arr, s=shape_full, axes=axes) * spec, s=shape_full, axes=axes
-    )
-    sl = tuple(slice(m, m + n) for n in arr.shape)
-    return full[sl] * k.h**k.dim
+    cbuf, rbuf = _fft_scratch(k, shape_full)
+    n0, nlast = arr.shape[0], shape_full[-1]
+    rows = slice(m, m + n0)
+    if arr.ndim == 1:
+        np.fft.rfft(arr, n=nlast, out=cbuf)
+        np.multiply(cbuf, spec, out=cbuf)
+        np.fft.irfft(cbuf, n=nlast, out=rbuf)
+        return np.multiply(rbuf[rows], k.h**k.dim, out=out)
+    # rfftn: rfft along the last axis, then fft along axis 0 over the
+    # zero pad rows (the in-place fft overwrites them, so re-zero each call)
+    np.fft.rfft(arr, n=nlast, axis=1, out=cbuf[:n0])
+    cbuf[n0:] = 0.0
+    np.fft.fft(cbuf, axis=0, out=cbuf)
+    np.multiply(cbuf, spec, out=cbuf)
+    # irfftn in reverse, with the last-axis transform only on the kept rows
+    np.fft.ifft(cbuf, axis=0, out=cbuf)
+    np.fft.irfft(cbuf[rows], n=nlast, axis=1, out=rbuf[rows])
+    return np.multiply(rbuf[rows, m : m + arr.shape[1]], k.h**k.dim, out=out)
 
 
-def convolve(arr: np.ndarray, k: Kernel, path: str = "fast") -> np.ndarray:
-    """(J * arr)(x) = sum_y J(x - y) arr(y) h^dim on the array's box."""
+def convolve(
+    arr: np.ndarray, k: Kernel, path: str = "fast", out: np.ndarray | None = None
+) -> np.ndarray:
+    """(J * arr)(x) = sum_y J(x - y) arr(y) h^dim on the array's box.
+
+    With ``out`` the result is written there and ``out`` is returned.
+    """
     if path not in PATHS:
         raise NumericalFailure(f"unknown convolution path {path!r}")
     arr = np.asarray(arr, dtype=np.float64)
-    if path == "direct":
-        return _conv_direct(arr, k)
     if path == "fast":
-        return _conv_fft(arr, k)
+        return _conv_fft(arr, k, out)
     a = _conv_direct(arr, k)
-    b = _conv_fft(arr, k)
-    gap = float(np.max(np.abs(a - b))) if a.size else 0.0
-    if gap > 1e-10:
-        raise NumericalFailure(
-            f"direct/fast convolution paths disagree: sup diff {gap:.3e} > 1e-10"
-        )
-    return a
+    if path == "both":
+        b = _conv_fft(arr, k)
+        gap = float(np.max(np.abs(a - b))) if a.size else 0.0
+        if gap > 1e-10:
+            raise NumericalFailure(
+                f"direct/fast convolution paths disagree: sup diff {gap:.3e} > 1e-10"
+            )
+    if out is None:
+        return a
+    out[...] = a
+    return out

@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .reduction import pairwise_sum
 
 __all__ = [
     "Grid",
@@ -264,8 +263,3 @@ def field_to_csv(f: Field, path) -> None:
         # Python floats cost ~32 B per cell, so convert block by block
         for lo in range(0, cols[0].size, _CSV_BLOCK):
             fh.writelines(map(row.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in cols)))
-
-
-def mass(f: Field) -> float:
-    """Deterministic sum of masked-in values times the cell volume."""
-    return pairwise_sum(f.values) * f.grid.h**f.grid.dim

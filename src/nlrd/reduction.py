@@ -31,10 +31,3 @@ def pairwise_sum(a) -> float:
         else:
             x = x[0::2] + x[1::2]
     return float(x[0])
-
-
-def pairwise_dot(a, b) -> float:
-    """Deterministic <a, b> via elementwise product + pairwise_sum."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    return pairwise_sum(a * b)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .convolve import convolve
+from .convolve import convolve, fft_buffers
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, make_grid
 from .kernels import Kernel, KernelConstants
@@ -114,23 +114,25 @@ def evolve(
     inter = p.interior_mask
     log_rows: list = []
     steps = 0
-    while True:
-        r = p.rate(u, path)
-        sup = float(np.max(np.abs(r[inter])))
-        if not math.isfinite(sup):
-            raise NumericalFailure(f"non-finite residual at step {steps}")
-        row = (steps, sup, float(np.min(u[p.domain_mask])), float(np.max(u[p.domain_mask])))
-        if log_every and (steps % log_every == 0):
-            log_rows.append(row)
-        if sup <= residual_tol or steps >= max_steps:
-            if not log_rows or log_rows[-1][0] != steps:
+    with fft_buffers(p.kernel):
+        while True:
+            r = p.rate(u, path)
+            sup = float(np.max(np.abs(r[inter])))
+            if not math.isfinite(sup):
+                raise NumericalFailure(f"non-finite residual at step {steps}")
+            row = (steps, sup, float(np.min(u[p.domain_mask])), float(np.max(u[p.domain_mask])))
+            if log_every and (steps % log_every == 0):
                 log_rows.append(row)
-            return EvolveResult(
-                Field(p.grid, u, p.domain_mask), steps, sup <= residual_tol, sup, dt, log_rows
-            )
-        u = np.clip(u + dt * r, 0.0, 1.0)
-        u = p.clamp(u)
-        steps += 1
+            if sup <= residual_tol or steps >= max_steps:
+                if not log_rows or log_rows[-1][0] != steps:
+                    log_rows.append(row)
+                return EvolveResult(
+                    Field(p.grid, u, p.domain_mask), steps, sup <= residual_tol, sup, dt,
+                    log_rows,
+                )
+            u = np.clip(u + dt * r, 0.0, 1.0)
+            u = p.clamp(u)
+            steps += 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +173,18 @@ def evolve_ball(
         dt = 0.9 / (1.0 + f.max_abs_fprime(0.0, 1.0))
     u = np.where(bmask, 1.0, 0.0) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     steps = 0
-    while True:
-        conv = convolve(u * bmask, k, path)
-        r = np.where(bmask, conv - u + f.f(u), 0.0)
-        sup = float(np.max(np.abs(r[bmask])))
-        if not math.isfinite(sup):
-            raise NumericalFailure(f"non-finite ball residual at step {steps}")
-        if sup <= residual_tol or steps >= max_steps:
-            return Field(grid, np.where(bmask, u, 0.0), bmask), steps, sup <= residual_tol, sup
-        u = u + dt * r
-        steps += 1
+    with fft_buffers(k):
+        while True:
+            conv = convolve(u * bmask, k, path)
+            r = np.where(bmask, conv - u + f.f(u), 0.0)
+            sup = float(np.max(np.abs(r[bmask])))
+            if not math.isfinite(sup):
+                raise NumericalFailure(f"non-finite ball residual at step {steps}")
+            if sup <= residual_tol or steps >= max_steps:
+                field = Field(grid, np.where(bmask, u, 0.0), bmask)
+                return field, steps, sup <= residual_tol, sup
+            u = u + dt * r
+            steps += 1
 
 
 def resolvent_solve(
@@ -206,15 +210,24 @@ def resolvent_solve(
     if kshift <= 0.0:
         raise PreconditionError("resolvent shift must be positive for contraction")
     w = np.zeros(bmask.shape) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    w[~bmask] = 0.0
+    outside = ~bmask
+    w[outside] = 0.0
     denom = kshift + 1.0
-    for _ in range(max_sweeps):
-        new = (convolve(w * bmask, k, path) - rhs) / denom
-        new[~bmask] = 0.0
-        inc = float(np.max(np.abs(new - w)))
-        w = new
-        if inc <= tol:
-            return w
+    # one sweep is (J * (w bmask) - rhs) / denom, zeroed off the ball; it
+    # runs in place on two work arrays, swapping w and new after each sweep
+    tmp = np.empty(bmask.shape)
+    new = np.empty(bmask.shape)
+    with fft_buffers(k):
+        for _ in range(max_sweeps):
+            np.multiply(w, bmask, out=tmp)
+            convolve(tmp, k, path, out=new)
+            new -= rhs
+            new /= denom
+            new[outside] = 0.0
+            inc = float(np.max(np.abs(np.subtract(new, w, out=tmp), out=tmp)))
+            w, new = new, w
+            if inc <= tol:
+                return w
     raise NumericalFailure("resolvent contraction did not converge")
 
 
@@ -276,28 +289,29 @@ def maximal_solution(
     iterations = 0
     inc = math.inf
     history: list = []
-    while iterations < max_outer:
-        rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
-        # inc is still inf on the first step: one sweep, hence a decrease > 0
-        new = resolvent_solve(k, bmask, kshift, rhs, w0=v, tol=max(1e-13, 0.01 * inc),
-                              path=path)
-        # 1 is a super-solution, so exact iterates stay <= 1; trimming the
-        # odd ulp of convolution roundoff keeps the invariant checkable
-        np.minimum(new, 1.0, out=new)
-        rise = float(np.max((new - v)[bmask]))
-        if rise > 1e-12:
-            raise NumericalFailure(
-                f"monotonicity violated by {rise:.3e}; resolvent shift too small"
-            )
-        inc = float(np.max((v - new)[bmask]))
-        v = new
-        iterations += 1
-        history.append((iterations, inc, rise))
-        if inc <= tol:
-            break
-    else:
-        raise NumericalFailure("monotone scheme did not reach its tolerance")
-    res = convolve(v * bmask, k, path) - v + f.f(v)
+    with fft_buffers(k):
+        while iterations < max_outer:
+            rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
+            # inc is still inf on the first step: one sweep, hence a decrease > 0
+            new = resolvent_solve(k, bmask, kshift, rhs, w0=v, tol=max(1e-13, 0.01 * inc),
+                                  path=path)
+            # 1 is a super-solution, so exact iterates stay <= 1; trimming the
+            # odd ulp of convolution roundoff keeps the invariant checkable
+            np.minimum(new, 1.0, out=new)
+            rise = float(np.max((new - v)[bmask]))
+            if rise > 1e-12:
+                raise NumericalFailure(
+                    f"monotonicity violated by {rise:.3e}; resolvent shift too small"
+                )
+            inc = float(np.max((v - new)[bmask]))
+            v = new
+            iterations += 1
+            history.append((iterations, inc, rise))
+            if inc <= tol:
+                break
+        else:
+            raise NumericalFailure("monotone scheme did not reach its tolerance")
+        res = convolve(v * bmask, k, path) - v + f.f(v)
     res_sup = float(np.max(np.abs(res[bmask])))
     if res_sup > 1e-9:
         raise NumericalFailure(f"ball-equation residual {res_sup:.3e} > 1e-9")
@@ -425,17 +439,18 @@ def principal_eigenvalue(
     x = np.where(bmask, 1.0, 0.0)
     x /= math.sqrt(pairwise_sum(x * x))
     lam_shifted = 0.0
-    for it in range(max_iter):
-        ax = np.where(bmask, convolve(x * bmask, k, path) + x, 0.0)
-        new_lam = pairwise_sum(x * ax)  # Rayleigh quotient, ||x|| = 1
-        ax /= math.sqrt(pairwise_sum(ax * ax))
-        x = ax
-        if it > 0 and abs(new_lam - lam_shifted) <= tol:
+    with fft_buffers(k):
+        for it in range(max_iter):
+            ax = np.where(bmask, convolve(x * bmask, k, path) + x, 0.0)
+            new_lam = pairwise_sum(x * ax)  # Rayleigh quotient, ||x|| = 1
+            ax /= math.sqrt(pairwise_sum(ax * ax))
+            x = ax
+            if it > 0 and abs(new_lam - lam_shifted) <= tol:
+                lam_shifted = new_lam
+                break
             lam_shifted = new_lam
-            break
-        lam_shifted = new_lam
-    else:
-        raise NumericalFailure("power iteration did not converge")
+        else:
+            raise NumericalFailure("power iteration did not converge")
     lam_p = lam_shifted - 2.0  # spectrum was shifted by +1, Id subtracts 1 more
     if lam_p >= 0.0:
         raise NumericalFailure(f"principal eigenvalue {lam_p:.3e} not negative")

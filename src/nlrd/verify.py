@@ -627,13 +627,7 @@ def comparison_suite(
 
     # (b) strong principle: contact-cell implication, exact
     interior_idx = np.argwhere(p.interior_mask)
-    offs = p.kernel.offsets()
-    if p.grid.dim == 2:
-        omag = np.hypot(offs[0], offs[1]) * p.grid.h
-    else:
-        omag = np.abs(offs[0]) * p.grid.h
-    ann = (p.kernel.weights > 0) & (omag > p.kernel.r1) & (omag < p.kernel.r2)
-    ann_offsets = np.argwhere(ann) - p.kernel.reach
+    ann_offsets = _annulus_offsets(p.kernel)
     worst_zero = 0.0
     worst_detect = 0.0
     n_strong = trials
@@ -677,20 +671,24 @@ def comparison_suite(
     return rep
 
 
+def _annulus_offsets(k: Kernel) -> np.ndarray:
+    """Offsets z with J(z) > 0 on the open annulus r1 < |z| < r2 of
+    ``KernelProfile.annulus``, one row per offset, in table order."""
+    offs = k.offsets()
+    omag = (np.hypot(offs[0], offs[1]) if k.dim == 2 else np.abs(offs[0])) * k.h
+    ann = (k.weights > 0) & (omag > k.r1) & (omag < k.r2)
+    return np.argwhere(ann) - k.reach
+
+
 def _chain_steps(p: Problem) -> int | None:
     """BFS count of annulus dilations needed to cover the component of the
     domain containing a deep interior cell; None if it never covers."""
     start = tuple(np.argwhere(p.interior_mask)[0])
-    offs = p.kernel.offsets()
-    if p.grid.dim == 2:
-        omag = np.hypot(offs[0], offs[1]) * p.grid.h
-    else:
-        omag = np.abs(offs[0]) * p.grid.h
-    ann = (p.kernel.weights > 0) & (omag > p.kernel.r1) & (omag <= p.kernel.r2)
-    deltas = np.argwhere(ann) - p.kernel.reach
+    deltas = _annulus_offsets(p.kernel)
 
     # component oracle: flood fill with full-support adjacency
-    full = (p.kernel.weights > 0) & (omag > 0)
+    full = p.kernel.weights > 0
+    full[(p.kernel.reach,) * p.kernel.dim] = False
     full_deltas = np.argwhere(full) - p.kernel.reach
     comp = _flood(p.domain_mask, start, full_deltas)
 

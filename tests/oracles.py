@@ -176,6 +176,17 @@ def conv_box(arr: np.ndarray, kernel) -> np.ndarray:
     return out * kernel.h**arr.ndim
 
 
+def conv_fft_oneshot(arr: np.ndarray, kernel, s: tuple) -> np.ndarray:
+    """J * arr by one ``rfftn``/``irfftn`` pair on the zero-padded box of
+    shape ``s`` (at least the array's shape plus twice the reach)."""
+    m = kernel.reach
+    axes = tuple(range(arr.ndim))
+    flipped = kernel.weights[(slice(None, None, -1),) * arr.ndim]
+    spec = np.fft.rfftn(flipped, s=s, axes=axes)
+    full = np.fft.irfftn(np.fft.rfftn(arr, s=s, axes=axes) * spec, s=s, axes=axes)
+    return full[tuple(slice(m, m + n) for n in arr.shape)] * kernel.h**arr.ndim
+
+
 def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
                            max_outer: int = 20_000):
     """The monotone resolvent scheme with every inner solve tight.

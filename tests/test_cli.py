@@ -118,9 +118,15 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     COUNTEREXAMPLE_INI + "\n[experiment]\ntrials = -3\n",
     COUNTEREXAMPLE_INI + "\n[experiment]\nsweep_angles = -5\n",
     COUNTEREXAMPLE_INI + "\n[front]\ntol = -1\n",
+    COUNTEREXAMPLE_INI.replace("family = annulus", "family = ball\ncenter = 0"),
+    COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nradius = -1"),
+    COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\na = -1"),
+    COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nmargin = -1"),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
-        "negative_trials", "negative_sweep_angles", "negative_front_tol"])
+        "negative_trials", "negative_sweep_angles", "negative_front_tol",
+        "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
+        "negative_margin"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(

@@ -1,17 +1,22 @@
-"""Bit-level checks of the direct convolution path.
+"""Bit-level checks of the convolution paths.
 
 The direct path sums each cell's taps in row-major table order. The
 exact assertions of the comparison suite and the exact translation
 identity of the ball construction rely on that order, so these tests pin
-it bit for bit against the plain shifted-slice oracles.
+it bit for bit against the plain shifted-slice oracles. The fast path
+runs one axis at a time through reused buffers; its bits are pinned to a
+one-shot ``rfftn``/``irfftn`` pair.
 """
+
+import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from nlrd import KernelProfile, build_kernel, make_grid
-from nlrd.convolve import convolve, convolve_at
+from nlrd.convolve import convolve, convolve_at, fft_buffers, next_fast_len
 
 
 def _bits(x):
@@ -73,3 +78,80 @@ def test_single_cell_matches_direct_path(name, dim):
             one = convolve_at(arr, k, idx)
             assert _bits(one) == _bits(full[idx]), (shape, idx)
             assert one == oracles.conv_at(arr, k, idx)
+
+
+# fast path: buffered 1-D transforms against one-shot rfftn/irfftn
+
+# (359,) pads to 375 = 3 * 5^3, an odd length; (5,) and (5, 7) are
+# smaller than the kernel
+FFT_SHAPES = {1: [(5,), (80,), (359,)], 2: [(5, 7), (40, 33), (359, 20)]}
+
+
+def _oneshot(arr, k):
+    s = tuple(next_fast_len(n + 2 * k.reach) for n in arr.shape)
+    return oracles.conv_fft_oneshot(arr, k, s)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fast_path_matches_oneshot_fft(dim):
+    k = _kernel(PROFILES["quartic"], dim)
+    assert next_fast_len(359 + 2 * k.reach) == 375
+    fields = [_field(shape, seed) for seed, shape in enumerate(FFT_SHAPES[dim])]
+    wants = [_oneshot(arr, k) for arr in fields]
+    for arr, want in zip(fields, wants):
+        assert np.array_equal(_bits(convolve(arr, k, "fast")), _bits(want))
+    with fft_buffers(k):
+        # two passes over every shape, so each padded shape's buffers are
+        # reused after the other shapes have run through the same kernel
+        for _ in range(2):
+            for arr, want in zip(fields, wants):
+                assert np.array_equal(_bits(convolve(arr, k, "fast")), _bits(want))
+    assert all(key[0] == "rfft" for key in k._fft_cache)
+
+
+@pytest.mark.parametrize("path", ["direct", "fast", "both"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_out_argument_returns_out(path, dim):
+    k = _kernel(PROFILES["quartic"], dim)
+    arr = _field(FFT_SHAPES[dim][1], 3)
+    fresh = convolve(arr, k, path)
+    for ctx in (contextlib.nullcontext(), fft_buffers(k)):
+        with ctx:
+            out = np.full(arr.shape, np.nan)
+            got = convolve(arr, k, path, out=out)
+            assert got is out
+            assert np.array_equal(_bits(out), _bits(fresh))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_buffered_results_are_not_overwritten(dim):
+    k = _kernel(PROFILES["quartic"], dim)
+    a, b = (_field(FFT_SHAPES[dim][2], seed) for seed in (4, 5))
+    with fft_buffers(k):
+        with fft_buffers(k):  # nested blocks share the outer block's buffers
+            ra = convolve(a, k, "fast")
+        keep = ra.copy()
+        rb = convolve(b, k, "fast")
+        assert not np.shares_memory(ra, rb)
+        assert np.array_equal(_bits(ra), _bits(keep))
+        assert np.array_equal(_bits(rb), _bits(_oneshot(b, k)))
+        assert "buffers" in k._fft_cache
+    assert all(key[0] == "rfft" for key in k._fft_cache)
+
+
+def test_buffered_fast_path_allocates_no_box():
+    k = _kernel(PROFILES["quartic"], 2)
+    arr = _field((480, 480), 6)
+    out = np.empty(arr.shape)
+    padded = [next_fast_len(n + 2 * k.reach) for n in arr.shape]
+    box_bytes = 8 * padded[0] * padded[1]
+    with fft_buffers(k):
+        convolve(arr, k, "fast", out=out)  # spectrum and buffers built here
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                convolve(arr, k, "fast", out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < box_bytes / 8, (peak, box_bytes)

@@ -18,6 +18,7 @@ from nlrd import (
     make_grid,
     marginal_j1,
 )
+import nlrd.verify as verify_mod
 from nlrd.solver import front_profile
 from nlrd.verify import (
     Report,
@@ -223,6 +224,31 @@ def test_comparison_suite_ring_kernel_chain(ref_fz):
     p = Problem(k, build_obstacle("none", {}, g), ref_fz)
     rep = comparison_suite(p, trials=10, seed=1)
     assert {c.name: c for c in rep.checks}["strong_chain_covers"].passed is True
+
+
+def test_tophat_annulus_is_open(ref_fz, monkeypatch):
+    # tophat: J > 0 on the closed disk, so the four taps at exactly
+    # |z| = R_J = 8h carry weight, but they lie off the open annulus
+    # 0 < |z| < R_J that both strong-principle checks use
+    g = make_grid([-2, -2], [2, 2], 1 / 16)
+    k = build_kernel(KernelProfile("tophat", 0.5), g)
+    m = k.reach
+    rim = {(8, 0), (-8, 0), (0, 8), (0, -8)}
+    assert all(k.weights[i + m, j + m] > 0.0 for i, j in rim)
+    positive = {(i - m, j - m) for i, j in np.argwhere(k.weights > 0.0)}
+    want = positive - rim - {(0, 0)}
+    got = verify_mod._annulus_offsets(k)
+    assert [tuple(z) for z in got] == sorted(want)
+
+    calls = []
+    helper = verify_mod._annulus_offsets
+    monkeypatch.setattr(verify_mod, "_annulus_offsets",
+                        lambda kern: calls.append(kern) or helper(kern))
+    p = Problem(k, build_obstacle("none", {}, g), ref_fz)
+    rep = comparison_suite(p, trials=2, seed=0)
+    assert len(calls) == 2  # the contact trials and the chain
+    by = {c.name: c for c in rep.checks}
+    assert by["strong_annulus_detection"].passed and by["strong_chain_covers"].passed
 
 
 # ---------------------------------------------------------------------------
