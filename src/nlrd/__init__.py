@@ -13,20 +13,17 @@ from .errors import NlrdError, NumericalFailure, PreconditionError
 from .grid import (
     Field,
     Grid,
-    HalfSpace,
     HolderEstimate,
     field_to_csv,
     holder_quotient,
     make_field,
     make_grid,
-    sup_metrics,
 )
 from .kernels import Kernel, KernelConstants, KernelProfile, build_kernel, kernel_constants, marginal_j1
 from .nonlinearity import (
     Bistable,
     ExtendedNonlinearity,
     Stiffness,
-    bistable_from_callables,
     extend,
     make_bistable,
     stiffness,
@@ -40,7 +37,7 @@ from .obstacles import (
     jmass,
     thicken,
 )
-from .operators import Problem, apply_L, apply_L_ball, ball_mask, residual
+from .operators import Problem, apply_L, ball_mask, residual
 from .solver import (
     EvolveResult,
     FrontProfile,

@@ -27,11 +27,10 @@ from .errors import PreconditionError
 __all__ = [
     "Grid",
     "Field",
-    "HalfSpace",
     "HolderEstimate",
     "make_grid",
     "make_field",
-    "sup_metrics",
+    "shift_windows",
     "holder_quotient",
     "field_to_csv",
 ]
@@ -129,26 +128,6 @@ class Field:
         return self.values[self.mask]
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Open affine half-space ``{x : x . e > offset}`` with |e| = 1."""
-
-    normal: tuple
-    offset: float
-
-    def __post_init__(self):
-        e = np.asarray(self.normal, dtype=np.float64)
-        if abs(float(np.linalg.norm(e)) - 1.0) > 1e-12:
-            raise PreconditionError("half-space normal must be a unit vector")
-        object.__setattr__(self, "normal", tuple(float(c) for c in e))
-
-    def contains(self, grid: Grid) -> np.ndarray:
-        """Boolean mask of cells with center strictly inside the half-space."""
-        meshes = grid.meshes()
-        dot = sum(c * m for c, m in zip(self.normal, meshes))
-        return dot > self.offset
-
-
 def make_field(grid: Grid, fn: Callable, mask: Callable | np.ndarray | None = None) -> Field:
     """Sample ``fn`` at cell centers under an optional domain mask.
 
@@ -173,21 +152,6 @@ def make_field(grid: Grid, fn: Callable, mask: Callable | np.ndarray | None = No
     return Field(grid, vals, m)
 
 
-def sup_metrics(a: Field, b: Field) -> dict:
-    """Sup-norm of a-b plus min/max of ``a``, all over masked-in cells."""
-    if a.grid != b.grid or not np.array_equal(a.mask, b.mask):
-        raise PreconditionError("sup_metrics requires identical grids and masks")
-    av = a.masked_in()
-    bv = b.masked_in()
-    if av.size == 0:
-        raise PreconditionError("sup_metrics on an empty mask")
-    return {
-        "sup_diff": float(np.max(np.abs(av - bv))),
-        "min_a": float(np.min(av)),
-        "max_a": float(np.max(av)),
-    }
-
-
 @dataclass(frozen=True)
 class HolderEstimate:
     """Discrete Hoelder quotient. ``exact`` is always True: the offset sweep
@@ -197,6 +161,20 @@ class HolderEstimate:
     value: float
     exact: bool
     pairs_used: int
+
+
+def shift_windows(d, shape: tuple) -> tuple:
+    """Index windows ``(here, there)`` of an array of ``shape`` such that
+    ``arr[there]`` is ``arr[here]`` moved by the lattice offset ``d``: the
+    same entry of the two windows sits at cells ``x`` and ``x + d``. An
+    axis with ``|d_i| >= n_i`` gives empty windows."""
+    here, there = [], []
+    for di, n in zip(d, shape):
+        di = int(di)
+        span = max(n - abs(di), 0)
+        here.append(slice(max(-di, 0), max(-di, 0) + span))
+        there.append(slice(max(di, 0), max(di, 0) + span))
+    return tuple(here), tuple(there)
 
 
 def _half_plane_offsets(shape: tuple) -> np.ndarray:
@@ -240,8 +218,7 @@ def holder_quotient(u: Field, alpha: float) -> HolderEstimate:
     for k in order:
         if osc / den[k] <= best:
             break
-        here = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(offs[k], u.grid.shape))
-        there = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip(offs[k], u.grid.shape))
+        here, there = shift_windows(offs[k], u.grid.shape)
         diff = np.fmax.reduce(np.abs(w[there] - w[here]), axis=None)
         if diff == diff:  # NaN when no masked-in pair has this offset
             best = max(best, float(diff / den[k]))

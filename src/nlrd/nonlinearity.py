@@ -1,9 +1,8 @@
 """Bistable nonlinearities and their extensions beyond [0, 1].
 
-The canonical family is the cubic ``f(s) = a s (s - theta) (1 - s)``,
-which satisfies all the structural requirements for ``theta < 1/2`` and
-has closed forms for every derived constant. A generic callable profile
-is accepted as well but is validated purely numerically.
+The nonlinearity is the cubic ``f(s) = a s (s - theta) (1 - s)``, which
+satisfies all the structural requirements for ``theta < 1/2`` and has
+closed forms for every derived constant.
 
 Validation is by dense scan (1e4 points, tolerance 1e-10) plus closed-form
 critical points; every rejection names the violated clause.
@@ -23,7 +22,6 @@ __all__ = [
     "Stiffness",
     "ExtendedNonlinearity",
     "make_bistable",
-    "bistable_from_callables",
     "stiffness",
     "extend",
     "EXTENSION_MODES",
@@ -37,57 +35,31 @@ EXTENSION_MODES = ("odd", "linear-tails", "zero-left")
 
 @dataclass(frozen=True)
 class Bistable:
-    """Validated bistable nonlinearity with zeros at 0, theta, 1."""
+    """Validated bistable cubic with zeros at 0, theta, 1."""
 
     theta: float
     amplitude: float
-    kind: str = "cubic"
-    f_fn: Callable | None = None
-    fp_fn: Callable | None = None
 
     def f(self, s):
         s = np.asarray(s, dtype=np.float64)
-        if self.kind == "cubic":
-            a, th = self.amplitude, self.theta
-            # factored form: zeros at 0, theta, 1 are exact in floats
-            return a * s * (s - th) * (1.0 - s)
-        return self.f_fn(s)
+        a, th = self.amplitude, self.theta
+        # factored form: zeros at 0, theta, 1 are exact in floats
+        return a * s * (s - th) * (1.0 - s)
 
     def fprime(self, s):
         s = np.asarray(s, dtype=np.float64)
-        if self.kind == "cubic":
-            a, th = self.amplitude, self.theta
-            return a * (-3.0 * s**2 + 2.0 * (1.0 + th) * s - th)
-        return self.fp_fn(s)
+        a, th = self.amplitude, self.theta
+        return a * (-3.0 * s**2 + 2.0 * (1.0 + th) * s - th)
 
     def antiderivative(self, t):
         """F(t) = int_0^t f, valid on [0, 1]."""
         t = np.asarray(t, dtype=np.float64)
-        if self.kind == "cubic":
-            a, th = self.amplitude, self.theta
-            return a * (-(t**4) / 4.0 + (1.0 + th) * t**3 / 3.0 - th * t**2 / 2.0)
-        # generic: fine Simpson on a cached lattice
-        return _simpson_cumulative(self.f, t)
+        a, th = self.amplitude, self.theta
+        return a * (-(t**4) / 4.0 + (1.0 + th) * t**3 / 3.0 - th * t**2 / 2.0)
 
     @property
     def int_f(self) -> float:
-        if self.kind == "cubic":
-            return self.amplitude * (1.0 - 2.0 * self.theta) / 12.0
-        return float(self.antiderivative(1.0))
-
-
-def _simpson_cumulative(fn, t):
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.empty_like(t)
-    for i, ti in enumerate(t):
-        n = 2000
-        xs = np.linspace(0.0, ti, n + 1)
-        ys = np.asarray(fn(xs), dtype=np.float64)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        out[i] = (ti / n / 3.0) * float(np.dot(w, ys)) if ti != 0.0 else 0.0
-    return out if out.size > 1 else float(out[0])
+        return self.amplitude * (1.0 - 2.0 * self.theta) / 12.0
 
 
 def _validate_bistable(b: Bistable) -> None:
@@ -120,31 +92,9 @@ def _validate_bistable(b: Bistable) -> None:
 
 
 def _max_fprime(b: Bistable) -> float:
-    """max f' on [0, 1]; closed form for the cubic, refined scan otherwise."""
-    if b.kind == "cubic":
-        th = b.theta
-        return b.amplitude * (1.0 - th + th * th) / 3.0
-    s = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    fp = np.asarray(b.fprime(s), dtype=np.float64)
-    i = int(np.argmax(fp))
-    lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, s.size - 1)]
-    return _golden_max(lambda x: float(b.fprime(x)), lo, hi)
-
-
-def _golden_max(fn, lo, hi, tol=1e-10):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    while abs(b - a) > tol:
-        if fn(c) > fn(d):
-            b = d
-        else:
-            a = c
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-    return fn(0.5 * (a + b))
+    """max f' on [0, 1], at the critical point s = (1 + theta)/3."""
+    th = b.theta
+    return b.amplitude * (1.0 - th + th * th) / 3.0
 
 
 def make_bistable(theta: float, amplitude: float = 1.0) -> Bistable:
@@ -158,15 +108,6 @@ def make_bistable(theta: float, amplitude: float = 1.0) -> Bistable:
     if not (amplitude > 0.0):
         raise PreconditionError(f"amplitude must be positive, got {amplitude}")
     b = Bistable(theta=float(theta), amplitude=float(amplitude))
-    _validate_bistable(b)
-    return b
-
-
-def bistable_from_callables(f, fprime, theta: float) -> Bistable:
-    """Generic nonlinearity accepted after the same numerical validation."""
-    if not (0.0 < theta < 1.0):
-        raise PreconditionError(f"theta must lie in (0, 1), got {theta}")
-    b = Bistable(theta=float(theta), amplitude=1.0, kind="generic", f_fn=f, fp_fn=fprime)
     _validate_bistable(b)
     return b
 
@@ -284,7 +225,7 @@ class ExtendedNonlinearity:
         return coarse
 
     def max_fprime_signed(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        if self.base.kind == "cubic" and lo <= 0.0 and hi >= 1.0:
+        if lo <= 0.0 and hi >= 1.0:
             inner = _max_fprime(self.base)
             tails = {"odd": max(0.0, inner), "linear-tails": 0.0, "zero-left": 0.0}
             return max(inner, tails[self.mode])

@@ -241,14 +241,14 @@ class PsiSpec:
     kind: str = "cos_clipped"
     k: int = 6
     amp: float = 1.0
-    fn: object = None
+
+    def __post_init__(self):
+        if self.kind != "cos_clipped":
+            raise PreconditionError(f"unknown psi kind {self.kind!r}; expected 'cos_clipped'")
 
     def __call__(self, phi):
         phi = np.asarray(phi, dtype=np.float64)
-        if self.kind == "cos_clipped":
-            return self.amp * np.clip(1.0 + np.cos(self.k * phi), 0.0, None)
-        vals = np.asarray(self.fn(phi), dtype=np.float64)
-        return vals
+        return self.amp * np.clip(1.0 + np.cos(self.k * phi), 0.0, None)
 
     def validate(self) -> None:
         probe = np.linspace(-math.pi, math.pi, 14401)

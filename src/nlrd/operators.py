@@ -25,7 +25,7 @@ from .kernels import Kernel
 from .nonlinearity import ExtendedNonlinearity
 from .obstacles import Obstacle
 
-__all__ = ["Problem", "apply_L", "apply_L_ball", "residual", "ball_mask"]
+__all__ = ["Problem", "apply_L", "residual", "ball_mask"]
 
 
 def ball_mask(grid: Grid, center, radius: float) -> np.ndarray:
@@ -120,28 +120,6 @@ def apply_L(p: Problem, u: Field, path: str | None = None) -> Field:
     vals = conv - p.jself * u.values
     vals[~p.domain_mask] = 0.0
     return Field(p.grid, vals, p.domain_mask)
-
-
-def apply_L_ball(
-    k: Kernel,
-    center,
-    radius: float,
-    v: Field,
-    path: str = "fast",
-    eval_everywhere: bool = False,
-) -> Field:
-    """Ball-restricted operator: (L_B v)(x) = sum_{y in B} J(x-y) v(y) h^dim.
-
-    No diagonal term. By default the result is masked to the closed ball;
-    ``eval_everywhere`` exposes the convolution on the whole box (used by
-    the sub-solution certificate, whose inequality is global).
-    """
-    bmask = ball_mask(v.grid, center, radius)
-    vals = convolve(v.values * bmask, k, path)
-    if eval_everywhere:
-        return Field(v.grid, vals, np.ones(v.grid.shape, dtype=bool))
-    vals = np.where(bmask, vals, 0.0)
-    return Field(v.grid, vals, bmask)
 
 
 def residual(p: Problem, u: Field, path: str | None = None):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .convolve import convolve, fft_buffers
 from .errors import NumericalFailure, PreconditionError
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid, make_grid, shift_windows
 from .kernels import Kernel, KernelConstants
 from .nonlinearity import Bistable, ExtendedNonlinearity, extend
 from .operators import Problem, ball_mask
@@ -276,6 +276,11 @@ def maximal_solution(
     """
     if f.mode != "zero-left":
         raise PreconditionError("maximal_solution requires the zero-left extension")
+    ncoords = np.atleast_1d(center).size
+    if ncoords != k.dim:
+        raise PreconditionError(
+            f"ball center has {ncoords} coordinates for a {k.dim}-D kernel"
+        )
     if radius < d0:
         raise PreconditionError(f"R = {radius} below existence threshold d0 = {d0:.6g}")
     if radius < k.radius:
@@ -370,37 +375,14 @@ def energy(k: Kernel, f: ExtendedNonlinearity, center, radius: float, u: Field) 
         raise PreconditionError("field mask is not the requested ball")
     hd = grid.h**grid.dim
     vals = u.values
-    m = k.reach
-    w = k.weights
 
     pair_sums = []
     bm = bmask.astype(np.float64)
-    if grid.dim == 1:
-        n0 = vals.shape[0]
-        for uu in range(2 * m + 1):
-            c = w[uu]
-            if c == 0.0:
-                continue
-            d = uu - m
-            a_sl = slice(max(0, d), n0 + min(0, d))
-            b_sl = slice(max(0, -d), n0 + min(0, -d))
-            both = bmask[a_sl] & bmask[b_sl]
-            diff2 = (vals[a_sl] - vals[b_sl]) ** 2
-            pair_sums.append(c * pairwise_sum(diff2 * both))
-    else:
-        n0, n1 = vals.shape
-        for uu in range(2 * m + 1):
-            di = uu - m
-            for vv in range(2 * m + 1):
-                c = w[uu, vv]
-                if c == 0.0:
-                    continue
-                dj = vv - m
-                a_sl = (slice(max(0, di), n0 + min(0, di)), slice(max(0, dj), n1 + min(0, dj)))
-                b_sl = (slice(max(0, -di), n0 + min(0, -di)), slice(max(0, -dj), n1 + min(0, -dj)))
-                both = bmask[a_sl] & bmask[b_sl]
-                diff2 = (vals[a_sl] - vals[b_sl]) ** 2
-                pair_sums.append(c * pairwise_sum(diff2 * both))
+    for d, c in k.taps:
+        here, there = shift_windows(d, grid.shape)
+        both = bmask[there] & bmask[here]
+        diff2 = (vals[there] - vals[here]) ** 2
+        pair_sums.append(c * pairwise_sum(diff2 * both))
     pair_term = 0.25 * hd * hd * pairwise_sum(np.asarray(pair_sums))
 
     mass_in_ball = convolve(bm, k, "fast")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .convolve import convolve, convolve_at
 from .errors import NumericalFailure, PreconditionError
-from .grid import Field, Grid, holder_quotient
+from .grid import Field, Grid, holder_quotient, shift_windows
 from .kernels import Kernel, KernelConstants
 from .nonlinearity import ExtendedNonlinearity
 from .obstacles import DeformationFamily, build_obstacle, jmass
@@ -462,16 +462,8 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
         rep.add("sweep_step3_exact_rotations", None, note="skipped: box not origin-symmetric")
 
     # Step 3 continued: sampled intermediate angles via the radial profile
-    prof_r, prof_v = _radial_profile(w.field, center)
-    meshes = p.grid.meshes()
-    worst = 0.0
     n_angles = int(opts.get("angles", 16))
-    for t in range(n_angles):
-        tau = 2.0 * math.pi * t / n_angles
-        ct = (cx * math.cos(tau), cx * math.sin(tau))
-        dist = np.hypot(meshes[0] - ct[0], meshes[1] - ct[1])
-        wt = np.interp(dist, prof_r, prof_v, right=0.0)
-        worst = max(worst, float(np.max(np.where(p.domain_mask, wt - u.values, -1.0))))
+    worst = _rotation_sweep(p, w.field, center, u.values, n_angles, 0.0)
     rep.add("sweep_step3_sampled_angles", worst <= 1e-12, worst, 0.0, 1e-12,
             note=f"{n_angles} sampled rotations (radial interpolant)")
 
@@ -485,7 +477,8 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
         if reach > box - p.clamp_width - h:
             break
         moved = np.zeros_like(wv)
-        moved[shift:, :] = wv[:-shift, :]
+        here, there = shift_windows((shift, 0), wv.shape)
+        moved[there] = wv[here]
         worst_tr = max(worst_tr, float(np.max(moved - u.values)))
         sigma_max = sig
         sig += max(1, int(round(0.25 / h)))
@@ -494,6 +487,25 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
     covered = cx + sigma_max * h + 1.0
     rep.add("sweep_covered_radius", None, covered,
             note=f"u >= 1 - {eps} certified on the swept annuli out to this radius")
+
+
+def _rotation_sweep(p: Problem, w: Field, center, u: np.ndarray, n: int,
+                    floor: float) -> float:
+    """max over the domain of w_tau - u, and over ``n`` equally spaced
+    angles tau, where w_tau is the radial interpolant of ``w`` about
+    ``center`` with that center rotated by tau about the origin; the
+    result is at least ``floor``."""
+    radius = float(np.hypot(*center))
+    prof_r, prof_v = _radial_profile(w, center)
+    meshes = p.grid.meshes()
+    worst = floor
+    for t in range(n):
+        tau = 2.0 * math.pi * t / n
+        ct = (radius * math.cos(tau), radius * math.sin(tau))
+        dist = np.hypot(meshes[0] - ct[0], meshes[1] - ct[1])
+        wt = np.interp(dist, prof_r, prof_v, right=0.0)
+        worst = max(worst, float(np.max(np.where(p.domain_mask, wt - u, -1.0))))
+    return worst
 
 
 def _radial_profile(f: Field, center) -> tuple:
@@ -580,6 +592,7 @@ def comparison_suite(
     """
     rng = np.random.default_rng(seed)
     rep = Report("comparison", config or {}, [])
+    rep.meta["seed"] = seed
     dt = max_step(p)
     n_weak = max(trials // 2, 1)
 
@@ -709,16 +722,9 @@ def _chain_steps(p: Problem) -> int | None:
 
 def _dilate(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndarray:
     out = np.zeros_like(mask)
-    shape = mask.shape
     for d in deltas:
-        if mask.ndim == 1:
-            (d0,) = d
-            src = mask[max(0, -d0) : shape[0] - max(0, d0)]
-            out[max(0, d0) : shape[0] - max(0, -d0)] |= src
-        else:
-            d0, d1 = d
-            src = mask[max(0, -d0) : shape[0] - max(0, d0), max(0, -d1) : shape[1] - max(0, d1)]
-            out[max(0, d0) : shape[0] - max(0, -d0), max(0, d1) : shape[1] - max(0, -d1)] |= src
+        here, there = shift_windows(d, mask.shape)
+        out[there] |= mask[here]
     return out & domain
 
 
@@ -741,18 +747,8 @@ def _sweeping_checks(rep, p, u_ref, subsol, trials, rng) -> None:
     if p.grid.dim != 2:
         rep.add("sweeping_family", None, note="skipped: sweeping family needs dim 2")
         return
-    center = np.asarray(subsol.base.center)
-    radius_c = float(np.hypot(*center))
-    prof_r, prof_v = _radial_profile(subsol.field, center)
-    meshes = p.grid.meshes()
-    worst = -math.inf
     n = max(trials, 16)
-    for t in range(n):
-        tau = 2.0 * math.pi * t / n
-        ct = (radius_c * math.cos(tau), radius_c * math.sin(tau))
-        dist = np.hypot(meshes[0] - ct[0], meshes[1] - ct[1])
-        wt = np.interp(dist, prof_r, prof_v, right=0.0)
-        worst = max(worst, float(np.max(np.where(p.domain_mask, wt - uv, -1.0))))
+    worst = _rotation_sweep(p, subsol.field, subsol.base.center, uv, n, -math.inf)
     rep.add("sweeping_rotation_family", worst <= 1e-12, worst, 0.0, 1e-12,
             note=f"{n} rotation parameters")
 
@@ -778,8 +774,12 @@ def robustness_experiment(
     eps grid, certify the Liouville level for eps <= pass_eps, and check
     every Hoelder quotient against the eps-independent constant
     A = 2 [J] / (inf_eps inf J_eps - max f')."""
-    rep = Report("robustness", config or {}, [])
     eps_sorted = sorted(float(e) for e in eps_grid)
+    if not any(e <= pass_eps + 1e-12 for e in eps_sorted):
+        raise PreconditionError(
+            f"no epsilon in the grid is <= pass_eps = {pass_eps}; nothing to certify"
+        )
+    rep = Report("robustness", config or {}, [])
     obstacles = {e: fam.obstacle(e, grid) for e in eps_sorted}
     base = fam.obstacle(0.0, grid)
 

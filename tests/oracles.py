@@ -157,6 +157,27 @@ def holder_quotient_pairs(u, alpha: float) -> float:
     return best
 
 
+def energy_pairs_1d(kernel, f, bmask: np.ndarray, vals: np.ndarray) -> tuple:
+    """The three terms of the 1-D ball energy by plain loops over cell
+    pairs: 1/4 sum J(x-y)(u(y)-u(x))^2 h^2, 1/2 sum c(x) u(x)^2 h with
+    c(x) = 1 - sum_{y in B} J(x-y) h, and sum F(u(x)) h, over x, y in B."""
+    m = kernel.reach
+    w = kernel.weights
+    h = kernel.h
+    cells = [int(i) for i in np.flatnonzero(bmask)]
+    pair = mass = potential = 0.0
+    for x in cells:
+        seen = 0.0
+        for y in cells:
+            if abs(y - x) <= m:
+                jw = float(w[y - x + m])
+                pair += jw * (float(vals[y]) - float(vals[x])) ** 2
+                seen += jw * h
+        mass += (1.0 - seen) * float(vals[x]) ** 2
+        potential += float(f.antiderivative(vals[x]))
+    return 0.25 * h * h * pair, 0.5 * h * mass, h * potential
+
+
 def conv_box(arr: np.ndarray, kernel) -> np.ndarray:
     """J * arr on the array's box (zero outside), one shifted slice per
     kernel offset; the vectorised sibling of :func:`conv_at`."""

@@ -57,6 +57,28 @@ radius = 1.0
 alphas = 1.0
 """
 
+MAXIMAL_INI = """
+[grid]
+lo = -9,-9
+hi = 9,9
+h = 0.125
+
+[kernel]
+profile = quartic
+radius = 0.5
+
+[f]
+theta = 0.25
+amplitude = 3.0
+
+[obstacle]
+family = none
+
+[ball]
+center = 0,0
+radius = 4.0
+"""
+
 
 def _cfg(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -106,32 +128,42 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "wavelength" in err
 
 
-@pytest.mark.parametrize("bad", [
-    COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = nan"),
-    COUNTEREXAMPLE_INI.replace("h = 0.0625", "h = inf"),
-    COUNTEREXAMPLE_INI.replace("lo = -4,-4", "lo = -4,-inf"),
-    COUNTEREXAMPLE_INI + "\n[grid]\nh = 0.125\n",
-    COUNTEREXAMPLE_INI + "\n[ball]\ntol = -1\n",
-    COUNTEREXAMPLE_INI + "\n[solver]\ntol = 0\n",
-    COUNTEREXAMPLE_INI + "\n[solver]\ndt = 0\n",
-    COUNTEREXAMPLE_INI + "\n[solver]\nmax_steps = -5\n",
-    COUNTEREXAMPLE_INI + "\n[experiment]\ntrials = -3\n",
-    COUNTEREXAMPLE_INI + "\n[experiment]\nsweep_angles = -5\n",
-    COUNTEREXAMPLE_INI + "\n[front]\ntol = -1\n",
-    COUNTEREXAMPLE_INI.replace("family = annulus", "family = ball\ncenter = 0"),
-    COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nradius = -1"),
-    COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\na = -1"),
-    COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nmargin = -1"),
+COUNTEREXAMPLE = ("experiment", "counterexample")
+
+
+@pytest.mark.parametrize("bad,command", [
+    (COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = nan"), COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI.replace("h = 0.0625", "h = inf"), COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI.replace("lo = -4,-4", "lo = -4,-inf"), COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[grid]\nh = 0.125\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[ball]\ntol = -1\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[solver]\ntol = 0\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[solver]\ndt = 0\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[solver]\nmax_steps = -5\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[experiment]\ntrials = -3\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[experiment]\nsweep_angles = -5\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[front]\ntol = -1\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = ball\ncenter = 0"),
+     COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nradius = -1"), COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\na = -1"), COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nmargin = -1"), COUNTEREXAMPLE),
+    (MAXIMAL_INI.replace("center = 0,0", "center = 0"), ("maximal",)),
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi = garbage"),
+     ("solve",)),
+    # without the pass_eps check this run completes and passes, certifying no epsilon
+    (COUNTEREXAMPLE_INI + "\n[experiment]\nepsilons = 0.2\npass_eps = -1\n",
+     ("experiment", "robustness")),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
         "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
-        "negative_margin"])
-def test_malformed_config_exits_two_without_traceback(tmp_path, bad):
+        "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps"])
+def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
         [sys.executable, "-m", "nlrd.cli", "--config", cfg,
-         "--out", str(tmp_path / "o"), "experiment", "counterexample"],
+         "--out", str(tmp_path / "o"), *command],
         capture_output=True,
         text=True,
     )
@@ -197,29 +229,6 @@ def test_front_command(tmp_path):
     assert len(lines) > 1000
 
 
-MAXIMAL_INI = """
-[grid]
-lo = -9,-9
-hi = 9,9
-h = 0.125
-
-[kernel]
-profile = quartic
-radius = 0.5
-
-[f]
-theta = 0.25
-amplitude = 3.0
-
-[obstacle]
-family = none
-
-[ball]
-center = 0,0
-radius = 4.0
-"""
-
-
 def test_maximal_and_subsolution_commands(tmp_path):
     cfg = _cfg(tmp_path, MAXIMAL_INI)
     out = tmp_path / "out"
@@ -262,6 +271,7 @@ trials = 6
     assert code == 0
     rep = json.loads((out / "verify_comparison.report.json").read_text())
     assert rep["passed"] is True
+    assert rep["meta"]["seed"] == 0
 
 
 def test_solve_emits_kernel_table(tmp_path):

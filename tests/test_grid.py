@@ -3,14 +3,13 @@ import pytest
 
 from nlrd import (
     Field,
-    HalfSpace,
     PreconditionError,
     field_to_csv,
     holder_quotient,
     make_field,
     make_grid,
-    sup_metrics,
 )
+from nlrd.grid import shift_windows
 from nlrd.reduction import pairwise_sum
 
 
@@ -69,31 +68,6 @@ def test_field_zeroes_masked_out_and_is_readonly():
     assert f.values[1] == 0.0
     with pytest.raises(ValueError):
         f.values[0] = 3.0
-
-
-def test_sup_metrics_basics():
-    g = make_grid([0.0], [1.0], 0.25)
-    a = make_field(g, lambda x: np.ones_like(x))
-    b = make_field(g, lambda x: np.zeros_like(x))
-    m = sup_metrics(a, b)
-    assert m["sup_diff"] == 1.0
-    assert sup_metrics(a, a)["sup_diff"] == 0.0
-
-
-def test_sup_metrics_constant_roundtrip():
-    g = make_grid([-2, -2], [2, 2], 0.5)
-    c = 0.7341
-    f = make_field(g, lambda x, y: np.full_like(x, c))
-    m = sup_metrics(f, f)
-    assert m["min_a"] == c and m["max_a"] == c
-
-
-def test_sup_metrics_mask_mismatch_rejected():
-    g = make_grid([0.0], [1.0], 0.25)
-    a = make_field(g, lambda x: x)
-    b = make_field(g, lambda x: x, mask=lambda x: x > 0.2)
-    with pytest.raises(PreconditionError):
-        sup_metrics(a, b)
 
 
 def test_holder_quotient_constant_zero():
@@ -166,6 +140,27 @@ def test_holder_quotient_matches_all_pairs(name, alpha, request):
     assert est.value == oracles.holder_quotient_pairs(f, alpha)
 
 
+@pytest.mark.parametrize("shape,d", [
+    ((7,), (0,)), ((7,), (3,)), ((7,), (-2,)), ((7,), (7,)), ((7,), (-9,)),
+    ((5, 6), (0, 0)), ((5, 6), (2, -3)), ((5, 6), (-4, 1)), ((5, 6), (0, 5)),
+    ((5, 6), (5, 0)), ((5, 6), (-1, -6)), ((5, 6), (8, -8)),
+])
+def test_shift_windows_against_cell_loop(shape, d):
+    arr = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    here, there = shift_windows(d, shape)
+    moved = np.full(shape, -1.0)
+    moved[there] = arr[here]
+    ref = np.full(shape, -1.0)
+    for x in np.ndindex(shape):
+        y = tuple(xi + di for xi, di in zip(x, d))
+        if all(0 <= yi < n for yi, n in zip(y, shape)):
+            ref[y] = arr[x]
+    assert np.array_equal(moved, ref)
+    assert arr[here].shape == arr[there].shape
+    if any(abs(di) >= n for di, n in zip(d, shape)):
+        assert arr[here].size == 0
+
+
 def test_pairwise_sum_deterministic_and_correct():
     rng = np.random.default_rng(11)
     x = rng.uniform(-1, 1, 10001)
@@ -173,16 +168,6 @@ def test_pairwise_sum_deterministic_and_correct():
     s2 = pairwise_sum(x.copy())
     assert s1 == s2
     assert abs(s1 - float(np.sum(x))) < 1e-9
-
-
-def test_halfspace_validation_and_membership():
-    with pytest.raises(PreconditionError):
-        HalfSpace((1.0, 1.0), 0.0)
-    hs = HalfSpace((1.0, 0.0), 0.5)
-    g = make_grid([-1, -1], [1, 1], 0.5)
-    inside = hs.contains(g)
-    X, _ = g.meshes()
-    assert np.array_equal(inside, X > 0.5)
 
 
 def test_field_csv_format(tmp_path):

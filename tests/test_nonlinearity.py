@@ -4,7 +4,6 @@ import pytest
 import oracles
 from nlrd import (
     PreconditionError,
-    bistable_from_callables,
     extend,
     make_bistable,
     stiffness,
@@ -107,14 +106,6 @@ def test_g_strictly_increasing(ref_f):
     g0 = s - ref_f.f(s)
     g1 = (s + delta) - ref_f.f(s + delta)
     assert np.all(g1 > g0)
-
-
-def test_generic_callable_validation():
-    f = make_bistable(0.3, 1.0)
-    ok = bistable_from_callables(lambda s: f.f(s), lambda s: f.fprime(s), 0.3)
-    assert abs(ok.int_f - 1 / 30) < 1e-9
-    with pytest.raises(PreconditionError):
-        bistable_from_callables(lambda s: np.abs(f.f(s)), lambda s: f.fprime(s), 0.3)
 
 
 @pytest.mark.parametrize("mode", ["odd", "linear-tails", "zero-left"])

@@ -150,7 +150,7 @@ def test_deformation_hausdorff_monotone(g8):
 
 def test_psi_negative_rejected():
     with pytest.raises(PreconditionError, match="negative"):
-        deformation_family(1.0, PsiSpec(kind="custom", fn=lambda p: np.cos(p)))
+        deformation_family(1.0, PsiSpec(amp=-1.0))
 
 
 def test_star_family_builds_but_claims_nothing(g8):

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-import oracles
 from nlrd import (
     Field,
     KernelProfile,
     PreconditionError,
     Problem,
     apply_L,
-    apply_L_ball,
     build_kernel,
     build_obstacle,
     make_grid,
     residual,
 )
-from nlrd.operators import ball_mask
 
 
 @pytest.fixture(scope="module")
@@ -58,38 +55,6 @@ def test_single_spike_by_hand(empty_problem):
         w = k.weights[d[0] + k.reach, d[1] + k.reach]
         assert Lu[y] == pytest.approx(w * h * h, abs=1e-18)
     assert Lu[c] == pytest.approx(-(1.0 - k.center_weight * h * h), abs=1e-14)
-
-
-def test_ball_operator_mass_identity(empty_problem):
-    p = empty_problem
-    g = p.grid
-    bm = ball_mask(g, (0.0, 0.0), 2.0)
-    v = Field(g, np.where(bm, 1.0, 0.0), bm)
-    out = apply_L_ball(p.kernel, (0.0, 0.0), 2.0, v, path="direct")
-    # deep inside the ball the full kernel mass is collected
-    deep = ball_mask(g, (0.0, 0.0), 2.0 - p.kernel.radius - g.h)
-    assert float(np.max(np.abs(out.values[deep] - 1.0))) < 1e-12
-    # and L_B[1] = 1 - c(x) everywhere on the ball
-    from nlrd.convolve import convolve
-
-    lhs = convolve(bm.astype(float), p.kernel, "direct")
-    assert float(np.max(np.abs(out.values[bm] - lhs[bm]))) == 0.0
-
-
-def test_ball_operator_against_pointwise_oracle(empty_problem):
-    p = empty_problem
-    g = p.grid
-    bm = ball_mask(g, (0.5, -0.25), 1.5)
-    X, Y = g.meshes()
-    tent = np.clip(1.0 - np.hypot(X - 0.5, Y + 0.25), 0.0, None)
-    v = Field(g, np.where(bm, tent, 0.0), bm)
-    out = apply_L_ball(p.kernel, (0.5, -0.25), 1.5, v, path="direct")
-    rng = np.random.default_rng(5)
-    cells = np.argwhere(bm)
-    for i in rng.choice(cells.shape[0], 5, replace=False):
-        idx = tuple(cells[i])
-        direct = oracles.conv_at(v.values * bm, p.kernel, idx)
-        assert abs(out.values[idx] - direct) < 1e-12
 
 
 def test_residual_trivial_zeros(empty_problem, ref_f):

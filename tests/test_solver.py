@@ -256,6 +256,20 @@ def test_energy_zero_field(ball1d, ref_fo):
     assert E.value == 0.0
 
 
+def test_energy_random_field_against_pair_oracle(ball1d, ref_fo):
+    g, k = ball1d
+    bm = ball_mask(g, [0.0], 10.0)
+    rng = np.random.default_rng(7)
+    u = Field(g, np.where(bm, rng.uniform(-0.5, 1.5, g.shape), 0.0), bm)
+    E = energy(k, ref_fo, [0.0], 10.0, u)
+    pair, mass, potential = oracles.energy_pairs_1d(k, ref_fo, bm, u.values)
+    assert E.pair_term > 0.0
+    for got, ref in ((E.pair_term, pair), (E.mass_term, mass),
+                     (E.potential_term, potential)):
+        assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+    assert abs(E.value - (pair + mass - potential)) <= 1e-12 * (1.0 + abs(E.value))
+
+
 def test_energy_requires_odd_extension(ball1d, ref_fz):
     g, k = ball1d
     bm = ball_mask(g, [0.0], 10.0)
