@@ -65,11 +65,10 @@ def _emit(report: Report, outdir: str, stem: str, args) -> None:
     report.write_csv(os.path.join(outdir, f"{stem}.checks.csv"))
 
 
-def _phi_and_constants(cfg, grid, kernel, f):
-    j1 = marginal_j1(kernel) if kernel.dim > 1 else kernel
+def _phi_and_constants(cfg, kernel, f):
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     phi = front_profile(
-        j1, f,
+        marginal_j1(kernel), f,
         line_length=cfg["front"]["line_length"],
         tol=cfg["front"]["tol"],
     )
@@ -110,9 +109,7 @@ def cmd_solve(cfg, args, outdir) -> int:
 
 
 def cmd_maximal(cfg, args, outdir) -> int:
-    grid, kernel, f, fext = build_pieces(cfg)
-    if fext.mode != "zero-left":
-        raise PreconditionError("maximal solutions use f.extension = zero-left")
+    _, kernel, f, fext = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     v = maximal_solution(
         kernel, fext,
@@ -135,9 +132,8 @@ def cmd_maximal(cfg, args, outdir) -> int:
 
 
 def cmd_front(cfg, args, outdir) -> int:
-    grid, kernel, f, _ = build_pieces(cfg)
-    j1 = marginal_j1(kernel) if kernel.dim > 1 else kernel
-    phi = front_profile(j1, f, line_length=cfg["front"]["line_length"],
+    _, kernel, f, _ = build_pieces(cfg)
+    phi = front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
                         tol=cfg["front"]["tol"])
     rep = Report("front", resolve(cfg), [])
     rep.add("residual_off_bands", phi.residual_sup <= 1e-8, phi.residual_sup, 0.0, 1e-8)
@@ -155,9 +151,7 @@ def cmd_front(cfg, args, outdir) -> int:
 
 
 def cmd_subsolution(cfg, args, outdir) -> int:
-    grid, kernel, f, fext = build_pieces(cfg)
-    if fext.mode != "zero-left":
-        raise PreconditionError("sub-solutions use f.extension = zero-left")
+    _, kernel, f, fext = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     v = maximal_solution(kernel, fext, cfg["ball"]["center"], cfg["ball"]["radius"],
                          kc.d0, tol=cfg["ball"]["tol"], path=args.conv)
@@ -179,14 +173,12 @@ def cmd_verify(cfg, args, outdir) -> int:
     suite = args.name
     if suite == "comparison":
         p = build_problem(cfg, args.conv)
-        grid, kernel, f, _ = build_pieces(cfg)
-        phi, kc = _phi_and_constants(cfg, grid, kernel, f)
+        phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
         rep = comparison_suite(p, cfg["experiment"]["trials"], args.seed, phi=phi,
                                config=resolve(cfg))
     elif suite == "bounds":
         p = build_problem(cfg, args.conv)
-        grid, kernel, f, _ = build_pieces(cfg)
-        phi, kc = _phi_and_constants(cfg, grid, kernel, f)
+        phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
         res = evolve(p, p.hostile_datum(), residual_tol=cfg["solver"]["tol"],
                      max_steps=cfg["solver"]["max_steps"])
         if not res.converged:
@@ -207,8 +199,7 @@ def cmd_experiment(cfg, args, outdir) -> int:
         rep = counterexample_check(p, resolve(cfg))
     elif name == "liouville":
         p = build_problem(cfg, args.conv)
-        grid, kernel, f, _ = build_pieces(cfg)
-        phi, kc = _phi_and_constants(cfg, grid, kernel, f)
+        phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
         sweep_opts = {
             "epsilon": cfg["experiment"]["sweep_epsilon"],
             "angles": cfg["experiment"]["sweep_angles"],
@@ -221,9 +212,8 @@ def cmd_experiment(cfg, args, outdir) -> int:
             alphas=cfg["experiment"]["alphas"], sweep_opts=sweep_opts,
             log_every=cfg["solver"]["log_every"],
         )
-        rows = getattr(rep, "log_rows", None)
-        if rows:
-            _write_progress(os.path.join(outdir, "progress.csv"), rows)
+        if rep.log_rows:
+            _write_progress(os.path.join(outdir, "progress.csv"), rep.log_rows)
     elif name == "robustness":
         grid, kernel, f, fext = build_pieces(cfg)
         kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
@@ -239,10 +229,13 @@ def cmd_experiment(cfg, args, outdir) -> int:
             residual_tol=cfg["solver"]["tol"],
             max_steps=cfg["solver"]["max_steps"],
             config=resolve(cfg),
+            margin=o["margin"],
+            far_field=cfg["problem"]["far_field"],
+            clamp_width=cfg["problem"]["clamp_width"],
         )
     else:
         raise PreconditionError(f"unknown experiment {name!r}")
-    for stem, fld in getattr(rep, "fields", {}).items():
+    for stem, fld in rep.fields.items():
         field_to_csv(fld, os.path.join(outdir, f"{stem}.csv"))
     _emit(rep, outdir, name, args)
     return 0 if rep.passed else 1

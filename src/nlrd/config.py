@@ -91,10 +91,10 @@ _SCHEMA: dict = {
         "r2": (_float, "2.0"),
         "r0": (_float, "1.0"),
         "ramp": (_float, "0.4"),
-        "points": (int, "5"),
+        "points": (_positive(int), "5"),
         "epsilon": (_float, "0.1"),
         "psi": (str, "cos_clipped"),
-        "psi_k": (int, "6"),
+        "psi_k": (_positive(int), "6"),
         "psi_amp": (_float, "1.0"),
         "margin": (_nonnegative, "1.5"),
     },
@@ -138,9 +138,9 @@ def load_config(path: str | None) -> dict:
     """Parse and validate an INI file against the schema; fill defaults.
 
     Malformed INI syntax (a duplicate section, say), non-finite numbers,
-    non-positive solver tolerances, steps, step budgets, trial counts and
-    obstacle radii, and a negative obstacle margin are rejected as
-    preconditions, like unknown keys."""
+    non-positive solver tolerances, steps, step budgets, trial counts,
+    obstacle radii, star point counts and psi frequencies, and a negative
+    obstacle margin are rejected as preconditions, like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:

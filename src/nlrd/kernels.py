@@ -239,8 +239,9 @@ def _central_diff_grad_l1(k: Kernel) -> float:
     return pairwise_sum(np.hypot(gx, gy)) * h**2
 
 
-def _d0_bisection(radius: float, dim: int, int_f: float, tol: float = 1e-6) -> float:
-    """Smallest R with (1/2)(1 - (1 - R_J/R)^dim) < int_0^1 f, and R > R_J.
+def _d0_bisection(radius: float, dim: int, int_f: float) -> float:
+    """Smallest R with (1/2)(1 - (1 - R_J/R)^dim) < int_0^1 f, and R > R_J,
+    bracketed to 1e-6.
 
     The left side decreases from 1/2 (at R = R_J) to 0, so when
     int_f < 1/2 there is a unique threshold; for very strong f the formal
@@ -258,7 +259,7 @@ def _d0_bisection(radius: float, dim: int, int_f: float, tol: float = 1e-6) -> f
         hi *= 2.0
         if hi > 1e12:
             raise PreconditionError("d0 search diverged; int_0^1 f too small")
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if excess(mid) >= 0.0:
             lo = mid

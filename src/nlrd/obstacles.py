@@ -103,8 +103,9 @@ def _hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def convex_hull_mask(grid: Grid, mask: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Cells whose centers lie in the convex hull of the masked centers."""
+def convex_hull_mask(grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Cells whose centers lie in the convex hull of the masked centers
+    (edge tests at 1e-9)."""
     if not np.any(mask):
         return mask.copy()
     if grid.dim == 1:
@@ -124,7 +125,7 @@ def convex_hull_mask(grid: Grid, mask: np.ndarray, tol: float = 1e-9) -> np.ndar
         b = hull[(i + 1) % len(hull)]
         e = b - a
         cross = e[0] * (xs[:, 1] - a[1]) - e[1] * (xs[:, 0] - a[0])
-        inside &= cross >= -tol
+        inside &= cross >= -1e-9
     return inside.reshape(grid.shape)
 
 
@@ -210,8 +211,9 @@ def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -
     return Obstacle(grid=grid, mask_K=mask, family=family, params=dict(params), convex=convex)
 
 
-def thicken(K: Obstacle, delta: float, margin: float = 1.5) -> Obstacle:
-    """K_delta: cells within Euclidean distance delta of a K cell center."""
+def thicken(K: Obstacle, delta: float) -> Obstacle:
+    """K_delta: cells within Euclidean distance delta of a K cell center,
+    kept 1.5 from the box boundary."""
     if delta < 0.0:
         raise PreconditionError(f"thickening width must be >= 0, got {delta}")
     if delta == 0.0 or not np.any(K.mask_K):
@@ -229,7 +231,7 @@ def thicken(K: Obstacle, delta: float, margin: float = 1.5) -> Obstacle:
         )
         out[s:e] = d2 <= delta * delta
     mask = out.reshape(grid.shape)
-    _check_margin(grid, mask, margin, "thickened obstacle")
+    _check_margin(grid, mask, 1.5, "thickened obstacle")
     convex = K.convex and _is_discrete_convex(grid, mask)
     return Obstacle(grid, mask, K.family, dict(K.params, delta=float(delta)), convex)
 
@@ -283,14 +285,14 @@ def deformation_family(base_radius: float, psi: PsiSpec | None = None) -> Deform
     return DeformationFamily(base_radius=float(base_radius), psi=psi or PsiSpec())
 
 
-def jmass(k: Kernel, K: Obstacle, path: str = "direct") -> Field:
+def jmass(k: Kernel, K: Obstacle) -> Field:
     """Mass map J(x) = 1 - int_K J(x - y) dy, the kernel mass visible from x.
 
     Computed through the complement so the value is exact for every cell,
     including those near the box edge (the far part of the domain carries
     the missing mass). Values are certified to lie in [0, 1] within 1e-12.
     """
-    kk = convolve(K.mask_K.astype(np.float64), k, path=path)
+    kk = convolve(K.mask_K.astype(np.float64), k, "direct")
     vals = 1.0 - kk
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if lo < -1e-12 or hi > 1.0 + 1e-12:

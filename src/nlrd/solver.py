@@ -83,7 +83,7 @@ class EvolveResult:
 def max_step(p: Problem) -> float:
     """Comparison-preserving explicit-Euler bound 0.9/(max J + max |f'|)."""
     max_j = float(np.max(p.jself[p.domain_mask]))
-    return 0.9 / (max_j + p.f.max_abs_fprime(0.0, 1.0))
+    return 0.9 / (max_j + p.f.max_abs_fprime())
 
 
 def evolve(
@@ -92,7 +92,6 @@ def evolve(
     dt: float | None = None,
     max_steps: int = 200_000,
     residual_tol: float = 1e-8,
-    path: str | None = None,
     log_every: int = 0,
 ) -> EvolveResult:
     """March u' = Lu + f(u) to a stationary point.
@@ -109,14 +108,13 @@ def evolve(
         raise PreconditionError(f"dt = {dt} above the comparison bound {bound:.6g}")
     if np.any(u0.values[p.domain_mask] < 0.0) or np.any(u0.values[p.domain_mask] > 1.0):
         raise PreconditionError("initial datum must take values in [0, 1]")
-    path = path or p.conv_path
     u = u0.values.copy()
     inter = p.interior_mask
     log_rows: list = []
     steps = 0
     with fft_buffers(p.kernel):
         while True:
-            r = p.rate(u, path)
+            r = p.rate(u)
             sup = float(np.max(np.abs(r[inter])))
             if not math.isfinite(sup):
                 raise NumericalFailure(f"non-finite residual at step {steps}")
@@ -155,32 +153,29 @@ def evolve_ball(
     center,
     radius: float,
     grid: Grid | None = None,
-    u0: np.ndarray | None = None,
-    dt: float | None = None,
     residual_tol: float = 1e-9,
-    max_steps: int = 500_000,
-    path: str = "fast",
 ):
     """Parabolic route to the ball equation: u' = L_B u - u + f(u) from 1.
 
     From the constant super-solution 1 the iterates decrease monotonically
     to the maximal solution; this is the independent oracle for
-    :func:`maximal_solution`.
+    :func:`maximal_solution`. Explicit steps of dt = 0.9/(1 + max |f'|)
+    on the FFT path run until the residual sup is <= ``residual_tol``, or
+    for at most 500 000 steps, the last iterate then flagged unconverged.
     """
     grid = grid or ball_grid(center, radius, k.h)
     bmask = ball_mask(grid, center, radius)
-    if dt is None:
-        dt = 0.9 / (1.0 + f.max_abs_fprime(0.0, 1.0))
-    u = np.where(bmask, 1.0, 0.0) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
+    dt = 0.9 / (1.0 + f.max_abs_fprime())
+    u = np.where(bmask, 1.0, 0.0)
     steps = 0
     with fft_buffers(k):
         while True:
-            conv = convolve(u * bmask, k, path)
+            conv = convolve(u * bmask, k, "fast")
             r = np.where(bmask, conv - u + f.f(u), 0.0)
             sup = float(np.max(np.abs(r[bmask])))
             if not math.isfinite(sup):
                 raise NumericalFailure(f"non-finite ball residual at step {steps}")
-            if sup <= residual_tol or steps >= max_steps:
+            if sup <= residual_tol or steps >= 500_000:
                 field = Field(grid, np.where(bmask, u, 0.0), bmask)
                 return field, steps, sup <= residual_tol, sup
             u = u + dt * r
@@ -194,7 +189,6 @@ def resolvent_solve(
     rhs: np.ndarray,
     w0: np.ndarray | None = None,
     tol: float = 1e-13,
-    max_sweeps: int = 100_000,
     path: str = "fast",
 ) -> np.ndarray:
     """Solve L_B[w] - (kshift+1) w = rhs by the contraction
@@ -202,10 +196,10 @@ def resolvent_solve(
     operator's row sums are at most 1.
 
     Sweeps run until the first increment sup |w_new - w| <= ``tol``, at
-    least one sweep. The returned w_new has linear residual L_B[w_new - w]
-    (up to roundoff), so its sup is at most that last increment: ``tol``
-    bounds the linear residual of the result with no convolution beyond
-    the sweeps themselves.
+    least one sweep and at most 100 000. The returned w_new has linear
+    residual L_B[w_new - w] (up to roundoff), so its sup is at most that
+    last increment: ``tol`` bounds the linear residual of the result with
+    no convolution beyond the sweeps themselves.
     """
     if kshift <= 0.0:
         raise PreconditionError("resolvent shift must be positive for contraction")
@@ -218,7 +212,7 @@ def resolvent_solve(
     tmp = np.empty(bmask.shape)
     new = np.empty(bmask.shape)
     with fft_buffers(k):
-        for _ in range(max_sweeps):
+        for _ in range(100_000):
             np.multiply(w, bmask, out=tmp)
             convolve(tmp, k, path, out=new)
             new -= rhs
@@ -261,7 +255,6 @@ def maximal_solution(
     grid: Grid | None = None,
     tol: float = 1e-10,
     path: str = "fast",
-    max_outer: int = 20_000,
 ) -> MaximalSolution:
     """Monotone resolvent iteration from v_0 = 1 on the closed ball.
 
@@ -269,10 +262,11 @@ def maximal_solution(
     zero-left extension, under which every iterate stays nonnegative. Each
     step calls :func:`resolvent_solve` warm-started at v_n with increment
     tolerance max(1e-13, 0.01 x the previous decrease), so the inner
-    accuracy follows the outer progress. The sequence is checked to be non-increasing to
-    1e-12 at every step; the loop stops once a decrease is <= ``tol``, and
-    the final field solves the ball equation to 1e-9 and exceeds theta
-    somewhere, else the run is reported as collapsed.
+    accuracy follows the outer progress. The sequence is checked to be
+    non-increasing to 1e-12 at every step; the loop stops once a decrease
+    is <= ``tol`` (within 20 000 steps), and the final field solves the
+    ball equation to 1e-9 and exceeds theta somewhere, else the run is
+    reported as collapsed.
     """
     if f.mode != "zero-left":
         raise PreconditionError("maximal_solution requires the zero-left extension")
@@ -289,13 +283,13 @@ def maximal_solution(
     bmask = ball_mask(grid, center, radius)
     # iterates stay in [0, 1]; k must dominate the steepest descent of f
     # there or the scheme loses its ordering
-    kshift = float(math.ceil(f.max_abs_fprime(0.0, 1.0))) + 1.0
+    kshift = float(math.ceil(f.max_abs_fprime())) + 1.0
     v = np.where(bmask, 1.0, 0.0)
     iterations = 0
     inc = math.inf
     history: list = []
     with fft_buffers(k):
-        while iterations < max_outer:
+        while iterations < 20_000:
             rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
             # inc is still inf on the first step: one sweep, hence a decrease > 0
             new = resolvent_solve(k, bmask, kshift, rhs, w0=v, tol=max(1e-13, 0.01 * inc),
@@ -410,24 +404,22 @@ def principal_eigenvalue(
     center,
     radius: float,
     grid: Grid | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    path: str = "fast",
 ):
     """lambda_p of L_B - Id by power iteration on the shifted operator
-    L_B + Id (nonnegative spectrum, so the Perron mode dominates)."""
+    L_B + Id (nonnegative spectrum, so the Perron mode dominates), until
+    the Rayleigh quotient moves by at most 1e-8 (at most 10 000 steps)."""
     grid = grid or ball_grid(center, radius, k.h)
     bmask = ball_mask(grid, center, radius)
     x = np.where(bmask, 1.0, 0.0)
     x /= math.sqrt(pairwise_sum(x * x))
     lam_shifted = 0.0
     with fft_buffers(k):
-        for it in range(max_iter):
-            ax = np.where(bmask, convolve(x * bmask, k, path) + x, 0.0)
+        for it in range(10_000):
+            ax = np.where(bmask, convolve(x * bmask, k, "fast") + x, 0.0)
             new_lam = pairwise_sum(x * ax)  # Rayleigh quotient, ||x|| = 1
             ax /= math.sqrt(pairwise_sum(ax * ax))
             x = ax
-            if it > 0 and abs(new_lam - lam_shifted) <= tol:
+            if it > 0 and abs(new_lam - lam_shifted) <= 1e-8:
                 lam_shifted = new_lam
                 break
             lam_shifted = new_lam
@@ -453,7 +445,6 @@ class FrontProfile:
     values: np.ndarray
     pin_index: int
     residual_sup: float      # over cells at least 2 R_J from the ends
-    window: tuple            # coordinate range where the residual is certified
     left_value: float
     right_value: float
     limits: tuple = (0.0, 1.0)
@@ -474,19 +465,18 @@ def front_profile(
     f: Bistable,
     line_length: float | None = None,
     tol: float = 1e-12,
-    max_sweeps: int = 400_000,
-    residual_tol: float = 1e-8,
     level_shift_delta: float | None = None,
-    path: str = "direct",
 ) -> FrontProfile:
     """Damped fixed-point iteration for the clamped-line front.
 
     phi <- phi + tau (J_1 * phi - phi + f(phi)) from a step datum, with the
-    end bands clamped to the stable states and tau = 0.5/(1 + max |f'|).
-    The layer drifts to its equilibrium near the invaded end and the
-    iteration converges there; the coordinate origin is finally anchored
-    at the theta crossing, which removes the translation degree of freedom
-    without touching the samples.
+    end bands clamped to the stable states and tau = 0.5/(1 + max |f'|),
+    on the direct convolution path. The layer drifts to its equilibrium
+    near the invaded end and the iteration converges there: the increment
+    falls to ``tol`` within 400 000 sweeps, and the residual at least
+    2 R_J from the ends is at most 1e-8. The coordinate origin is finally
+    anchored at the theta crossing, which removes the translation degree
+    of freedom without touching the samples.
 
     ``level_shift_delta`` builds the shifted profile for
     f_delta(s) = f(s) - f(1 - delta/2), whose limits are (s_delta,
@@ -534,13 +524,13 @@ def front_profile(
 
     sweeps = 0
     while True:
-        r = convolve(phi, j1, path) - phi + fd(phi)
+        r = convolve(phi, j1, "direct") - phi + fd(phi)
         inc = tau * float(np.max(np.abs(r[interior])))
         if not math.isfinite(inc):
             raise NumericalFailure(f"front iteration lost finiteness at sweep {sweeps}")
         if inc <= tol:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= 400_000:
             raise NumericalFailure(
                 f"front residual plateau: increment {inc:.3e} after {sweeps} sweeps"
             )
@@ -553,21 +543,19 @@ def front_profile(
 
     wide = np.zeros(n, dtype=bool)
     wide[2 * band : -2 * band] = True
-    r = convolve(phi, j1, path) - phi + fd(phi)
+    r = convolve(phi, j1, "direct") - phi + fd(phi)
     res_sup = float(np.max(np.abs(r[wide])))
-    if res_sup > residual_tol:
-        raise NumericalFailure(f"front residual {res_sup:.3e} > {residual_tol}")
+    if res_sup > 1e-8:
+        raise NumericalFailure(f"front residual {res_sup:.3e} > 1e-08")
 
     pin = int(np.searchsorted(phi, theta_level))
     pin = min(max(pin, 0), n - 1)
     anchored = make_grid([-(pin + 0.5) * h], [(n - pin - 0.5) * h], h)
-    xs = anchored.axis_centers(0)
     return FrontProfile(
         grid=anchored,
         values=phi,
         pin_index=pin,
         residual_sup=res_sup,
-        window=(float(xs[2 * band]), float(xs[-2 * band - 1])),
         left_value=float(phi[0]),
         right_value=float(phi[-1]),
         limits=(lo_state, hi_state),

@@ -22,7 +22,7 @@ import numpy as np
 from .convolve import convolve, convolve_at
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, holder_quotient, shift_windows
-from .kernels import Kernel, KernelConstants
+from .kernels import Kernel, KernelConstants, marginal_j1
 from .nonlinearity import ExtendedNonlinearity
 from .obstacles import DeformationFamily, build_obstacle, jmass
 from .operators import Problem, ball_mask, residual
@@ -84,6 +84,10 @@ class Report:
     checks: list
     meta: dict = dc_field(default_factory=dict)
     wall_time: float = 0.0
+    # artifacts beside the report, kept out of its JSON: field CSVs by file
+    # stem, and the evolution's progress rows
+    fields: dict = dc_field(default_factory=dict)
+    log_rows: list = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -132,26 +136,17 @@ class Report:
 # sliding plane waves
 
 
-def _profile_eval(phi: FrontProfile, t: np.ndarray, cap: float | None) -> np.ndarray:
-    vals = phi(t)
-    if cap is not None:
-        vals = np.minimum(vals, cap)
-    return vals
+def _profile_eval(phi: FrontProfile, t: np.ndarray) -> np.ndarray:
+    return np.minimum(phi(t), CAP_LEVEL)
 
 
-def sliding_radius(
-    u: Field,
-    e,
-    phi: FrontProfile,
-    cap: float | None = CAP_LEVEL,
-    tol: float = 1e-10,
-) -> float:
-    """r* = inf { r : phi(x.e - r) <= u + tol on the masked domain }.
+def sliding_radius(u: Field, e, phi: FrontProfile) -> float:
+    """r* = inf { r : phi(x.e - r) <= u + 1e-10 on the masked domain }.
 
     Bisection to h/4. Returns ``-inf`` when even a profile pushed past the
     whole box still fits (the finite-box signature of r* = -infinity). The
-    profile is capped at ``cap`` (default just below the certification
-    level) so its plateau at 1 compares against converged fields.
+    profile is capped at ``CAP_LEVEL``, just below the certification
+    level, so its plateau at 1 compares against converged fields.
     """
     if float(np.min(np.diff(phi.values))) <= -1e-12:
         raise PreconditionError("sliding requires a monotone profile")
@@ -163,7 +158,7 @@ def sliding_radius(
     uvals = u.values[u.mask]
 
     def fits(r: float) -> bool:
-        return bool(np.all(_profile_eval(phi, dot - r, cap) <= uvals + tol))
+        return bool(np.all(_profile_eval(phi, dot - r) <= uvals + 1e-10))
 
     L_box = float(np.max(np.abs(dot))) + u.grid.h
     if fits(-L_box):
@@ -263,7 +258,7 @@ def bounds_suite(
     rep = Report("bounds", config or {}, [])
     jm = jmass(p.kernel, p.obstacle)
     min_j = float(np.min(jm.values[jm.mask]))
-    maxfp = p.f.max_fprime_signed(0.0, 1.0)
+    maxfp = p.f.max_fprime_signed()
     h = p.grid.h
 
     for alpha in alphas:
@@ -295,7 +290,7 @@ def bounds_suite(
     uvals = u.values[u.mask]
 
     def fits(r0: float) -> bool:
-        return bool(np.all(_profile_eval(phi, rr - r0, CAP_LEVEL) <= uvals + 1e-10))
+        return bool(np.all(_profile_eval(phi, rr - r0) <= uvals + 1e-10))
 
     box_radius = max(max(abs(v) for v in u.grid.lo), max(abs(v) for v in u.grid.hi))
     if not fits(box_radius):
@@ -404,8 +399,7 @@ def liouville_experiment(
 
     if mode == "sweep":
         _sweep_replay(rep, p, u, kc, sweep_opts or {})
-    rep.result_field = u
-    rep.fields = {"field": u}
+    rep.fields["field"] = u
     return rep
 
 
@@ -540,11 +534,9 @@ def plane_wave(p: Problem, phi: FrontProfile, axis: int, r_cells: int) -> Field:
     exactly on the profile lattice, so the field is an exact table lookup
     (and an exact discrete sub-solution off the obstacle, by the marginal
     identity)."""
-    from .kernels import marginal_j1
-
     src = phi.source_kernel
     if src is not None:
-        own = marginal_j1(p.kernel) if p.kernel.dim > 1 else p.kernel
+        own = marginal_j1(p.kernel)
         if own.reach != src.reach or not np.allclose(
             own.weights, src.weights, rtol=0.0, atol=1e-15
         ):
@@ -576,7 +568,6 @@ def comparison_suite(
     u_ref: Field | None = None,
     subsol: SubSolution | None = None,
     config: dict | None = None,
-    steps: int = 12,
 ) -> Report:
     """Weak / strong / sweeping principles as exact discrete assertions.
 
@@ -602,14 +593,14 @@ def comparison_suite(
         b = a + rng.uniform(0.0, 1.0) * (1.0 - a)
         a = p.clamp(a.copy())
         b = p.clamp(b.copy())
-        for _step in range(steps):
+        for _step in range(12):
             ra = p.rate(a, "direct")
             rb = p.rate(b, "direct")
             a = p.clamp(np.clip(a + dt * ra, 0.0, 1.0))
             b = p.clamp(np.clip(b + dt * rb, 0.0, 1.0))
             worst = max(worst, float(np.max((a - b)[p.domain_mask])))
     rep.add("weak_ordering_trials", worst <= 1e-12, worst, 0.0, 1e-12,
-            note=f"{n_weak} ordered pairs, {steps} steps each")
+            note=f"{n_weak} ordered pairs, 12 steps each")
 
     if phi is not None:
         worst_sub = math.inf
@@ -680,7 +671,7 @@ def comparison_suite(
 
     # (c) sweeping against a converged field
     if u_ref is not None and subsol is not None:
-        _sweeping_checks(rep, p, u_ref, subsol, trials, rng)
+        _sweeping_checks(rep, p, u_ref, subsol, trials)
     return rep
 
 
@@ -738,7 +729,7 @@ def _flood(domain: np.ndarray, start: tuple, deltas: np.ndarray) -> np.ndarray:
         comp = grown
 
 
-def _sweeping_checks(rep, p, u_ref, subsol, trials, rng) -> None:
+def _sweeping_checks(rep, p, u_ref, subsol, trials) -> None:
     wv = subsol.field.values
     uv = u_ref.values
     base_gap = float(np.max(np.where(p.domain_mask, wv - uv, -1.0)))
@@ -769,19 +760,25 @@ def robustness_experiment(
     residual_tol: float = 1e-8,
     max_steps: int = 200_000,
     config: dict | None = None,
+    margin: float = 1.5,
+    far_field: float = 1.0,
+    clamp_width: float | None = None,
 ) -> Report:
     """Deformed-obstacle sweep: solve on R^N minus K_eps for a decreasing
     eps grid, certify the Liouville level for eps <= pass_eps, and check
     every Hoelder quotient against the eps-independent constant
-    A = 2 [J] / (inf_eps inf J_eps - max f')."""
+    A = 2 [J] / (inf_eps inf J_eps - max f').
+
+    Each K_eps keeps ``margin`` from the box boundary, and each problem
+    takes ``far_field`` and ``clamp_width`` as :class:`Problem` does."""
     eps_sorted = sorted(float(e) for e in eps_grid)
     if not any(e <= pass_eps + 1e-12 for e in eps_sorted):
         raise PreconditionError(
             f"no epsilon in the grid is <= pass_eps = {pass_eps}; nothing to certify"
         )
     rep = Report("robustness", config or {}, [])
-    obstacles = {e: fam.obstacle(e, grid) for e in eps_sorted}
-    base = fam.obstacle(0.0, grid)
+    obstacles = {e: fam.obstacle(e, grid, margin) for e in eps_sorted}
+    base = fam.obstacle(0.0, grid, margin)
 
     prev = base.mask_K
     nested = True
@@ -791,7 +788,7 @@ def robustness_experiment(
     rep.add("mask_inclusion_chain", nested, float(nested), 1.0, 0.0,
             note="K subset K_eps1 subset K_eps2 as cell masks")
 
-    maxfp = f.max_fprime_signed(0.0, 1.0)
+    maxfp = f.max_fprime_signed()
     min_j_all = math.inf
     for e in eps_sorted:
         jm = jmass(kernel, obstacles[e])
@@ -808,9 +805,8 @@ def robustness_experiment(
 
     A = {a: 2.0 * kc.nikolskii[float(a)] / (min_j_all - maxfp) for a in alphas}
     empirical = None
-    rep.fields = {}
     for e in sorted(eps_sorted, reverse=True):
-        p = Problem(kernel, obstacles[e], f)
+        p = Problem(kernel, obstacles[e], f, far_field=far_field, clamp_width=clamp_width)
         res = evolve(p, p.hostile_datum(), residual_tol=residual_tol, max_steps=max_steps)
         rep.fields[f"field_eps_{e}"] = res.u
         if not res.converged:

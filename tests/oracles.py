@@ -217,7 +217,7 @@ def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
     one more convolution; the outer loop stops at a decrease <= tol and a
     last convolution gates the ball residual at 1e-9. Returns (values,
     number of convolutions)."""
-    kshift = float(math.ceil(f.max_abs_fprime(0.0, 1.0))) + 1.0
+    kshift = float(math.ceil(f.max_abs_fprime())) + 1.0
     denom = kshift + 1.0
     convs = 0
 

@@ -154,11 +154,25 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     # without the pass_eps check this run completes and passes, certifying no epsilon
     (COUNTEREXAMPLE_INI + "\n[experiment]\nepsilons = 0.2\npass_eps = -1\n",
      ("experiment", "robustness")),
+    # the robustness sweep builds K_eps and its problems from these keys too
+    (COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nmargin = 7.5")
+     + "\n[problem]\nclamp_width = 3.0\n[experiment]\nepsilons = 0.1\n",
+     ("experiment", "robustness")),
+    (COUNTEREXAMPLE_INI + "\n[problem]\nclamp_width = 3.0\n[experiment]\nepsilons = 0.1\n",
+     ("experiment", "robustness")),
+    (MAXIMAL_INI.replace("amplitude = 3.0", "amplitude = 3.0\nextension = odd"),
+     ("maximal",)),
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = star\npoints = 0"),
+     ("solve",)),
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_k = -1"),
+     ("solve",)),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
         "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
-        "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps"])
+        "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps",
+        "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
+        "zero_star_points", "negative_psi_k"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
