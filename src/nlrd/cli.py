@@ -179,8 +179,8 @@ def cmd_verify(cfg, args, outdir) -> int:
     elif suite == "bounds":
         p = build_problem(cfg, args.conv)
         phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
-        res = evolve(p, p.hostile_datum(), residual_tol=cfg["solver"]["tol"],
-                     max_steps=cfg["solver"]["max_steps"])
+        res = evolve(p, p.hostile_datum(), dt=cfg["solver"]["dt"],
+                     residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"])
         if not res.converged:
             raise NumericalFailure("bounds suite needs a converged stationary field")
         rep = bounds_suite(res.u, p, phi, kc, alphas=cfg["experiment"]["alphas"],
@@ -210,7 +210,7 @@ def cmd_experiment(cfg, args, outdir) -> int:
             p, phi, kc, config=resolve(cfg), mode=args.mode,
             residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"],
             alphas=cfg["experiment"]["alphas"], sweep_opts=sweep_opts,
-            log_every=cfg["solver"]["log_every"],
+            log_every=cfg["solver"]["log_every"], dt=cfg["solver"]["dt"],
         )
         if rep.log_rows:
             _write_progress(os.path.join(outdir, "progress.csv"), rep.log_rows)
@@ -232,6 +232,7 @@ def cmd_experiment(cfg, args, outdir) -> int:
             margin=o["margin"],
             far_field=cfg["problem"]["far_field"],
             clamp_width=cfg["problem"]["clamp_width"],
+            dt=cfg["solver"]["dt"],
         )
     else:
         raise PreconditionError(f"unknown experiment {name!r}")

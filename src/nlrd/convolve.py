@@ -2,13 +2,19 @@
 
 Two interchangeable paths:
 
-* ``direct`` — the input is zero-padded once by the kernel reach, and each
-  nonzero tap (``Kernel.taps``, row-major table order) adds its weight
-  times one contiguous window of the flattened padded input. Every cell
-  therefore sums the same taps in the same fixed order, whatever its
-  position in the box (an out-of-box tap adds an exact zero), so the path
-  is translation-equivariant to the bit. :func:`convolve_at` evaluates
-  one cell with the same taps in the same order and returns the same bits.
+* ``direct`` — the input is zero-padded once by the kernel reach and laid
+  out flat, so an offset is one contiguous window. The table is even
+  (``Kernel`` checks it bit for bit), so the path folds mirrored taps: for
+  each quarter tap ``(a, b)`` (``Kernel.quarter_taps``: offsets >= 0,
+  row-major order) every cell adds ``c * ((x(+a,+b) + x(-a,+b)) +
+  (x(+a,-b) + x(-a,-b)))``, with one image for a zero component; the row
+  fold is built once per row offset. That is one multiply per quarter tap
+  instead of one per tap. Every cell sums the same terms in the same fixed
+  order, whatever its position in the box (an out-of-box cell adds an
+  exact zero), so the path is translation-equivariant to the bit, monotone
+  for nonnegative weights, and a lone value ``v`` among zeros gives
+  exactly ``(c * v) * h^dim``. :func:`convolve_at` evaluates one cell with
+  the same operations in the same order and returns the same bits.
 * ``fast``   — FFT on a box zero-padded past the kernel support and rounded
   up to a 5-smooth length, so the transform is an exact linear convolution
   (no wrap-around). The kernel spectrum is cached per padded shape. The
@@ -62,22 +68,36 @@ def next_fast_len(n: int) -> int:
 
 def _conv_direct(arr: np.ndarray, k: Kernel) -> np.ndarray:
     # The box, zero-padded by the reach, is laid out flat in a buffer with
-    # room past its end; tap d then reads one contiguous window shifted by
-    # d's flat offset. Output rows keep the padded row length, and the
-    # extra columns (read across the row seam) are dropped at the end.
+    # room past its end; offset d then reads one contiguous window shifted
+    # by d's flat offset. Output rows keep the padded row length, and the
+    # extra columns (read across the row seam) are dropped at the end. The
+    # row fold x(+a) + x(-a) is a strip m cells longer than the box at
+    # either end, so that its column shifts by -m..m stay inside it.
     m = k.reach
     shape = arr.shape
     padded = tuple(n + 2 * m for n in shape)
-    strides = [math.prod(padded[a + 1 :]) for a in range(arr.ndim)]
-    size = shape[0] * strides[0]
-    centre = m * sum(strides)
-    buf = np.zeros(2 * centre + size)
+    row = padded[1] if arr.ndim == 2 else 0  # flat stride of a row offset
+    size = shape[0] * math.prod(padded[1:])
+    span = size + 2 * m
+    lo = m * row  # strip start: the first cell's flat index minus m
+    buf = np.zeros(2 * lo + span)
     box = buf[: math.prod(padded)].reshape(padded)
     box[tuple(slice(m, m + n) for n in shape)] = arr
     out = np.zeros(size)
-    for d, c in k.taps:
-        o = centre + sum(di * s for di, s in zip(d, strides))
-        out += c * buf[o : o + size]
+    tmp = np.empty(size)
+    strip = np.empty(span)
+    fold, last = buf[lo : lo + span], 0
+    for d, c in k.quarter_taps:
+        a, b = d if arr.ndim == 2 else (0, d[0])
+        if a != last:
+            up, down = lo + a * row, lo - a * row
+            fold, last = np.add(buf[up : up + span], buf[down : down + span], out=strip), a
+        if b:
+            np.add(fold[m + b : m + b + size], fold[m - b : m - b + size], out=tmp)
+            np.multiply(tmp, c, out=tmp)
+        else:
+            np.multiply(fold[m : m + size], c, out=tmp)
+        out += tmp
     out = out.reshape((shape[0],) + padded[1:])[tuple(map(slice, shape))]
     return out * k.h**k.dim
 
@@ -86,11 +106,21 @@ def convolve_at(arr: np.ndarray, k: Kernel, idx) -> float:
     """``convolve(arr, k, "direct")[idx]``, bit for bit, from one cell's taps."""
     arr = np.asarray(arr, dtype=np.float64)
     idx = tuple(int(i) for i in idx)
-    total = 0.0
-    for d, c in k.taps:
+
+    def x(*d):
         y = tuple(i + di for i, di in zip(idx, d))
         inside = all(0 <= yi < n for yi, n in zip(y, arr.shape))
-        total += c * (float(arr[y]) if inside else 0.0)
+        return float(arr[y]) if inside else 0.0
+
+    def fold(a, b):  # the row fold at column offset b (1-D has no rows)
+        if arr.ndim == 1:
+            return x(b)
+        return x(a, b) + x(-a, b) if a else x(0, b)
+
+    total = 0.0
+    for d, c in k.quarter_taps:
+        a, b = d if arr.ndim == 2 else (0, d[0])
+        total += c * (fold(a, b) + fold(a, -b) if b else fold(a, 0))
     return total * k.h**k.dim
 
 

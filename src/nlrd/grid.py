@@ -17,6 +17,7 @@ remaining distances cannot beat the running maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,8 +74,19 @@ class Grid:
         return tuple(self.lo[a] + (int(idx[a]) + 0.5) * self.h for a in range(self.dim))
 
 
+MAX_CELLS = 1 << 22
+"""Largest cell count :func:`make_grid` accepts: 2048² = 4 194 304.
+
+This is 18 times the largest grid any shipped config or test uses (480²).
+One float64 field of this size takes 32 MiB, and a run holds tens of
+field-sized arrays (padded FFT boxes, masks, Hölder windows), so a larger
+grid would exhaust a desk machine's memory or its patience; it is
+rejected before anything is allocated."""
+
+
 def make_grid(lo, hi, h: float) -> Grid:
-    """Build a grid, rejecting extents that are not integral multiples of ``h``.
+    """Build a grid, rejecting extents that are not integral multiples of ``h``
+    and grids of more than :data:`MAX_CELLS` cells.
 
     Reconstruction guard: ``|lo + counts*h - hi| < 1e-12 * h`` per axis.
     """
@@ -96,6 +108,10 @@ def make_grid(lo, hi, h: float) -> Grid:
                 f"axis {a}: extent [{l}, {u}] is not an integral multiple of h={h}"
             )
         counts.append(n)
+    if math.prod(counts) > MAX_CELLS:
+        raise PreconditionError(
+            f"grid of {' x '.join(map(str, counts))} cells exceeds MAX_CELLS = {MAX_CELLS}"
+        )
     return Grid(lo=lo, hi=hi, h=float(h), counts=tuple(counts))
 
 

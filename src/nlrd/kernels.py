@@ -106,6 +106,11 @@ class Kernel:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
+        # the direct convolution folds mirrored taps: J(-z) = J(z) bit for bit
+        bits = w.view(np.uint64)
+        for a in range(w.ndim):
+            if not np.array_equal(bits, np.flip(bits, axis=a)):
+                raise PreconditionError(f"kernel table is not even along axis {a}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -123,6 +128,14 @@ class Kernel:
             for u in np.ndindex(self.weights.shape)
             if self.weights[u] != 0.0
         )
+
+    @cached_property
+    def quarter_taps(self) -> tuple:
+        """The taps with every offset component >= 0, in row-major order.
+
+        The table is even along each axis, so these and their mirror
+        images are all the taps."""
+        return tuple((d, c) for d, c in self.taps if min(d) >= 0)
 
     def offsets(self):
         """Integer offset grids matching the weight table."""

@@ -355,6 +355,7 @@ def liouville_experiment(
     alphas=(0.5, 1.0),
     sweep_opts: dict | None = None,
     log_every: int = 1000,
+    dt: float | None = None,
 ) -> Report:
     """Evolve from the hostile datum and certify min u >= 1 - 1e-6.
 
@@ -368,7 +369,8 @@ def liouville_experiment(
         p.obstacle.family == "annulus" and p.kernel.radius <= 0.5
     )
     u0 = counterexample_field(p) if seeded_counterexample else p.hostile_datum()
-    res = evolve(p, u0, residual_tol=residual_tol, max_steps=max_steps, log_every=log_every)
+    res = evolve(p, u0, dt=dt, residual_tol=residual_tol, max_steps=max_steps,
+                 log_every=log_every)
     rep.meta["steps"] = res.steps
     rep.meta["dt"] = res.dt
     rep.meta["seeded_counterexample"] = seeded_counterexample
@@ -763,6 +765,7 @@ def robustness_experiment(
     margin: float = 1.5,
     far_field: float = 1.0,
     clamp_width: float | None = None,
+    dt: float | None = None,
 ) -> Report:
     """Deformed-obstacle sweep: solve on R^N minus K_eps for a decreasing
     eps grid, certify the Liouville level for eps <= pass_eps, and check
@@ -770,7 +773,8 @@ def robustness_experiment(
     A = 2 [J] / (inf_eps inf J_eps - max f').
 
     Each K_eps keeps ``margin`` from the box boundary, and each problem
-    takes ``far_field`` and ``clamp_width`` as :class:`Problem` does."""
+    takes ``far_field`` and ``clamp_width`` as :class:`Problem` does. Each
+    evolution steps at ``dt`` (``None``: that problem's comparison bound)."""
     eps_sorted = sorted(float(e) for e in eps_grid)
     if not any(e <= pass_eps + 1e-12 for e in eps_sorted):
         raise PreconditionError(
@@ -807,7 +811,8 @@ def robustness_experiment(
     empirical = None
     for e in sorted(eps_sorted, reverse=True):
         p = Problem(kernel, obstacles[e], f, far_field=far_field, clamp_width=clamp_width)
-        res = evolve(p, p.hostile_datum(), residual_tol=residual_tol, max_steps=max_steps)
+        res = evolve(p, p.hostile_datum(), dt=dt, residual_tol=residual_tol,
+                     max_steps=max_steps)
         rep.fields[f"field_eps_{e}"] = res.u
         if not res.converged:
             required = e <= pass_eps + 1e-12

@@ -197,6 +197,49 @@ def conv_box(arr: np.ndarray, kernel) -> np.ndarray:
     return out * kernel.h**arr.ndim
 
 
+def conv_fold_at(arr: np.ndarray, kernel, idx) -> float:
+    """(J * arr)(idx) in the reflection-folded order, by plain loops.
+
+    Over the table offsets d with every component >= 0, in row-major
+    order, add w(d) times the sum of arr (zero outside the box) at the
+    mirror images idx + (+-d0, +-d1): the two row images of each column
+    image are added first, then the column images, + before -. A zero
+    component has one image."""
+    m = kernel.reach
+    w = kernel.weights
+
+    def val(y):
+        inside = all(0 <= yi < n for yi, n in zip(y, arr.shape))
+        return float(arr[y]) if inside else 0.0
+
+    def images(di):
+        return (di, -di) if di else (0,)
+
+    total = 0.0
+    for u in np.ndindex(w.shape):
+        d = [ui - m for ui in u]
+        if min(d) < 0 or w[u] == 0.0:
+            continue
+        cols = []
+        for sb in images(d[-1]):
+            if arr.ndim == 1:
+                cols.append(val((idx[0] + sb,)))
+                continue
+            rows = [val((idx[0] + sa, idx[1] + sb)) for sa in images(d[0])]
+            cols.append(rows[0] + rows[1] if len(rows) == 2 else rows[0])
+        s = cols[0] + cols[1] if len(cols) == 2 else cols[0]
+        total += float(w[u]) * s
+    return total * kernel.h**arr.ndim
+
+
+def conv_fold_box(arr: np.ndarray, kernel) -> np.ndarray:
+    """:func:`conv_fold_at` at every cell of the array's box."""
+    out = np.zeros(arr.shape)
+    for idx in np.ndindex(arr.shape):
+        out[idx] = conv_fold_at(arr, kernel, idx)
+    return out
+
+
 def conv_fft_oneshot(arr: np.ndarray, kernel, s: tuple) -> np.ndarray:
     """J * arr by one ``rfftn``/``irfftn`` pair on the zero-padded box of
     shape ``s`` (at least the array's shape plus twice the reach)."""

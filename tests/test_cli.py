@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import nlrd.cli
+import nlrd.verify
 from nlrd.cli import main
 
 COUNTEREXAMPLE_INI = """
@@ -184,6 +187,44 @@ def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("precondition rejected:")
+
+
+def test_tiny_spacing_exits_two_before_allocating(tmp_path, capsys):
+    cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI.replace("h = 0.125", f"h = {2.0**-20!r}"))
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20  # a field of this grid would take 800 TiB
+    err = capsys.readouterr().err
+    assert err.startswith("precondition rejected:") and "exceeds MAX_CELLS" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("experiment", "liouville"), ("experiment", "robustness"), ("verify", "bounds"),
+])
+def test_configured_dt_reaches_evolve(tmp_path, monkeypatch, command):
+    cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI.replace(
+        "alphas = 1.0", "alphas = 1.0\nepsilons = 0.1") + "\n[solver]\ndt = 0.05\n")
+    real = nlrd.cli.evolve
+    seen = []
+
+    def spy(p, u0, dt=None, **kw):
+        seen.append(dt)
+        return real(p, u0, dt=dt, **kw)
+
+    for mod in (nlrd.cli, nlrd.verify):
+        monkeypatch.setattr(mod, "evolve", spy)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), *command]) == 0
+    assert seen and all(dt == 0.05 for dt in seen)
+    if command[1] == "liouville":
+        rep = json.loads((out / "liouville.report.json").read_text())
+        assert rep["meta"]["dt"] == 0.05
 
 
 def test_with_timing_records_wall_time(tmp_path):

@@ -1,11 +1,15 @@
 """Bit-level checks of the convolution paths.
 
-The direct path sums each cell's taps in row-major table order. The
-exact assertions of the comparison suite and the exact translation
-identity of the ball construction rely on that order, so these tests pin
-it bit for bit against the plain shifted-slice oracles. The fast path
-runs one axis at a time through reused buffers; its bits are pinned to a
-one-shot ``rfftn``/``irfftn`` pair.
+The direct path folds mirrored taps: over the quarter taps of the table
+(offsets >= 0, row-major order) each cell adds the weight times the sum
+of its mirror images, row images first. The exact assertions of the
+comparison suite and the exact translation identity of the ball
+construction rely on that fixed per-cell order, so these tests pin it
+bit for bit against the plain-loop fold oracles, bound its distance from
+the row-major shifted-slice oracle by the forward error of the two sums,
+and check its exact properties directly. The fast path runs one axis at
+a time through reused buffers; its bits are pinned to a one-shot
+``rfftn``/``irfftn`` pair.
 """
 
 import contextlib
@@ -31,13 +35,18 @@ def _kernel(profile, dim):
 PROFILES = {
     "quartic": KernelProfile("quartic", 0.5),
     "ring": KernelProfile("ring", 0.5, inner_radius=0.25),
+    "tophat": KernelProfile("tophat", 0.5),
 }
 
 
 def _field(shape, seed):
-    """Negative values, exact zeros and a zeroed hole."""
+    """Negative values over 40 binades, exact zeros and a zeroed hole.
+
+    Uniform draws on [-1, 1) are multiples of 2^-52, so a sum of a few
+    is exact and every summation order gives the same bits; the spread
+    of exponents makes the order show."""
     rng = np.random.default_rng(seed)
-    arr = rng.uniform(-1.0, 1.0, shape)
+    arr = rng.uniform(-1.0, 1.0, shape) * 2.0 ** rng.integers(-20, 20, shape)
     arr[rng.uniform(size=shape) < 0.1] = 0.0
     centre = tuple(n // 3 for n in shape)
     dist2 = sum((ix - c) ** 2 for ix, c in zip(np.indices(shape), centre))
@@ -48,6 +57,12 @@ def _field(shape, seed):
 SHAPES = {1: [(5,), (17,), (80,)], 2: [(5, 7), (9, 30), (40, 33)]}
 
 
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff of float64."""
+    nu = n * np.finfo(np.float64).eps / 2
+    return nu / (1 - nu)
+
+
 @pytest.mark.parametrize("name", sorted(PROFILES))
 @pytest.mark.parametrize("dim", [1, 2])
 def test_direct_path_matches_shifted_slice_oracle(name, dim):
@@ -55,12 +70,17 @@ def test_direct_path_matches_shifted_slice_oracle(name, dim):
     if name == "ring":
         assert np.count_nonzero(k.weights == 0.0) > 1  # zeros inside the support
     assert min(SHAPES[dim][0]) < 2 * k.reach + 1
+    # each of the two sums is within gamma_n (|J| * |arr|) of the exact
+    # value, n the number of taps; h^dim is a power of two, so the final
+    # scaling is exact, and the computed |J| * |arr| is at most gamma_n low
+    g = _gamma(len(k.taps))
+    assert np.log2(k.h**dim).is_integer()
     for seed, shape in enumerate(SHAPES[dim]):
         arr = _field(shape, seed)
         got = convolve(arr, k, "direct")
-        want = oracles.conv_box(arr, k)
-        assert np.array_equal(got, want)
-        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got), _bits(oracles.conv_fold_box(arr, k)))
+        bound = 2 * g * oracles.conv_box(np.abs(arr), k) / (1 - g)
+        assert np.all(np.abs(got - oracles.conv_box(arr, k)) <= bound)
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
@@ -77,7 +97,63 @@ def test_single_cell_matches_direct_path(name, dim):
         for idx in cells:
             one = convolve_at(arr, k, idx)
             assert _bits(one) == _bits(full[idx]), (shape, idx)
-            assert one == oracles.conv_at(arr, k, idx)
+            assert _bits(one) == _bits(oracles.conv_fold_at(arr, k, idx))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_direct_path_is_translation_equivariant(name, dim):
+    k = _kernel(PROFILES[name], dim)
+    m = k.reach
+    field = _field((20, 23)[:dim], 11)
+    grown = tuple(n + 2 * m for n in field.shape)  # the support of J * field
+    big = (50, 52)[:dim]
+    views = []
+    for at in [(8, 8), (14, 11)]:
+        arr = np.zeros(big)
+        arr[tuple(slice(a, a + n) for a, n in zip(at, field.shape))] = field
+        out = convolve(arr, k, "direct")
+        win = tuple(slice(a - m, a - m + n) for a, n in zip(at, grown))
+        views.append(out[win].copy())
+        out[win] = 0.0
+        assert not np.any(out)  # nothing off the support
+    assert np.array_equal(_bits(views[0]), _bits(views[1]))
+    # cut to the field's own box, zeros outside it are read as out-of-box
+    alone = convolve(field, k, "direct")
+    inner = tuple(slice(m, m + n) for n in field.shape)
+    assert np.array_equal(_bits(views[0][inner]), _bits(alone))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_direct_path_is_monotone(name, dim):
+    k = _kernel(PROFILES[name], dim)
+    rng = np.random.default_rng(12)
+    for seed, shape in enumerate(SHAPES[dim]):
+        arr = _field(shape, seed + 3)
+        up = np.where(rng.uniform(size=shape) < 0.3, np.nextafter(arr, np.inf), arr)
+        assert np.any(up > arr)
+        assert np.all(convolve(up, k, "direct") >= convolve(arr, k, "direct"))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lone_cell_gives_weight_times_value(name, dim):
+    k = _kernel(PROFILES[name], dim)
+    m = k.reach
+    eps = 3e-7
+    shape = (30, 27)[:dim]
+    at = (11, 9)[:dim]
+    arr = np.zeros(shape)
+    arr[at] = -eps
+    want = np.zeros(shape)
+    w = k.weights
+    want[tuple(slice(a - m, a + m + 1) for a in at)] = np.where(
+        w != 0.0, (w * -eps) * k.h**dim, 0.0)
+    got = convolve(arr, k, "direct")
+    assert np.array_equal(_bits(got), _bits(want))
+    assert all(_bits(convolve_at(arr, k, idx)) == _bits(want[idx])
+               for idx in [at, (0,) * dim, tuple(a + 3 for a in at)])
 
 
 # fast path: buffered 1-D transforms against one-shot rfftn/irfftn

@@ -9,7 +9,7 @@ from nlrd import (
     make_field,
     make_grid,
 )
-from nlrd.grid import shift_windows
+from nlrd.grid import MAX_CELLS, shift_windows
 from nlrd.reduction import pairwise_sum
 
 
@@ -22,6 +22,16 @@ def test_grid_counts_and_centers():
 def test_grid_rejects_non_integral_extent():
     with pytest.raises(PreconditionError):
         make_grid([0.0], [1.0], 0.3)
+
+
+def test_grid_cell_cap():
+    h = 0.5
+    g = make_grid([0.0], [MAX_CELLS * h], h)
+    assert g.ncells == MAX_CELLS
+    with pytest.raises(PreconditionError, match="exceeds MAX_CELLS"):
+        make_grid([0.0], [(MAX_CELLS + 1) * h], h)
+    with pytest.raises(PreconditionError, match="8388608 x 8388608 cells"):
+        make_grid([-4, -4], [4, 4], 2.0**-20)
 
 
 def test_make_field_constant_full_box():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,22 @@ def test_rejections(grid2):
     bad = KernelProfile("custom", 0.5, fn=lambda r: np.cos(20 * r))
     with pytest.raises(PreconditionError, match="negative"):
         build_kernel(bad, grid2)
+
+
+def test_uneven_table_rejected(grid2):
+    # the direct convolution folds mirrored taps, so J(-z) = J(z) bit for bit
+    k = build_kernel(KernelProfile("quartic", 0.5), grid2)
+    m = k.reach
+    for at, axis in [((m + 1, m), 0), ((m, m - 2), 1), ((m + 3, m + 1), 0)]:
+        w = k.weights.copy()
+        w[at] = np.nextafter(w[at], np.inf)  # one ulp off its mirror
+        with pytest.raises(PreconditionError, match=f"not even along axis {axis}"):
+            dataclasses.replace(k, weights=w)
+    j = marginal_j1(k)
+    w = j.weights.copy()
+    w[m + 2] *= 2.0
+    with pytest.raises(PreconditionError, match="not even along axis 0"):
+        dataclasses.replace(j, weights=w)
 
 
 def test_marginal_tophat_closed_form():
