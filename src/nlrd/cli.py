@@ -212,8 +212,6 @@ def cmd_experiment(cfg, args, outdir) -> int:
             alphas=cfg["experiment"]["alphas"], sweep_opts=sweep_opts,
             log_every=cfg["solver"]["log_every"], dt=cfg["solver"]["dt"],
         )
-        if rep.log_rows:
-            _write_progress(os.path.join(outdir, "progress.csv"), rep.log_rows)
     elif name == "robustness":
         grid, kernel, f, fext = build_pieces(cfg)
         kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
@@ -233,11 +231,15 @@ def cmd_experiment(cfg, args, outdir) -> int:
             far_field=cfg["problem"]["far_field"],
             clamp_width=cfg["problem"]["clamp_width"],
             dt=cfg["solver"]["dt"],
+            conv_path=args.conv,
+            log_every=cfg["solver"]["log_every"],
         )
     else:
         raise PreconditionError(f"unknown experiment {name!r}")
     for stem, fld in rep.fields.items():
         field_to_csv(fld, os.path.join(outdir, f"{stem}.csv"))
+    for stem, rows in rep.log_rows.items():
+        _write_progress(os.path.join(outdir, f"{stem}.csv"), rows)
     _emit(rep, outdir, name, args)
     return 0 if rep.passed else 1
 

@@ -57,11 +57,16 @@ def _positive(parse):
     return checked
 
 
-def _nonnegative(s: str) -> float:
-    v = _float(s)
-    if v < 0:
-        raise ValueError("value must be non-negative")
-    return v
+def _nonnegative(parse):
+    """``parse``, then reject values < 0."""
+
+    def checked(s: str):
+        v = parse(s)
+        if v < 0:
+            raise ValueError("value must be non-negative")
+        return v
+
+    return checked
 
 
 _SCHEMA: dict = {
@@ -96,7 +101,7 @@ _SCHEMA: dict = {
         "psi": (str, "cos_clipped"),
         "psi_k": (_positive(int), "6"),
         "psi_amp": (_float, "1.0"),
-        "margin": (_nonnegative, "1.5"),
+        "margin": (_nonnegative(_float), "1.5"),
     },
     "problem": {
         "far_field": (_float, "1.0"),
@@ -106,7 +111,7 @@ _SCHEMA: dict = {
         "dt": (_positive(_float_or_auto), "auto"),
         "tol": (_positive(_float), "1e-8"),
         "max_steps": (_positive(int), "200000"),
-        "log_every": (int, "1000"),
+        "log_every": (_nonnegative(int), "1000"),
         "u0": (str, "hostile"),
     },
     "ball": {
@@ -140,7 +145,8 @@ def load_config(path: str | None) -> dict:
     Malformed INI syntax (a duplicate section, say), non-finite numbers,
     non-positive solver tolerances, steps, step budgets, trial counts,
     obstacle radii, star point counts and psi frequencies, and a negative
-    obstacle margin are rejected as preconditions, like unknown keys."""
+    obstacle margin or solver log interval are rejected as preconditions,
+    like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:

@@ -92,13 +92,12 @@ class Problem:
         values[~self.domain_mask] = 0.0
         return values
 
-    def rate(self, values: np.ndarray, path: str | None = None) -> np.ndarray:
-        """Explicit-step rate ``J * u - jself u + f(u)`` on the raw array.
-
-        No mask is applied: :func:`residual` is the masked form.
-        """
-        conv = convolve(values, self.kernel, path or self.conv_path)
-        return conv - self.jself * values + self.f.f(values)
+    def step(self, u: np.ndarray, dt: float, path: str | None = None):
+        """The explicit step ``(clamp(clip(u + dt rate, 0, 1)), rate)``, with
+        ``rate = J * u - jself u + f(u)`` on the raw array, unmasked
+        (:func:`residual` is the masked form). ``u`` is not modified."""
+        rate = convolve(u, self.kernel, path or self.conv_path) - self.jself * u + self.f.f(u)
+        return self.clamp(np.clip(u + dt * rate, 0.0, 1.0)), rate
 
     def check_clamped(self, u: Field) -> None:
         if u.grid != self.grid or not np.array_equal(u.mask, self.domain_mask):

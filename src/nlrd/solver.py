@@ -5,10 +5,11 @@ sub-solutions.
 
 Scheme notes
 ------------
-* ``evolve`` is explicit Euler with clipping to [0, 1]. Under the step
-  bound dt <= 0.9 / (max J_box + max |f'|) the update map is monotone in
-  every cell value, so discrete comparison is preserved exactly; clipping
-  is a no-op for order-respecting data and only guards float drift.
+* ``evolve`` is explicit Euler with clipping to [0, 1]: :meth:`Problem.step`,
+  the one copy of the update, which the comparison suite also calls. Under
+  the step bound dt <= 0.9 / (max J_box + max |f'|) the update map is
+  monotone in every cell value, so discrete comparison is preserved exactly;
+  clipping is a no-op for order-respecting data and only guards float drift.
 * ``maximal_solution`` runs the resolvent scheme
   L_B[v_{n+1}] - (k+1) v_{n+1} = -k v_n - f(v_n), v_0 = 1, with
   k = ceil(max |f'|) + 1. Monotone descent of the iterates needs
@@ -114,7 +115,7 @@ def evolve(
     steps = 0
     with fft_buffers(p.kernel):
         while True:
-            r = p.rate(u)
+            nxt, r = p.step(u, dt)
             sup = float(np.max(np.abs(r[inter])))
             if not math.isfinite(sup):
                 raise NumericalFailure(f"non-finite residual at step {steps}")
@@ -128,8 +129,7 @@ def evolve(
                     Field(p.grid, u, p.domain_mask), steps, sup <= residual_tol, sup, dt,
                     log_rows,
                 )
-            u = np.clip(u + dt * r, 0.0, 1.0)
-            u = p.clamp(u)
+            u = nxt
             steps += 1
 
 

@@ -84,10 +84,10 @@ class Report:
     checks: list
     meta: dict = dc_field(default_factory=dict)
     wall_time: float = 0.0
-    # artifacts beside the report, kept out of its JSON: field CSVs by file
-    # stem, and the evolution's progress rows
+    # artifacts beside the report, kept out of its JSON, each by file stem:
+    # field CSVs, and the progress rows of the evolutions
     fields: dict = dc_field(default_factory=dict)
-    log_rows: list = dc_field(default_factory=list)
+    log_rows: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -374,7 +374,7 @@ def liouville_experiment(
     rep.meta["steps"] = res.steps
     rep.meta["dt"] = res.dt
     rep.meta["seeded_counterexample"] = seeded_counterexample
-    rep.log_rows = res.log_rows
+    rep.log_rows["progress"] = res.log_rows
     if not res.converged:
         rep.add("converged", False, res.residual_sup, residual_tol, None,
                 note="inconclusive: evolution budget exhausted")
@@ -596,10 +596,8 @@ def comparison_suite(
         a = p.clamp(a.copy())
         b = p.clamp(b.copy())
         for _step in range(12):
-            ra = p.rate(a, "direct")
-            rb = p.rate(b, "direct")
-            a = p.clamp(np.clip(a + dt * ra, 0.0, 1.0))
-            b = p.clamp(np.clip(b + dt * rb, 0.0, 1.0))
+            a, _ = p.step(a, dt, "direct")
+            b, _ = p.step(b, dt, "direct")
             worst = max(worst, float(np.max((a - b)[p.domain_mask])))
     rep.add("weak_ordering_trials", worst <= 1e-12, worst, 0.0, 1e-12,
             note=f"{n_weak} ordered pairs, 12 steps each")
@@ -621,9 +619,8 @@ def comparison_suite(
             axis = int(rng.integers(0, p.grid.dim))
             r_cells = int(rng.integers(-span, span))
             w = plane_wave(empty, phi, axis, r_cells)
-            r = empty.rate(w.values, "direct")
+            w1, r = empty.step(w.values, dt)
             worst_sub = min(worst_sub, float(np.min(r[empty.interior_mask])))
-            w1 = np.clip(w.values + dt * r, 0.0, 1.0)
             worst_rise = max(
                 worst_rise, float(np.max((w.values - w1)[empty.interior_mask]))
             )
@@ -766,6 +763,8 @@ def robustness_experiment(
     far_field: float = 1.0,
     clamp_width: float | None = None,
     dt: float | None = None,
+    conv_path: str = "fast",
+    log_every: int = 1000,
 ) -> Report:
     """Deformed-obstacle sweep: solve on R^N minus K_eps for a decreasing
     eps grid, certify the Liouville level for eps <= pass_eps, and check
@@ -773,8 +772,10 @@ def robustness_experiment(
     A = 2 [J] / (inf_eps inf J_eps - max f').
 
     Each K_eps keeps ``margin`` from the box boundary, and each problem
-    takes ``far_field`` and ``clamp_width`` as :class:`Problem` does. Each
-    evolution steps at ``dt`` (``None``: that problem's comparison bound)."""
+    takes ``far_field``, ``clamp_width`` and ``conv_path`` as
+    :class:`Problem` does. Each evolution steps at ``dt`` (``None``: that
+    problem's comparison bound) and logs its progress every ``log_every``
+    steps under the stem ``progress_eps_<eps>``."""
     eps_sorted = sorted(float(e) for e in eps_grid)
     if not any(e <= pass_eps + 1e-12 for e in eps_sorted):
         raise PreconditionError(
@@ -810,10 +811,12 @@ def robustness_experiment(
     A = {a: 2.0 * kc.nikolskii[float(a)] / (min_j_all - maxfp) for a in alphas}
     empirical = None
     for e in sorted(eps_sorted, reverse=True):
-        p = Problem(kernel, obstacles[e], f, far_field=far_field, clamp_width=clamp_width)
+        p = Problem(kernel, obstacles[e], f, far_field=far_field, clamp_width=clamp_width,
+                    conv_path=conv_path)
         res = evolve(p, p.hostile_datum(), dt=dt, residual_tol=residual_tol,
-                     max_steps=max_steps)
+                     max_steps=max_steps, log_every=log_every)
         rep.fields[f"field_eps_{e}"] = res.u
+        rep.log_rows[f"progress_eps_{e}"] = res.log_rows
         if not res.converged:
             required = e <= pass_eps + 1e-12
             rep.add(f"eps_{e}_converged", False if required else None, res.residual_sup,

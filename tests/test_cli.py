@@ -169,13 +169,14 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
      ("solve",)),
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_k = -1"),
      ("solve",)),
+    (SOLVE_ONES_INI + "log_every = -3\n", ("solve",)),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
         "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
         "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps",
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
-        "zero_star_points", "negative_psi_k"])
+        "zero_star_points", "negative_psi_k", "negative_log_every"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -214,17 +215,39 @@ def test_configured_dt_reaches_evolve(tmp_path, monkeypatch, command):
     seen = []
 
     def spy(p, u0, dt=None, **kw):
-        seen.append(dt)
+        seen.append((dt, p.conv_path))
         return real(p, u0, dt=dt, **kw)
 
     for mod in (nlrd.cli, nlrd.verify):
         monkeypatch.setattr(mod, "evolve", spy)
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out), *command]) == 0
-    assert seen and all(dt == 0.05 for dt in seen)
+    assert main(["--config", cfg, "--out", str(out), "--conv", "direct", *command]) == 0
+    assert seen and all(s == (0.05, "direct") for s in seen)
     if command[1] == "liouville":
         rep = json.loads((out / "liouville.report.json").read_text())
         assert rep["meta"]["dt"] == 0.05
+
+
+def test_robustness_writes_progress_per_epsilon(tmp_path):
+    cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI.replace(
+        "alphas = 1.0", "alphas = 1.0\nepsilons = 0.2,0.1") + "\n[solver]\nlog_every = 50\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "experiment", "robustness"]) == 0
+    assert sorted(p.name for p in out.glob("progress*.csv")) == [
+        "progress_eps_0.1.csv", "progress_eps_0.2.csv"]
+    for eps in ("0.1", "0.2"):
+        rows = (out / f"progress_eps_{eps}.csv").read_text().split("\n")
+        assert rows[0] == "step,residual_sup,min_u,max_u"
+        assert rows[1].startswith("0,")
+        assert rows[2].startswith("50,")
+
+
+def test_zero_log_every_logs_only_the_final_row(tmp_path):
+    cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI + "\n[solver]\nlog_every = 0\nmax_steps = 3\n")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "solve"]) == 1  # budget, not tolerance
+    rows = (out / "progress.csv").read_text().strip().split("\n")
+    assert len(rows) == 2 and rows[1].startswith("3,")
 
 
 def test_with_timing_records_wall_time(tmp_path):

@@ -61,24 +61,39 @@ def test_evolve_counterexample_stationary(annulus_problem):
     assert spread == 1.0
 
 
-def test_evolve_preserves_ordering_small():
+@pytest.mark.parametrize("path", ["direct", "fast"])
+def test_evolve_preserves_ordering_small(path):
     g = make_grid([-2, -2], [2, 2], 1 / 8)
     k = build_kernel(KernelProfile("tophat", 0.5), g)
     f = extend(make_bistable(0.3, 1.0), "zero-left")
-    p = Problem(k, build_obstacle("none", {}, g), f, conv_path="direct")
+    p = Problem(k, build_obstacle("none", {}, g), f, conv_path=path)
     rng = np.random.default_rng(17)
     from nlrd.solver import max_step
+
+    def longhand(u):
+        r = convolve(u, k, path) - p.jself * u + f.f(u)
+        return p.clamp(np.clip(u + dt * r, 0.0, 1.0)), r
 
     dt = max_step(p)
     for _ in range(5):
         a = p.clamp(rng.uniform(0, 1, g.shape))
         b = p.clamp(a + rng.uniform(0, 1) * (1.0 - a))
         for _step in range(25):
-            ra = convolve(a, k, "direct") - p.jself * a + f.f(a)
-            rb = convolve(b, k, "direct") - p.jself * b + f.f(b)
-            a = p.clamp(np.clip(a + dt * ra, 0.0, 1.0))
-            b = p.clamp(np.clip(b + dt * rb, 0.0, 1.0))
+            for u in (a, b):
+                before = u.copy()
+                got, want = p.step(u, dt), longhand(u)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert u.tobytes() == before.tobytes()
+            a, b = longhand(a)[0], longhand(b)[0]
             assert float(np.max((a - b)[p.domain_mask])) <= 1e-12
+
+    u0 = p.clamp(rng.uniform(0, 1, g.shape))
+    res = evolve(p, Field(g, u0, p.domain_mask), dt=dt, max_steps=5, residual_tol=-1)
+    want = u0
+    for _step in range(5):
+        want = longhand(want)[0]
+    assert res.steps == 5 and res.u.values.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
