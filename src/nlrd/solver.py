@@ -26,6 +26,21 @@ Scheme notes
   the sweep's stop test itself: the returned iterate's linear residual
   is L_B applied to the last increment, so its sup is at most that
   increment. The limit is gated by the ball-equation residual (<= 1e-9).
+* The ball's mask, the even kernel, v_0 = 1 and the pointwise f are
+  mirror-symmetric along each axis on which the mask's bounding box equals
+  its own mirror image, so every iterate is too. ``maximal_solution``
+  therefore crops to that box and folds it along those axes (cell -1-j
+  equals cell j for an even box length, cell -j equals cell j about the
+  middle cell for an odd one), and its sweeps convolve the kept cells
+  with a band of reach-many mirrored cells below each folded axis. The
+  ``direct`` path sums mirrored taps in pairs, so its full-box iterates
+  are symmetric to the bit and the folded run returns the same bits. On
+  the other paths a sweep convolves the deficit 1_B - w and subtracts it
+  from J * 1_B, taken once on the direct path: FFT roundoff scales with the
+  2-norm of the input, and the deficit is small away from the rim, so
+  cells whose exact value rounds to 1 come out as 1. The limit is unfolded
+  and its ball-equation residual is gated with one full-box convolution,
+  so the certificate does not rest on the fold.
 * ``front_profile`` relaxes the clamped truncated-line problem. The
   damped iteration preserves monotonicity in x and converges to the
   stationary profile of the clamped line; the translation is fixed
@@ -182,6 +197,108 @@ def evolve_ball(
             steps += 1
 
 
+def _along(axis: int, s: slice) -> tuple:
+    return (slice(None),) * axis + (s,)
+
+
+class _MirrorFold:
+    """The bounding box of ``mask``, folded along every axis on which the
+    box is its own mirror image bit for bit, and so is each of ``fields``
+    restricted to the mask.
+
+    On an axis of box length n, box cell i mirrors to n-1-i: the
+    half-sample mirror (cell -1-j equals cell j about the box middle) for
+    even n, the whole-sample one (cell -j equals cell j about the middle
+    cell) for odd n. A folded axis keeps cells n//2 .. n-1. The kernel is
+    even, so :meth:`convolve` gives J * x on the kept cells once it reads,
+    below each folded axis, a band of reach-many mirrored cells; the band
+    reads zeros where it reaches past the mirror axis.
+
+    With ``deficit``, for fields near 1 on the mask, the paths other than
+    ``direct`` compute J * 1_B - J * (1_B - x). The FFT's roundoff scales
+    with the 2-norm of its input, and the deficit 1_B - x of a ball iterate
+    is small away from the rim, so deep cells, whose exact value rounds to
+    1, come out as 1 rather than a few ulps below it.
+    """
+
+    def __init__(self, mask: np.ndarray, k: Kernel, *fields: np.ndarray,
+                 deficit: bool = False):
+        if not mask.any():
+            raise PreconditionError("the ball holds no grid cell")
+        self.box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask))
+        crop = mask[self.box]
+        views = [crop] + [np.where(crop, np.asarray(x)[self.box], 0.0) for x in fields]
+        self.axes = [a for a in range(mask.ndim)
+                     if all(np.array_equal(x, np.flip(x, a)) for x in views)]
+        self.keep = tuple(slice(n // 2 if a in self.axes else 0, n)
+                          for a, n in enumerate(crop.shape))
+        self.mask = crop[self.keep]
+        self.k = k
+        m = k.reach
+        # the convolution input: kept cells at offset m on each folded axis
+        self.inner = tuple(slice(m if a in self.axes else 0, None) for a in range(mask.ndim))
+        self.ext = np.zeros(tuple(n + m if a in self.axes else n
+                                  for a, n in enumerate(self.mask.shape)))
+        self.out = np.empty(self.ext.shape)
+        self.deficit = deficit
+        self.ones = None  # J * 1_B on the kept cells, on the direct path
+
+    def fold(self, full: np.ndarray) -> np.ndarray:
+        return np.asarray(full, dtype=np.float64)[self.box][self.keep].copy()
+
+    def unfold(self, folded: np.ndarray, out: np.ndarray) -> None:
+        """Write the box of ``out`` from its kept cells ``folded``."""
+        box = out[self.box]
+        box[self.keep] = folded
+        for a in self.axes:
+            n = box.shape[a]
+            half = n // 2
+            box[_along(a, slice(0, half))] = np.flip(box[_along(a, slice(n - half, n))], a)
+
+    def convolve(self, x: np.ndarray, path: str) -> np.ndarray:
+        """J * x on the kept cells, for x given on them; the returned view
+        is overwritten by the next call."""
+        ext, inner, m = self.ext, self.inner, self.k.reach
+        deficit = self.deficit and path != "direct"
+        if not deficit:
+            ext[inner] = x
+        else:
+            if self.ones is None:
+                self.ones = self.convolve(self.mask, "direct").copy()
+            np.subtract(self.mask, x, out=ext[inner])
+        # axis by axis: a later band copies the earlier bands' cells too,
+        # which fills the corners
+        for a in self.axes:
+            n = self.box[a].stop - self.box[a].start
+            src, span = m + n % 2, min(m, n // 2)
+            ext[_along(a, slice(m - span, m))] = np.flip(ext[_along(a, slice(src, src + span))], a)
+        conv = convolve(ext, self.k, path, out=self.out)[inner]
+        return np.subtract(self.ones, conv, out=conv) if deficit else conv
+
+
+def _resolvent_sweeps(fold: _MirrorFold, path: str, kshift: float, rhs: np.ndarray,
+                      w: np.ndarray, tol: float) -> np.ndarray:
+    """The sweep loop of :func:`resolvent_solve` on ``fold``'s kept cells;
+    ``w`` is the start and is overwritten."""
+    outside = ~fold.mask
+    w[outside] = 0.0
+    denom = kshift + 1.0
+    # one sweep is (J * w - rhs) / denom, zeroed off the ball (w is zero
+    # there already); it runs in place on two work arrays, swapping w and
+    # new after each sweep
+    tmp = np.empty(w.shape)
+    new = np.empty(w.shape)
+    for _ in range(100_000):
+        np.subtract(fold.convolve(w, path), rhs, out=new)
+        new /= denom
+        new[outside] = 0.0
+        inc = float(np.max(np.abs(np.subtract(new, w, out=tmp), out=tmp)))
+        w, new = new, w
+        if inc <= tol:
+            return w
+    raise NumericalFailure("resolvent contraction did not converge")
+
+
 def resolvent_solve(
     k: Kernel,
     bmask: np.ndarray,
@@ -199,30 +316,19 @@ def resolvent_solve(
     least one sweep and at most 100 000. The returned w_new has linear
     residual L_B[w_new - w] (up to roundoff), so its sup is at most that
     last increment: ``tol`` bounds the linear residual of the result with
-    no convolution beyond the sweeps themselves.
+    no convolution beyond the sweeps themselves. The sweeps run on the
+    ball's box, folded along each axis on which the ball, ``rhs`` and
+    ``w0`` are mirror-symmetric.
     """
     if kshift <= 0.0:
         raise PreconditionError("resolvent shift must be positive for contraction")
-    w = np.zeros(bmask.shape) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    outside = ~bmask
-    w[outside] = 0.0
-    denom = kshift + 1.0
-    # one sweep is (J * (w bmask) - rhs) / denom, zeroed off the ball; it
-    # runs in place on two work arrays, swapping w and new after each sweep
-    tmp = np.empty(bmask.shape)
-    new = np.empty(bmask.shape)
+    w0 = np.zeros(bmask.shape) if w0 is None else w0
+    fold = _MirrorFold(bmask, k, rhs, w0)
+    out = np.zeros(bmask.shape)
     with fft_buffers(k):
-        for _ in range(100_000):
-            np.multiply(w, bmask, out=tmp)
-            convolve(tmp, k, path, out=new)
-            new -= rhs
-            new /= denom
-            new[outside] = 0.0
-            inc = float(np.max(np.abs(np.subtract(new, w, out=tmp), out=tmp)))
-            w, new = new, w
-            if inc <= tol:
-                return w
-    raise NumericalFailure("resolvent contraction did not converge")
+        w = _resolvent_sweeps(fold, path, kshift, fold.fold(rhs), fold.fold(w0), tol)
+    fold.unfold(w, out)
+    return out
 
 
 @dataclass
@@ -246,6 +352,35 @@ class MaximalSolution:
         return self.field.mask
 
 
+def _descend(fold: _MirrorFold, f: ExtendedNonlinearity, kshift: float, tol: float,
+             path: str) -> tuple:
+    """The outer loop of :func:`maximal_solution` on ``fold``'s kept cells:
+    returns the last iterate and the (iteration, decrease, worst rise) rows."""
+    bmask = fold.mask
+    v = np.where(bmask, 1.0, 0.0)
+    inc = math.inf
+    history: list = []
+    with fft_buffers(fold.k):
+        while len(history) < 20_000:
+            rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
+            # inc is still inf on the first step: one sweep, hence a decrease > 0
+            new = _resolvent_sweeps(fold, path, kshift, rhs, v.copy(), max(1e-13, 0.01 * inc))
+            # 1 is a super-solution, so exact iterates stay <= 1; trimming the
+            # odd ulp of convolution roundoff keeps the invariant checkable
+            np.minimum(new, 1.0, out=new)
+            rise = float(np.max((new - v)[bmask]))
+            if rise > 1e-12:
+                raise NumericalFailure(
+                    f"monotonicity violated by {rise:.3e}; resolvent shift too small"
+                )
+            inc = float(np.max((v - new)[bmask]))
+            v = new
+            history.append((len(history) + 1, inc, rise))
+            if inc <= tol:
+                return v, history
+    raise NumericalFailure("monotone scheme did not reach its tolerance")
+
+
 def maximal_solution(
     k: Kernel,
     f: ExtendedNonlinearity,
@@ -258,15 +393,27 @@ def maximal_solution(
 ) -> MaximalSolution:
     """Monotone resolvent iteration from v_0 = 1 on the closed ball.
 
-    Requires R >= d0 (existence threshold from ``kernel_constants``) and the
-    zero-left extension, under which every iterate stays nonnegative. Each
-    step calls :func:`resolvent_solve` warm-started at v_n with increment
+    Requires R >= d0 (existence threshold from ``kernel_constants``), the
+    zero-left extension, under which every iterate stays nonnegative, and
+    ``tol`` >= 1e-13, the floor of the inner solves. Each step runs the
+    sweeps of :func:`resolvent_solve` warm-started at v_n with increment
     tolerance max(1e-13, 0.01 x the previous decrease), so the inner
     accuracy follows the outer progress. The sequence is checked to be
     non-increasing to 1e-12 at every step; the loop stops once a decrease
     is <= ``tol`` (within 20 000 steps), and the final field solves the
     ball equation to 1e-9 and exceeds theta somewhere, else the run is
     reported as collapsed.
+
+    The ball's mask, the even kernel, v_0 and f(v) are all mirror-symmetric
+    along each axis on which the mask's bounding box equals its own mirror
+    image, so every iterate is too: the loop runs on the box folded along
+    those axes (a quarter of a centred disk's box) and the limit is unfolded
+    at the end. On the ``direct`` path each cell sums its mirrored taps in
+    pairs, and addition commutes, so the full-box iterates are symmetric to
+    the bit and the folded run returns the same bits. On the other paths
+    the sweeps convolve the deficit 1 - v (see :class:`_MirrorFold`). The
+    ball-equation residual is gated on the unfolded field with one
+    full-box convolution, independently of the fold.
     """
     if f.mode != "zero-left":
         raise PreconditionError("maximal_solution requires the zero-left extension")
@@ -279,43 +426,28 @@ def maximal_solution(
         raise PreconditionError(f"R = {radius} below existence threshold d0 = {d0:.6g}")
     if radius < k.radius:
         raise PreconditionError("ball smaller than the kernel support")
+    # below the inner-solve floor the decreases stall in roundoff above tol
+    # and the loop would only spend its step budget
+    if not tol >= 1e-13:
+        raise PreconditionError(f"tol = {tol} below the inner-solve floor 1e-13")
     grid = grid or ball_grid(center, radius, k.h)
-    bmask = ball_mask(grid, center, radius)
+    full = ball_mask(grid, center, radius)
+    fold = _MirrorFold(full, k, deficit=True)
     # iterates stay in [0, 1]; k must dominate the steepest descent of f
     # there or the scheme loses its ordering
     kshift = float(math.ceil(f.max_abs_fprime())) + 1.0
-    v = np.where(bmask, 1.0, 0.0)
-    iterations = 0
-    inc = math.inf
-    history: list = []
-    with fft_buffers(k):
-        while iterations < 20_000:
-            rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
-            # inc is still inf on the first step: one sweep, hence a decrease > 0
-            new = resolvent_solve(k, bmask, kshift, rhs, w0=v, tol=max(1e-13, 0.01 * inc),
-                                  path=path)
-            # 1 is a super-solution, so exact iterates stay <= 1; trimming the
-            # odd ulp of convolution roundoff keeps the invariant checkable
-            np.minimum(new, 1.0, out=new)
-            rise = float(np.max((new - v)[bmask]))
-            if rise > 1e-12:
-                raise NumericalFailure(
-                    f"monotonicity violated by {rise:.3e}; resolvent shift too small"
-                )
-            inc = float(np.max((v - new)[bmask]))
-            v = new
-            iterations += 1
-            history.append((iterations, inc, rise))
-            if inc <= tol:
-                break
-        else:
-            raise NumericalFailure("monotone scheme did not reach its tolerance")
-        res = convolve(v * bmask, k, path) - v + f.f(v)
-    res_sup = float(np.max(np.abs(res[bmask])))
+    v, history = _descend(fold, f, kshift, tol, path)
+    values = np.zeros(grid.shape)
+    fold.unfold(v, values)
+    del fold, v  # drop the folded work arrays before the full-box gate
+    res = convolve(values, k, path)
+    res -= values
+    res += f.f(values)
+    res_sup = float(np.max(np.abs(res[full])))
     if res_sup > 1e-9:
         raise NumericalFailure(f"ball-equation residual {res_sup:.3e} > 1e-9")
-    vmax = float(np.max(v[bmask]))
-    vmin = float(np.min(v[bmask]))
+    vmax = float(np.max(values[full]))
+    vmin = float(np.min(values[full]))
     # v < 1 holds strictly in exact arithmetic, but 1 - v decays like
     # exp(-kappa dist) from the ball boundary and saturates to 0.0 in
     # float64 deep inside large balls; only overshoot is an error
@@ -329,9 +461,9 @@ def maximal_solution(
     return MaximalSolution(
         center=tuple(np.atleast_1d(center).astype(float)),
         radius=float(radius),
-        field=Field(grid, np.where(bmask, v, 0.0), bmask),
-        iterations=iterations,
-        final_increment=inc,
+        field=Field(grid, values, full),
+        iterations=len(history),
+        final_increment=history[-1][1],
         kshift=kshift,
         f=f,
         kernel=k,

@@ -170,13 +170,16 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_k = -1"),
      ("solve",)),
     (SOLVE_ONES_INI + "log_every = -3\n", ("solve",)),
+    # below the 1e-13 inner-solve floor: it used to spend the 20 000-step budget
+    (MAXIMAL_INI + "tol = 1e-16\n", ("maximal",)),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
         "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
         "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps",
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
-        "zero_star_points", "negative_psi_k", "negative_log_every"])
+        "zero_star_points", "negative_psi_k", "negative_log_every",
+        "ball_tol_below_floor"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(

@@ -28,7 +28,7 @@ from nlrd import (
 )
 from nlrd.convolve import convolve
 from nlrd.operators import ball_mask
-from nlrd.solver import ball_grid
+from nlrd.solver import _MirrorFold, ball_grid
 from nlrd.verify import counterexample_field
 
 
@@ -234,6 +234,131 @@ def test_maximal_translation_identity(strong_f):
     assert np.array_equal(np.roll(np.roll(v0.bmask, shift[0], axis=0), shift[1], axis=1),
                           v1.bmask)
     assert np.array_equal(rolled[v1.bmask], v1.values[v1.bmask])
+
+
+def test_maximal_rejects_tol_below_inner_floor(ball1d, ref_f, ref_fz):
+    # below the 1e-13 floor of the inner solves the outer decreases stall
+    # in roundoff, and the loop would spend its whole step budget
+    g, k = ball1d
+    kc = kernel_constants(k, ref_f, [1.0])
+    for tol in (1e-16, 9e-14, 0.0, -1.0, math.nan):
+        with pytest.raises(PreconditionError, match="floor"):
+            maximal_solution(k, ref_fz, [0.0], 20.0, kc.d0, grid=g, tol=tol)
+
+
+def test_maximal_rejects_ball_off_grid(ball1d, ref_f, ref_fz):
+    g, k = ball1d
+    kc = kernel_constants(k, ref_f, [1.0])
+    with pytest.raises(PreconditionError, match="no grid cell"):
+        maximal_solution(k, ref_fz, [100.0], 20.0, kc.d0, grid=g)
+
+
+def _fold_case(name):
+    """(kernel, mask, folded axes) for the mirror-fold tests."""
+    h = 1 / 8
+    k2 = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h))
+    k1 = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4], [4], h))
+    g1 = make_grid([-6], [6], h)
+    g2 = make_grid([-6, -6], [6, 6], h)
+    if name == "1d_even":
+        return k1, ball_mask(g1, [1.0], 2.0), [0]
+    if name == "1d_odd":
+        return k1, ball_mask(g1, [h / 2], 2.0), [0]
+    if name == "2d_even":
+        return k2, ball_mask(g2, [1.0, -0.5], 2.0), [0, 1]
+    if name == "2d_odd":
+        return k2, ball_mask(g2, [h / 2, h / 2], 2.0), [0, 1]
+    if name == "2d_odd_even":
+        return k2, ball_mask(g2, [h / 2, 0.0], 2.0), [0, 1]
+    if name == "2d_one_axis":
+        # a disk cut by a column off its middle: mirror-symmetric in axis 0 only
+        m = ball_mask(g2, [0.0, 0.0], 2.0)
+        m[:, g2.counts[1] // 2 + 8:] = False
+        return k2, m, [0]
+    if name == "2d_asymmetric":
+        m = ball_mask(g2, [0.0, 0.0], 2.0)
+        m[g2.counts[0] // 2 + 3, g2.counts[1] // 2 + 5] = False
+        return k2, m, []
+    if name == "2d_kernel_radius":
+        # the box is 2 m wide: the band spans the whole kept half
+        return k2, ball_mask(g2, [0.0, 0.0], k2.radius), [0, 1]
+    # three cells across, narrower than the band: it reads zeros past the half
+    m = np.zeros(g2.shape, dtype=bool)
+    m[40, 39:42] = m[39:42, 40] = True
+    return k2, m, [0, 1]
+
+
+FOLD_CASES = ["1d_even", "1d_odd", "2d_even", "2d_odd", "2d_odd_even", "2d_one_axis",
+              "2d_asymmetric", "2d_kernel_radius", "2d_past_half"]
+
+
+@pytest.mark.parametrize("deficit", [False, True], ids=["plain", "deficit"])
+@pytest.mark.parametrize("path", ["direct", "fast"])
+@pytest.mark.parametrize("name", FOLD_CASES)
+def test_mirror_fold_convolution_matches_full_box(name, path, deficit):
+    k, mask, axes = _fold_case(name)
+    fold = _MirrorFold(mask, k, deficit=deficit)
+    assert fold.axes == axes
+    rng = np.random.default_rng(7)
+    sub = rng.uniform(0.0, 1.0, mask[fold.box].shape)
+    for a in axes:
+        sub = sub + np.flip(sub, a)  # exactly mirror-symmetric: + commutes
+    full = np.zeros(mask.shape)
+    full[fold.box] = np.where(mask[fold.box], sub, 0.0)
+    kept = fold.fold(full)
+    back = np.full(mask.shape, np.nan)
+    back[~mask] = 0.0
+    fold.unfold(kept, back)
+    assert back.tobytes() == full.tobytes()
+    got = fold.convolve(kept, path)
+    want = convolve(full, k, path)[fold.box][fold.keep]
+    if path == "direct":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert float(np.max(np.abs(got - want))) <= 1e-12
+    # a field that breaks the mirror keeps its axes unfolded
+    if axes:
+        skew = np.where(mask, rng.uniform(0.0, 1.0, mask.shape), 0.0)
+        assert _MirrorFold(mask, k, skew).axes == []
+
+
+@pytest.mark.parametrize("path", ["direct", "fast"])
+@pytest.mark.parametrize("case", ["2d_corner", "2d_shared_box", "2d_cell_centre", "1d_R20"])
+def test_maximal_matches_full_box_oracle(case, path, ball1d, ref_f, ref_fz, strong_f):
+    if case == "1d_R20":
+        g, k = ball1d
+        base, fz, center, R = ref_f, ref_fz, [0.0], 20.0
+    else:
+        h = 1 / 8
+        k = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h))
+        base, fz, R = strong_f, extend(strong_f, "zero-left"), 4.0
+        center = {"2d_corner": [0.0, 0.0], "2d_shared_box": [2.0, -1.0],
+                  "2d_cell_centre": [h / 2, h / 2]}[case]
+        g = ball_grid(center, R, h) if case == "2d_corner" else make_grid(
+            [-12, -12], [12, 12], h)
+    kc = kernel_constants(k, base, [1.0])
+    v = maximal_solution(k, fz, center, R, kc.d0, grid=g, path=path)
+    assert _MirrorFold(v.bmask, k).axes == list(range(k.dim))
+    ref, history = oracles.maximal_solution_fullbox(k, fz, v.bmask, path=path)
+    if path == "direct":
+        assert v.values.tobytes() == ref.tobytes()
+        assert v.history == history
+    else:
+        assert float(np.max(np.abs(v.values - ref))) <= 1e-12
+
+
+def test_maximal_fast_path_keeps_saturated_cells(ball1d, ref_f, ref_fz):
+    # on fast the sweeps convolve the deficit 1 - w, whose FFT roundoff
+    # stays far below an ulp of 1 deep inside the ball: every cell where
+    # the direct path gives exactly 1 gives 1 on fast too
+    g, k = ball1d
+    kc = kernel_constants(k, ref_f, [1.0])
+    for R in (8.0, 10.0):
+        fast = maximal_solution(k, ref_fz, [0.0], R, kc.d0, grid=g)
+        direct = maximal_solution(k, ref_fz, [0.0], R, kc.d0, grid=g, path="direct")
+        deep = direct.values == 1.0
+        assert np.count_nonzero(deep) >= 40
+        assert np.all(fast.values[deep] == 1.0)
 
 
 def test_lemma_64iii_minmax_1d(ball1d, ref_f, ref_fz):
