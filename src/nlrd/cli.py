@@ -4,6 +4,15 @@ Commands: solve, maximal, front, subsolution, verify <suite>,
 experiment <name>. Exit codes: 0 all checks pass, 1 a check or a
 computation failed, 2 a precondition or config key was rejected.
 
+One pipeline runs every command: parse the arguments, load the config,
+run the command's handler, stamp its :class:`Report` with the resolved
+config and the package version, write the artifacts into ``--out``, exit.
+A handler opens no file: it names its artifacts on the report, each by
+file stem, as fields (``field_to_csv``) and as tables (a header, then
+rows of integers and ``.17g`` floats). ``main`` then writes those and
+``<stem>.report.json`` and ``<stem>.checks.csv``, where the stem is the
+command, ``verify_<suite>`` or the experiment's name.
+
 Determinism: every command is a pure function of (config, seed, conv
 path); the computation is single-threaded and bit-reproducible.
 ``--with-timing`` adds the run's wall time to the report JSON, which is
@@ -19,6 +28,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .config import build_pieces, build_problem, load_config, resolve
 from .errors import NumericalFailure, PreconditionError
 from .grid import field_to_csv
@@ -26,10 +36,12 @@ from .kernels import kernel_constants, marginal_j1
 from .obstacles import PsiSpec, deformation_family
 from .solver import build_subsolution, evolve, front_profile, maximal_solution
 from .verify import (
+    PROGRESS_HEADER,
     Report,
     bounds_suite,
     comparison_suite,
     counterexample_check,
+    counterexample_field,
     liouville_experiment,
     robustness_experiment,
 )
@@ -37,32 +49,11 @@ from .verify import (
 __all__ = ["main"]
 
 
-def _write_progress(path, rows) -> None:
+def _write_table(path, header, rows) -> None:
     with open(path, "w") as fh:
-        fh.write("step,residual_sup,min_u,max_u\n")
-        for step, sup, lo, hi in rows:
-            fh.write(f"{step},{sup:.17g},{lo:.17g},{hi:.17g}\n")
-
-
-def _kernel_csv(path, kernel) -> None:
-    offs = kernel.offsets()
-    with open(path, "w") as fh:
-        heads = [f"d{a}" for a in range(kernel.dim)]
-        fh.write(",".join(heads + ["weight"]) + "\n")
-        flat = [o.ravel() for o in offs]
-        wv = kernel.weights.ravel()
-        for i in range(wv.size):
-            cols = [str(int(f[i])) for f in flat] + [f"{wv[i]:.17g}"]
-            fh.write(",".join(cols) + "\n")
-
-
-def _emit(report: Report, outdir: str, stem: str, args) -> None:
-    from . import __version__
-
-    report.meta.setdefault("package_version", __version__)
-    report.wall_time = time.perf_counter() - args.started
-    report.write_json(os.path.join(outdir, f"{stem}.report.json"), args.with_timing)
-    report.write_csv(os.path.join(outdir, f"{stem}.checks.csv"))
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v}" if isinstance(v, int) else f"{v:.17g}" for v in row) + "\n")
 
 
 def _phi_and_constants(cfg, kernel, f):
@@ -75,15 +66,22 @@ def _phi_and_constants(cfg, kernel, f):
     return phi, kc
 
 
-def cmd_solve(cfg, args, outdir) -> int:
+def _ball(cfg, args):
+    """The maximal ball solution of ``[ball]``, and the kernel constants."""
+    _, kernel, f, fext = build_pieces(cfg)
+    kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
+    v = maximal_solution(kernel, fext, cfg["ball"]["center"], cfg["ball"]["radius"],
+                         kc.d0, tol=cfg["ball"]["tol"], path=args.conv)
+    return v, kc
+
+
+def cmd_solve(cfg, args) -> Report:
     p = build_problem(cfg, args.conv)
     if cfg["solver"]["u0"] == "hostile":
         u0 = p.hostile_datum()
     elif cfg["solver"]["u0"] == "ones":
         u0 = p.constant_datum(1.0)
     elif cfg["solver"]["u0"] == "counterexample":
-        from .verify import counterexample_field
-
         u0 = counterexample_field(p)
     else:
         raise PreconditionError(f"unknown initial datum {cfg['solver']['u0']!r}")
@@ -94,154 +92,139 @@ def cmd_solve(cfg, args, outdir) -> int:
         residual_tol=cfg["solver"]["tol"],
         log_every=cfg["solver"]["log_every"],
     )
-    rep = Report("solve", resolve(cfg), [])
+    rep = Report("solve")
     rep.meta["dt"] = res.dt
     rep.meta["steps"] = res.steps
     rep.add("converged", res.converged, res.residual_sup, cfg["solver"]["tol"], None,
             note=f"{res.steps} steps")
     min_u = float(np.min(res.u.values[p.domain_mask]))
     rep.add("min_u", None, min_u)
-    field_to_csv(res.u, os.path.join(outdir, "field.csv"))
-    _write_progress(os.path.join(outdir, "progress.csv"), res.log_rows)
-    _kernel_csv(os.path.join(outdir, "kernel.csv"), p.kernel)
-    _emit(rep, outdir, "solve", args)
-    return 0 if rep.passed else 1
-
-
-def cmd_maximal(cfg, args, outdir) -> int:
-    _, kernel, f, fext = build_pieces(cfg)
-    kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
-    v = maximal_solution(
-        kernel, fext,
-        cfg["ball"]["center"], cfg["ball"]["radius"], kc.d0,
-        tol=cfg["ball"]["tol"], path=args.conv,
+    k = p.kernel
+    rep.fields["field"] = res.u
+    rep.tables["progress"] = (PROGRESS_HEADER, res.log_rows)
+    rep.tables["kernel"] = (
+        [f"d{a}" for a in range(k.dim)] + ["weight"],
+        list(zip(*[o.ravel().tolist() for o in k.offsets()], k.weights.ravel().tolist())),
     )
-    rep = Report("maximal", resolve(cfg), [])
+    return rep
+
+
+def cmd_maximal(cfg, args) -> Report:
+    v, _ = _ball(cfg, args)
+    f = v.f.base
+    rep = Report("maximal")
     rep.add("iterations", None, float(v.iterations))
     rep.add("final_increment", v.final_increment <= cfg["ball"]["tol"],
             v.final_increment, cfg["ball"]["tol"], None)
     vmax = float(np.max(v.values[v.bmask]))
     rep.add("max_above_theta", vmax > f.theta, vmax, f.theta, None)
-    field_to_csv(v.field, os.path.join(outdir, "maximal.csv"))
-    with open(os.path.join(outdir, "iterations.csv"), "w") as fh:
-        fh.write("iteration,decrease,worst_rise\n")
-        for it, dec, rise in v.history:
-            fh.write(f"{it},{dec:.17g},{rise:.17g}\n")
-    _emit(rep, outdir, "maximal", args)
-    return 0 if rep.passed else 1
+    rep.fields["maximal"] = v.field
+    rep.tables["iterations"] = (("iteration", "decrease", "worst_rise"), v.history)
+    return rep
 
 
-def cmd_front(cfg, args, outdir) -> int:
+def cmd_front(cfg, args) -> Report:
     _, kernel, f, _ = build_pieces(cfg)
     phi = front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
                         tol=cfg["front"]["tol"])
-    rep = Report("front", resolve(cfg), [])
+    rep = Report("front")
     rep.add("residual_off_bands", phi.residual_sup <= 1e-8, phi.residual_sup, 0.0, 1e-8)
     rep.add("left_limit", abs(phi.left_value - phi.limits[0]) <= 1e-3,
             phi.left_value, phi.limits[0], 1e-3)
     rep.add("right_limit", abs(phi.right_value - phi.limits[1]) <= 1e-3,
             phi.right_value, phi.limits[1], 1e-3)
-    coords = phi.coords()
-    with open(os.path.join(outdir, "front.csv"), "w") as fh:
-        fh.write("x,phi\n")
-        for x, v in zip(coords, phi.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
-    _emit(rep, outdir, "front", args)
-    return 0 if rep.passed else 1
+    rep.tables["front"] = (("x", "phi"), list(zip(phi.coords(), phi.values)))
+    return rep
 
 
-def cmd_subsolution(cfg, args, outdir) -> int:
-    _, kernel, f, fext = build_pieces(cfg)
-    kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
-    v = maximal_solution(kernel, fext, cfg["ball"]["center"], cfg["ball"]["radius"],
-                         kc.d0, tol=cfg["ball"]["tol"], path=args.conv)
+def cmd_subsolution(cfg, args) -> Report:
+    v, kc = _ball(cfg, args)
     delta = cfg["subsolution"]["delta"]
     if delta is None:
         delta = kc.delta0 / 2.0 if kc.delta0 is not None else None
     if delta is None:
         raise PreconditionError("delta0 undefined for this kernel; set subsolution.delta")
     w = build_subsolution(v, delta, kc, path=args.conv)
-    rep = Report("subsolution", resolve(cfg), [])
+    rep = Report("subsolution")
     rep.add("certificate_min", w.verify_min >= -w.tol_geom, w.verify_min,
             -w.tol_geom, w.tol_geom, note=f"delta = {delta!r}")
-    field_to_csv(w.field, os.path.join(outdir, "subsolution.csv"))
-    _emit(rep, outdir, "subsolution", args)
-    return 0 if rep.passed else 1
+    rep.fields["subsolution"] = w.field
+    return rep
 
 
-def cmd_verify(cfg, args, outdir) -> int:
-    suite = args.name
-    if suite == "comparison":
-        p = build_problem(cfg, args.conv)
-        phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
-        rep = comparison_suite(p, cfg["experiment"]["trials"], args.seed, phi=phi,
-                               config=resolve(cfg))
-    elif suite == "bounds":
-        p = build_problem(cfg, args.conv)
-        phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
-        res = evolve(p, p.hostile_datum(), dt=cfg["solver"]["dt"],
-                     residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"])
-        if not res.converged:
-            raise NumericalFailure("bounds suite needs a converged stationary field")
-        rep = bounds_suite(res.u, p, phi, kc, alphas=cfg["experiment"]["alphas"],
-                           probe_deltas=cfg["experiment"]["probe_deltas"],
-                           config=resolve(cfg))
-    else:
-        raise PreconditionError(f"unknown verify suite {suite!r}")
-    _emit(rep, outdir, f"verify_{suite}", args)
-    return 0 if rep.passed else 1
+def cmd_comparison(cfg, args) -> Report:
+    p = build_problem(cfg, args.conv)
+    phi, _ = _phi_and_constants(cfg, p.kernel, p.f.base)
+    return comparison_suite(p, cfg["experiment"]["trials"], args.seed, phi=phi)
 
 
-def cmd_experiment(cfg, args, outdir) -> int:
-    name = args.name
-    if name == "counterexample":
-        p = build_problem(cfg, args.conv)
-        rep = counterexample_check(p, resolve(cfg))
-    elif name == "liouville":
-        p = build_problem(cfg, args.conv)
-        phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
-        sweep_opts = {
-            "epsilon": cfg["experiment"]["sweep_epsilon"],
-            "angles": cfg["experiment"]["sweep_angles"],
-        }
-        if cfg["experiment"]["sweep_ball_radius"] is not None:
-            sweep_opts["ball_radius"] = cfg["experiment"]["sweep_ball_radius"]
-        rep = liouville_experiment(
-            p, phi, kc, config=resolve(cfg), mode=args.mode,
-            residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"],
-            alphas=cfg["experiment"]["alphas"], sweep_opts=sweep_opts,
-            log_every=cfg["solver"]["log_every"], dt=cfg["solver"]["dt"],
-        )
-    elif name == "robustness":
-        grid, kernel, f, fext = build_pieces(cfg)
-        kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
-        o = cfg["obstacle"]
-        fam = deformation_family(
-            o["radius"], PsiSpec(kind=o["psi"], k=o["psi_k"], amp=o["psi_amp"])
-        )
-        rep = robustness_experiment(
-            fam, grid, kernel, fext, kc,
-            eps_grid=cfg["experiment"]["epsilons"],
-            alphas=cfg["experiment"]["alphas"],
-            pass_eps=cfg["experiment"]["pass_eps"],
-            residual_tol=cfg["solver"]["tol"],
-            max_steps=cfg["solver"]["max_steps"],
-            config=resolve(cfg),
-            margin=o["margin"],
-            far_field=cfg["problem"]["far_field"],
-            clamp_width=cfg["problem"]["clamp_width"],
-            dt=cfg["solver"]["dt"],
-            conv_path=args.conv,
-            log_every=cfg["solver"]["log_every"],
-        )
-    else:
-        raise PreconditionError(f"unknown experiment {name!r}")
-    for stem, fld in rep.fields.items():
-        field_to_csv(fld, os.path.join(outdir, f"{stem}.csv"))
-    for stem, rows in rep.log_rows.items():
-        _write_progress(os.path.join(outdir, f"{stem}.csv"), rows)
-    _emit(rep, outdir, name, args)
-    return 0 if rep.passed else 1
+def cmd_bounds(cfg, args) -> Report:
+    p = build_problem(cfg, args.conv)
+    phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
+    res = evolve(p, p.hostile_datum(), dt=cfg["solver"]["dt"],
+                 residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"])
+    if not res.converged:
+        raise NumericalFailure("bounds suite needs a converged stationary field")
+    return bounds_suite(res.u, p, phi, kc, alphas=cfg["experiment"]["alphas"],
+                        probe_deltas=cfg["experiment"]["probe_deltas"])
+
+
+def cmd_counterexample(cfg, args) -> Report:
+    return counterexample_check(build_problem(cfg, args.conv))
+
+
+def cmd_liouville(cfg, args) -> Report:
+    p = build_problem(cfg, args.conv)
+    phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
+    sweep_opts = {
+        "epsilon": cfg["experiment"]["sweep_epsilon"],
+        "angles": cfg["experiment"]["sweep_angles"],
+    }
+    if cfg["experiment"]["sweep_ball_radius"] is not None:
+        sweep_opts["ball_radius"] = cfg["experiment"]["sweep_ball_radius"]
+    return liouville_experiment(
+        p, phi, kc, mode=args.mode,
+        residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"],
+        alphas=cfg["experiment"]["alphas"], sweep_opts=sweep_opts,
+        log_every=cfg["solver"]["log_every"], dt=cfg["solver"]["dt"],
+    )
+
+
+def cmd_robustness(cfg, args) -> Report:
+    grid, kernel, f, fext = build_pieces(cfg)
+    kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
+    o = cfg["obstacle"]
+    fam = deformation_family(
+        o["radius"], PsiSpec(kind=o["psi"], k=o["psi_k"], amp=o["psi_amp"])
+    )
+    return robustness_experiment(
+        fam, grid, kernel, fext, kc,
+        eps_grid=cfg["experiment"]["epsilons"],
+        alphas=cfg["experiment"]["alphas"],
+        pass_eps=cfg["experiment"]["pass_eps"],
+        residual_tol=cfg["solver"]["tol"],
+        max_steps=cfg["solver"]["max_steps"],
+        margin=o["margin"],
+        far_field=cfg["problem"]["far_field"],
+        clamp_width=cfg["problem"]["clamp_width"],
+        dt=cfg["solver"]["dt"],
+        conv_path=args.conv,
+        log_every=cfg["solver"]["log_every"],
+    )
+
+
+# report file stem -> handler
+HANDLERS = {
+    "solve": cmd_solve,
+    "maximal": cmd_maximal,
+    "front": cmd_front,
+    "subsolution": cmd_subsolution,
+    "verify_comparison": cmd_comparison,
+    "verify_bounds": cmd_bounds,
+    "counterexample": cmd_counterexample,
+    "liouville": cmd_liouville,
+    "robustness": cmd_robustness,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,30 +253,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _stem(args) -> str:
+    if args.command == "verify":
+        return f"verify_{args.name}"
+    return args.name if args.command == "experiment" else args.command
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "mode"):
-        args.mode = "standard"
-    args.started = time.perf_counter()
+    started = time.perf_counter()
+    stem = _stem(args)
+    out = args.out
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        handler = {
-            "solve": cmd_solve,
-            "maximal": cmd_maximal,
-            "front": cmd_front,
-            "subsolution": cmd_subsolution,
-            "verify": cmd_verify,
-            "experiment": cmd_experiment,
-        }[args.command]
-        code = handler(cfg, args, args.out)
+        os.makedirs(out, exist_ok=True)
+        rep = HANDLERS[stem](cfg, args)
+        rep.config = resolve(cfg)
+        rep.meta["package_version"] = __version__
+        for name, fld in rep.fields.items():
+            field_to_csv(fld, os.path.join(out, f"{name}.csv"))
+        for name, (header, rows) in rep.tables.items():
+            _write_table(os.path.join(out, f"{name}.csv"), header, rows)
+        rep.wall_time = time.perf_counter() - started
+        rep.write_json(os.path.join(out, f"{stem}.report.json"), args.with_timing)
+        rep.write_csv(os.path.join(out, f"{stem}.checks.csv"))
     except PreconditionError as exc:
         print(f"precondition rejected: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - args.started
+    code = 0 if rep.passed else 1
+    elapsed = time.perf_counter() - started
     print(f"{args.command}: exit {code} ({elapsed:.1f}s)", file=sys.stderr)
     return code
 

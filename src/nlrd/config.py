@@ -45,28 +45,25 @@ def _float_or_auto(s: str):
     return None if s.strip() == "auto" else _float(s)
 
 
-def _positive(parse):
-    """``parse``, then reject values <= 0 (``auto``/None passes through)."""
+def _checked(parse, ok, message: str):
+    """``parse``, then reject a value for which ``ok`` is false."""
 
     def checked(s: str):
         v = parse(s)
-        if v is not None and v <= 0:
-            raise ValueError("value must be positive")
+        if not ok(v):
+            raise ValueError(message)
         return v
 
     return checked
+
+
+def _positive(parse):
+    """``parse``, then reject values <= 0 (``auto``/None passes through)."""
+    return _checked(parse, lambda v: v is None or v > 0, "value must be positive")
 
 
 def _nonnegative(parse):
-    """``parse``, then reject values < 0."""
-
-    def checked(s: str):
-        v = parse(s)
-        if v < 0:
-            raise ValueError("value must be non-negative")
-        return v
-
-    return checked
+    return _checked(parse, lambda v: v >= 0, "value must be non-negative")
 
 
 _SCHEMA: dict = {
@@ -127,11 +124,12 @@ _SCHEMA: dict = {
         "tol": (_positive(_float), "1e-12"),
     },
     "experiment": {
-        "alphas": (_floats, "0.5,1.0"),
+        "alphas": (_checked(_floats, lambda v: len(v) > 0, "list must not be empty"), "0.5,1.0"),
         "epsilons": (_floats, "1,0.5,0.2,0.1,0.05"),
         "pass_eps": (_float, "0.1"),
         "trials": (_positive(int), "100"),
-        "probe_deltas": (_floats, "0.1,0.01"),
+        "probe_deltas": (_checked(_floats, lambda v: all(0 < d < 1 for d in v),
+                                  "entries must lie in (0, 1)"), "0.1,0.01"),
         "sweep_epsilon": (_float, "0.25"),
         "sweep_ball_radius": (_float_or_auto, "auto"),
         "sweep_angles": (_positive(int), "16"),
@@ -144,9 +142,10 @@ def load_config(path: str | None) -> dict:
 
     Malformed INI syntax (a duplicate section, say), non-finite numbers,
     non-positive solver tolerances, steps, step budgets, trial counts,
-    obstacle radii, star point counts and psi frequencies, and a negative
-    obstacle margin or solver log interval are rejected as preconditions,
-    like unknown keys."""
+    obstacle radii, star point counts and psi frequencies, a negative
+    obstacle margin or solver log interval, an empty ``alphas`` list and a
+    probe delta outside (0, 1) are rejected as preconditions, like unknown
+    keys."""
     try:
         return _load(path)
     except configparser.Error as exc:

@@ -128,7 +128,7 @@ def _kernel_spectrum(k: Kernel, shape_full: tuple) -> np.ndarray:
     key = ("rfft", shape_full)
     spec = k._fft_cache.get(key)
     if spec is None:
-        flipped = k.weights[::-1] if k.dim == 1 else k.weights[::-1, ::-1]
+        flipped = np.flip(k.weights)
         axes = tuple(range(k.dim))
         spec = np.fft.rfftn(flipped, s=shape_full, axes=axes)
         k._fft_cache[key] = spec

@@ -65,8 +65,6 @@ class Grid:
     def meshes(self):
         """Coordinate arrays broadcast to ``self.shape`` (C-order, axis 0 = x0)."""
         axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def cell_center(self, idx) -> tuple:

@@ -4,7 +4,7 @@ Kernels are sampled pointwise at lattice offsets (which keeps radial
 symmetry exact on the lattice) and then renormalized to unit discrete
 mass. Three closed-form radial profiles are provided — ``tophat``,
 ``quartic`` (a W^{1,1} bump) and ``ring`` (positive only on an annulus,
-exercising the r1 > 0 case) — plus custom radial callables.
+exercising the r1 > 0 case).
 
 Derived constants:
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -46,12 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """Closed-form radial profile descriptor; ``fn`` enables a custom profile."""
+    """Closed-form radial profile descriptor."""
 
-    kind: str  # tophat | quartic | ring | custom | marginal
+    kind: str  # tophat | quartic | ring | marginal
     radius: float
     inner_radius: float = 0.0
-    fn: object = None
 
     def density(self, r: np.ndarray, dim: int) -> np.ndarray:
         """Continuum-normalized radial density (unit mass in R^dim)."""
@@ -71,8 +70,6 @@ class KernelProfile:
             else:
                 c = 1.0 / (2.0 * (R - r1))
             return np.where((r >= r1) & (r <= R), c, 0.0)
-        if self.kind == "custom":
-            return np.where(r <= R, np.asarray(self.fn(r), dtype=np.float64), 0.0)
         raise PreconditionError(f"profile kind {self.kind!r} cannot be sampled")
 
     def grad_l1(self, dim: int):
@@ -140,9 +137,7 @@ class Kernel:
     def offsets(self):
         """Integer offset grids matching the weight table."""
         rng = np.arange(-self.reach, self.reach + 1)
-        if self.dim == 1:
-            return (rng,)
-        return tuple(np.meshgrid(rng, rng, indexing="ij"))
+        return tuple(np.meshgrid(*[rng] * self.dim, indexing="ij"))
 
     def discrete_mass(self) -> float:
         return pairwise_sum(self.weights) * self.h**self.dim
@@ -224,32 +219,20 @@ class KernelConstants:
 
 def _shifted_l1(k: Kernel, shift: tuple) -> float:
     """||J(. + s) - J||_1 for an integer lattice shift s (cells)."""
-    pad = max(abs(int(c)) for c in shift)
-    w = k.weights
-    if k.dim == 1:
-        big = np.zeros(w.shape[0] + 2 * pad)
-        big[pad:-pad or None] = w
-        moved = np.roll(big, int(shift[0]))
-        return pairwise_sum(np.abs(moved - big)) * k.h
-    big = np.zeros((w.shape[0] + 2 * pad, w.shape[1] + 2 * pad))
-    big[pad : pad + w.shape[0], pad : pad + w.shape[1]] = w
-    moved = np.roll(big, (int(shift[0]), int(shift[1])), axis=(0, 1))
-    return pairwise_sum(np.abs(moved - big)) * k.h**2
+    shift = tuple(int(c) for c in shift)
+    big = np.pad(k.weights, max(abs(c) for c in shift))
+    moved = np.roll(big, shift, axis=tuple(range(k.dim)))
+    return pairwise_sum(np.abs(moved - big)) * k.h**k.dim
 
 
 def _central_diff_grad_l1(k: Kernel) -> float:
-    w = k.weights
-    h = k.h
-    if k.dim == 1:
-        big = np.zeros(w.shape[0] + 2)
-        big[1:-1] = w
-        g = (big[2:] - big[:-2]) / (2.0 * h)
-        return pairwise_sum(np.abs(g)) * h
-    big = np.zeros((w.shape[0] + 2, w.shape[1] + 2))
-    big[1:-1, 1:-1] = w
-    gx = (big[2:, 1:-1] - big[:-2, 1:-1]) / (2.0 * h)
-    gy = (big[1:-1, 2:] - big[1:-1, :-2]) / (2.0 * h)
-    return pairwise_sum(np.hypot(gx, gy)) * h**2
+    """sum |grad J| h^dim with central differences; hypot from 0.0 gives
+    |g| in 1-D."""
+    big = np.pad(k.weights, 1)
+    inner = (slice(1, -1),) * k.dim
+    grads = [(np.roll(big, -1, axis=a) - np.roll(big, 1, axis=a))[inner] / (2.0 * k.h)
+             for a in range(k.dim)]
+    return pairwise_sum(reduce(np.hypot, grads, 0.0)) * k.h**k.dim
 
 
 def _d0_bisection(radius: float, dim: int, int_f: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "robustness_experiment",
     "holder_slack",
     "PASS_LEVEL",
+    "PROGRESS_HEADER",
 ]
 
 # certification level for "u = 1": the Liouville pass criterion
@@ -54,6 +55,8 @@ PASS_LEVEL = 1e-6
 # plane-wave profiles are capped strictly below the pass level so the
 # finite-precision plateau of phi near 1 cannot block sliding
 CAP_LEVEL = 1.0 - 2e-6
+# columns of an evolution's progress rows (``EvolveResult.log_rows``)
+PROGRESS_HEADER = ("step", "residual_sup", "min_u", "max_u")
 
 
 @dataclass
@@ -80,14 +83,14 @@ class Check:
 @dataclass
 class Report:
     experiment: str
-    config: dict
-    checks: list
+    config: dict = dc_field(default_factory=dict)  # the CLI stores the resolved config
+    checks: list = dc_field(default_factory=list)
     meta: dict = dc_field(default_factory=dict)
     wall_time: float = 0.0
     # artifacts beside the report, kept out of its JSON, each by file stem:
-    # field CSVs, and the progress rows of the evolutions
+    # fields (written by ``field_to_csv``) and tables ``(header, rows)``
     fields: dict = dc_field(default_factory=dict)
-    log_rows: dict = dc_field(default_factory=dict)
+    tables: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -103,17 +106,7 @@ class Report:
             "experiment": self.experiment,
             "passed": self.passed,
             "config": self.config,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "bound": c.bound,
-                    "tol": c.tol,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "meta": self.meta,
         }
         if include_timing:
@@ -194,7 +187,7 @@ def counterexample_field(p: Problem) -> Field:
     return Field(p.grid, vals, p.domain_mask)
 
 
-def counterexample_check(p: Problem, config: dict | None = None) -> Report:
+def counterexample_check(p: Problem) -> Report:
     """Exactness of the non-simply-connected counterexample.
 
     Hypothesis: kernel radius <= 0.5 and at least one empty cell shell
@@ -219,7 +212,7 @@ def counterexample_check(p: Problem, config: dict | None = None) -> Report:
         raise PreconditionError(
             f"hole reach {hole_reach:.4f} leaves no empty shell before r2 = {r2}"
         )
-    rep = Report("counterexample", config or {}, [])
+    rep = Report("counterexample")
     u = counterexample_field(p)
     _, sup = residual(p, u)
     rep.add("residual_sup", sup <= 1e-12, sup, 0.0, 1e-12)
@@ -250,12 +243,11 @@ def bounds_suite(
     kc: KernelConstants,
     alphas=(0.5, 1.0),
     probe_deltas=(0.1, 0.01),
-    config: dict | None = None,
 ) -> Report:
     """Post-hoc checks on a stationary field: the Hoelder transfer bound,
     the radial plane-wave minorant, the convex mass-map bound, and the
     derived uniform lower bounds at probe radii."""
-    rep = Report("bounds", config or {}, [])
+    rep = Report("bounds")
     jm = jmass(p.kernel, p.obstacle)
     min_j = float(np.min(jm.values[jm.mask]))
     maxfp = p.f.max_fprime_signed()
@@ -348,7 +340,6 @@ def liouville_experiment(
     p: Problem,
     phi: FrontProfile,
     kc: KernelConstants,
-    config: dict | None = None,
     mode: str = "standard",
     residual_tol: float = 1e-8,
     max_steps: int = 200_000,
@@ -362,9 +353,11 @@ def liouville_experiment(
     Convex obstacles are expected to pass; the annulus geometry (when the
     kernel hypothesis of the counterexample holds) is seeded with the
     piecewise 0/1 stationary state instead, so the criterion fails by
-    design on the non-simply-connected obstacle.
+    design on the non-simply-connected obstacle. Mode ``sweep`` needs
+    ``sweep_opts`` with ``epsilon`` and ``angles``, and takes an optional
+    ``ball_radius``.
     """
-    rep = Report("liouville", config or {}, [])
+    rep = Report("liouville")
     seeded_counterexample = (
         p.obstacle.family == "annulus" and p.kernel.radius <= 0.5
     )
@@ -374,7 +367,7 @@ def liouville_experiment(
     rep.meta["steps"] = res.steps
     rep.meta["dt"] = res.dt
     rep.meta["seeded_counterexample"] = seeded_counterexample
-    rep.log_rows["progress"] = res.log_rows
+    rep.tables["progress"] = (PROGRESS_HEADER, res.log_rows)
     if not res.converged:
         rep.add("converged", False, res.residual_sup, residual_tol, None,
                 note="inconclusive: evolution budget exhausted")
@@ -400,7 +393,7 @@ def liouville_experiment(
                     note="informational: finite blocking expected off convexity")
 
     if mode == "sweep":
-        _sweep_replay(rep, p, u, kc, sweep_opts or {})
+        _sweep_replay(rep, p, u, kc, sweep_opts)
     rep.fields["field"] = u
     return rep
 
@@ -413,7 +406,7 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
     the annulus through exact lattice rotations plus sampled intermediate
     angles (radial interpolant); Step 4 translates it outward along the ray.
     """
-    eps = float(opts.get("epsilon", 0.25))
+    eps = opts["epsilon"]
     R = float(opts.get("ball_radius", max(kc.d0, p.kernel.radius) + 0.25))
     if R < kc.d0:
         raise PreconditionError(f"sweep ball radius {R} below d0 = {kc.d0:.4g}")
@@ -458,7 +451,7 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
         rep.add("sweep_step3_exact_rotations", None, note="skipped: box not origin-symmetric")
 
     # Step 3 continued: sampled intermediate angles via the radial profile
-    n_angles = int(opts.get("angles", 16))
+    n_angles = opts["angles"]
     worst = _rotation_sweep(p, w.field, center, u.values, n_angles, 0.0)
     rep.add("sweep_step3_sampled_angles", worst <= 1e-12, worst, 0.0, 1e-12,
             note=f"{n_angles} sampled rotations (radial interpolant)")
@@ -569,7 +562,6 @@ def comparison_suite(
     phi: FrontProfile | None = None,
     u_ref: Field | None = None,
     subsol: SubSolution | None = None,
-    config: dict | None = None,
 ) -> Report:
     """Weak / strong / sweeping principles as exact discrete assertions.
 
@@ -584,7 +576,7 @@ def comparison_suite(
         parameter, given it starts below at one parameter.
     """
     rng = np.random.default_rng(seed)
-    rep = Report("comparison", config or {}, [])
+    rep = Report("comparison")
     rep.meta["seed"] = seed
     dt = max_step(p)
     n_weak = max(trials // 2, 1)
@@ -758,7 +750,6 @@ def robustness_experiment(
     pass_eps: float = 0.1,
     residual_tol: float = 1e-8,
     max_steps: int = 200_000,
-    config: dict | None = None,
     margin: float = 1.5,
     far_field: float = 1.0,
     clamp_width: float | None = None,
@@ -781,7 +772,7 @@ def robustness_experiment(
         raise PreconditionError(
             f"no epsilon in the grid is <= pass_eps = {pass_eps}; nothing to certify"
         )
-    rep = Report("robustness", config or {}, [])
+    rep = Report("robustness")
     obstacles = {e: fam.obstacle(e, grid, margin) for e in eps_sorted}
     base = fam.obstacle(0.0, grid, margin)
 
@@ -816,7 +807,7 @@ def robustness_experiment(
         res = evolve(p, p.hostile_datum(), dt=dt, residual_tol=residual_tol,
                      max_steps=max_steps, log_every=log_every)
         rep.fields[f"field_eps_{e}"] = res.u
-        rep.log_rows[f"progress_eps_{e}"] = res.log_rows
+        rep.tables[f"progress_eps_{e}"] = (PROGRESS_HEADER, res.log_rows)
         if not res.converged:
             required = e <= pass_eps + 1e-12
             rep.add(f"eps_{e}_converged", False if required else None, res.residual_sup,

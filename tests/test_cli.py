@@ -172,6 +172,13 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (SOLVE_ONES_INI + "log_every = -3\n", ("solve",)),
     # below the 1e-13 inner-solve floor: it used to spend the 20 000-step budget
     (MAXIMAL_INI + "tol = 1e-16\n", ("maximal",)),
+    # no profile of this kind can be sampled
+    (SOLVE_ONES_INI.replace("profile = quartic", "profile = custom"), ("front",)),
+    # with no alphas the bounds suite passed without a single Hoelder row
+    (LIOUVILLE_SMALL_INI.replace("alphas = 1.0", "alphas ="), ("verify", "bounds")),
+    # a probe level 1 - delta outside (0, 1) is no level of u
+    (LIOUVILLE_SMALL_INI + "probe_deltas = 2\n", ("verify", "bounds")),
+    (LIOUVILLE_SMALL_INI + "probe_deltas = 0.1,-0.5\n", ("verify", "bounds")),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
@@ -179,7 +186,8 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
         "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps",
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
         "zero_star_points", "negative_psi_k", "negative_log_every",
-        "ball_tol_below_floor"])
+        "ball_tol_below_floor", "custom_profile", "empty_alphas", "probe_delta_above_one",
+        "negative_probe_delta"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -272,21 +280,37 @@ def test_wide_kernel_precondition_exits_two(tmp_path):
     assert code == 2
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI)
-    outs = []
-    for i in range(2):
-        out = tmp_path / f"out{i}"
-        code = main([
-            "--config", cfg, "--out", str(out),
-            "--seed", "0", "experiment", "liouville",
-        ])
-        assert code == 0
-        outs.append(out)
-    for name in ("liouville.report.json", "liouville.checks.csv", "field.csv", "progress.csv"):
-        a = (outs[0] / name).read_bytes()
-        b = (outs[1] / name).read_bytes()
-        assert a == b, name
+TINY_INI = LIOUVILLE_SMALL_INI + "epsilons = 0.1\ntrials = 6\n"
+
+
+RERUN_FORMS = [
+    ("solve", TINY_INI, ("solve",), {"field.csv", "progress.csv", "kernel.csv"}),
+    ("maximal", MAXIMAL_INI, ("maximal",), {"maximal.csv", "iterations.csv"}),
+    ("front", TINY_INI, ("front",), {"front.csv"}),
+    ("subsolution", MAXIMAL_INI, ("subsolution",), {"subsolution.csv"}),
+    ("verify_comparison", TINY_INI, ("verify", "comparison"), set()),
+    ("verify_bounds", TINY_INI, ("verify", "bounds"), set()),
+    ("counterexample", COUNTEREXAMPLE_INI, ("experiment", "counterexample"), set()),
+    ("liouville", TINY_INI, ("experiment", "liouville"), {"field.csv", "progress.csv"}),
+    ("robustness", TINY_INI, ("experiment", "robustness"),
+     {"field_eps_0.1.csv", "progress_eps_0.1.csv"}),
+]
+
+
+@pytest.mark.parametrize("stem,ini,command,files", RERUN_FORMS,
+                         ids=[form[0] for form in RERUN_FORMS])
+def test_rerun_is_byte_identical(tmp_path, stem, ini, command, files):
+    """Each command writes exactly its report, its checks and its own
+    files, the same bytes on every run."""
+    cfg = _cfg(tmp_path, ini)
+    outs = [tmp_path / "out0", tmp_path / "out1"]
+    for out in outs:
+        assert main(["--config", cfg, "--out", str(out), "--seed", "3", *command]) == 0
+    names = {p.name for p in outs[0].iterdir()}
+    assert names == files | {f"{stem}.report.json", f"{stem}.checks.csv"}
+    assert {p.name for p in outs[1].iterdir()} == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_console_entry_point(tmp_path):

@@ -67,9 +67,6 @@ def test_rejections(grid2):
         build_kernel(KernelProfile("tophat", 0.05), grid2)  # support under 2h
     with pytest.raises(PreconditionError):
         build_kernel(KernelProfile("ring", 0.5, 0.45), grid2)  # annulus under 2h
-    bad = KernelProfile("custom", 0.5, fn=lambda r: np.cos(20 * r))
-    with pytest.raises(PreconditionError, match="negative"):
-        build_kernel(bad, grid2)
 
 
 def test_uneven_table_rejected(grid2):

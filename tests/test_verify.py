@@ -286,7 +286,8 @@ def test_robustness_flatness_rejection(grid8):
 
 
 def test_report_serialization_deterministic(tmp_path, annulus_problem):
-    rep = counterexample_check(annulus_problem, config={"a": {"b": "1"}})
+    rep = counterexample_check(annulus_problem)
+    rep.config = {"a": {"b": "1"}}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     rep.write_json(p1)
     rep.write_json(p2)
