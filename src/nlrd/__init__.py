@@ -14,20 +14,14 @@ from .grid import (
     Field,
     Grid,
     HolderEstimate,
+    ball_mask,
     field_to_csv,
     holder_quotient,
     make_field,
     make_grid,
 )
 from .kernels import Kernel, KernelConstants, KernelProfile, build_kernel, kernel_constants, marginal_j1
-from .nonlinearity import (
-    Bistable,
-    ExtendedNonlinearity,
-    Stiffness,
-    extend,
-    make_bistable,
-    stiffness,
-)
+from .nonlinearity import Bistable, ExtendedNonlinearity, extend, make_bistable
 from .obstacles import (
     DeformationFamily,
     Obstacle,
@@ -37,7 +31,7 @@ from .obstacles import (
     jmass,
     thicken,
 )
-from .operators import Problem, apply_L, ball_mask, residual
+from .operators import Problem, apply_L, residual
 from .solver import (
     EvolveResult,
     FrontProfile,

@@ -68,9 +68,9 @@ def _phi_and_constants(cfg, kernel, f):
 
 def _ball(cfg, args):
     """The maximal ball solution of ``[ball]``, and the kernel constants."""
-    _, kernel, f, fext = build_pieces(cfg)
+    _, kernel, f = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
-    v = maximal_solution(kernel, fext, cfg["ball"]["center"], cfg["ball"]["radius"],
+    v = maximal_solution(kernel, f, cfg["ball"]["center"], cfg["ball"]["radius"],
                          kc.d0, tol=cfg["ball"]["tol"], path=args.conv)
     return v, kc
 
@@ -111,7 +111,7 @@ def cmd_solve(cfg, args) -> Report:
 
 def cmd_maximal(cfg, args) -> Report:
     v, _ = _ball(cfg, args)
-    f = v.f.base
+    f = v.f
     rep = Report("maximal")
     rep.add("iterations", None, float(v.iterations))
     rep.add("final_increment", v.final_increment <= cfg["ball"]["tol"],
@@ -124,7 +124,7 @@ def cmd_maximal(cfg, args) -> Report:
 
 
 def cmd_front(cfg, args) -> Report:
-    _, kernel, f, _ = build_pieces(cfg)
+    _, kernel, f = build_pieces(cfg)
     phi = front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
                         tol=cfg["front"]["tol"])
     rep = Report("front")
@@ -154,13 +154,13 @@ def cmd_subsolution(cfg, args) -> Report:
 
 def cmd_comparison(cfg, args) -> Report:
     p = build_problem(cfg, args.conv)
-    phi, _ = _phi_and_constants(cfg, p.kernel, p.f.base)
+    phi, _ = _phi_and_constants(cfg, p.kernel, p.f)
     return comparison_suite(p, cfg["experiment"]["trials"], args.seed, phi=phi)
 
 
 def cmd_bounds(cfg, args) -> Report:
     p = build_problem(cfg, args.conv)
-    phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
+    phi, kc = _phi_and_constants(cfg, p.kernel, p.f)
     res = evolve(p, p.hostile_datum(), dt=cfg["solver"]["dt"],
                  residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"])
     if not res.converged:
@@ -175,7 +175,7 @@ def cmd_counterexample(cfg, args) -> Report:
 
 def cmd_liouville(cfg, args) -> Report:
     p = build_problem(cfg, args.conv)
-    phi, kc = _phi_and_constants(cfg, p.kernel, p.f.base)
+    phi, kc = _phi_and_constants(cfg, p.kernel, p.f)
     sweep_opts = {
         "epsilon": cfg["experiment"]["sweep_epsilon"],
         "angles": cfg["experiment"]["sweep_angles"],
@@ -187,18 +187,19 @@ def cmd_liouville(cfg, args) -> Report:
         residual_tol=cfg["solver"]["tol"], max_steps=cfg["solver"]["max_steps"],
         alphas=cfg["experiment"]["alphas"], sweep_opts=sweep_opts,
         log_every=cfg["solver"]["log_every"], dt=cfg["solver"]["dt"],
+        probe_deltas=cfg["experiment"]["probe_deltas"],
     )
 
 
 def cmd_robustness(cfg, args) -> Report:
-    grid, kernel, f, fext = build_pieces(cfg)
+    grid, kernel, f = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     o = cfg["obstacle"]
     fam = deformation_family(
         o["radius"], PsiSpec(kind=o["psi"], k=o["psi_k"], amp=o["psi_amp"])
     )
     return robustness_experiment(
-        fam, grid, kernel, fext, kc,
+        fam, grid, kernel, f, kc,
         eps_grid=cfg["experiment"]["epsilons"],
         alphas=cfg["experiment"]["alphas"],
         pass_eps=cfg["experiment"]["pass_eps"],

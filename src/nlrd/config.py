@@ -13,7 +13,7 @@ import math
 from .errors import PreconditionError
 from .grid import Grid, make_grid
 from .kernels import Kernel, KernelProfile, build_kernel
-from .nonlinearity import extend, make_bistable
+from .nonlinearity import make_bistable
 from .obstacles import Obstacle, PsiSpec, build_obstacle
 from .operators import Problem
 
@@ -66,6 +66,10 @@ def _nonnegative(parse):
     return _checked(parse, lambda v: v >= 0, "value must be non-negative")
 
 
+def _nonempty(parse):
+    return _checked(parse, lambda v: len(v) > 0, "list must not be empty")
+
+
 _SCHEMA: dict = {
     "grid": {
         "lo": (_floats, "-8,-8"),
@@ -80,7 +84,6 @@ _SCHEMA: dict = {
     "f": {
         "theta": (_float, "0.3"),
         "amplitude": (_float, "1.0"),
-        "extension": (str, "zero-left"),
     },
     "obstacle": {
         "family": (str, "ball"),
@@ -124,11 +127,11 @@ _SCHEMA: dict = {
         "tol": (_positive(_float), "1e-12"),
     },
     "experiment": {
-        "alphas": (_checked(_floats, lambda v: len(v) > 0, "list must not be empty"), "0.5,1.0"),
+        "alphas": (_nonempty(_floats), "0.5,1.0"),
         "epsilons": (_floats, "1,0.5,0.2,0.1,0.05"),
         "pass_eps": (_float, "0.1"),
         "trials": (_positive(int), "100"),
-        "probe_deltas": (_checked(_floats, lambda v: all(0 < d < 1 for d in v),
+        "probe_deltas": (_checked(_nonempty(_floats), lambda v: all(0 < d < 1 for d in v),
                                   "entries must lie in (0, 1)"), "0.1,0.01"),
         "sweep_epsilon": (_float, "0.25"),
         "sweep_ball_radius": (_float_or_auto, "auto"),
@@ -143,9 +146,9 @@ def load_config(path: str | None) -> dict:
     Malformed INI syntax (a duplicate section, say), non-finite numbers,
     non-positive solver tolerances, steps, step budgets, trial counts,
     obstacle radii, star point counts and psi frequencies, a negative
-    obstacle margin or solver log interval, an empty ``alphas`` list and a
-    probe delta outside (0, 1) are rejected as preconditions, like unknown
-    keys."""
+    obstacle margin or solver log interval, an empty ``alphas`` or
+    ``probe_deltas`` list and a probe delta outside (0, 1) are rejected as
+    preconditions, like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:
@@ -209,11 +212,6 @@ def build_kernel_cfg(cfg: dict, grid: Grid) -> Kernel:
     return build_kernel(prof, grid)
 
 
-def build_f(cfg: dict):
-    f = make_bistable(cfg["f"]["theta"], cfg["f"]["amplitude"])
-    return f, extend(f, cfg["f"]["extension"])
-
-
 def build_obstacle_cfg(cfg: dict, grid: Grid) -> Obstacle:
     o = cfg["obstacle"]
     fam = o["family"]
@@ -245,14 +243,11 @@ def build_obstacle_cfg(cfg: dict, grid: Grid) -> Obstacle:
 
 
 def build_problem(cfg: dict, conv_path: str = "fast") -> Problem:
-    grid = build_grid(cfg)
-    kernel = build_kernel_cfg(cfg, grid)
-    _, fext = build_f(cfg)
-    obstacle = build_obstacle_cfg(cfg, grid)
+    grid, kernel, f = build_pieces(cfg)
     return Problem(
         kernel,
-        obstacle,
-        fext,
+        build_obstacle_cfg(cfg, grid),
+        f,
         far_field=cfg["problem"]["far_field"],
         clamp_width=cfg["problem"]["clamp_width"],
         conv_path=conv_path,
@@ -260,8 +255,7 @@ def build_problem(cfg: dict, conv_path: str = "fast") -> Problem:
 
 
 def build_pieces(cfg: dict):
-    """Grid, kernel, bistable, extension: shared prologue of most commands."""
+    """Grid, kernel, bistable: shared prologue of most commands."""
     grid = build_grid(cfg)
     kernel = build_kernel_cfg(cfg, grid)
-    f, fext = build_f(cfg)
-    return grid, kernel, f, fext
+    return grid, kernel, make_bistable(cfg["f"]["theta"], cfg["f"]["amplitude"])

@@ -31,6 +31,7 @@ __all__ = [
     "HolderEstimate",
     "make_grid",
     "make_field",
+    "ball_mask",
     "shift_windows",
     "holder_quotient",
     "field_to_csv",
@@ -111,6 +112,15 @@ def make_grid(lo, hi, h: float) -> Grid:
             f"grid of {' x '.join(map(str, counts))} cells exceeds MAX_CELLS = {MAX_CELLS}"
         )
     return Grid(lo=lo, hi=hi, h=float(h), counts=tuple(counts))
+
+
+def ball_mask(grid: Grid, center, radius: float) -> np.ndarray:
+    """Cells with center in the closed Euclidean ball."""
+    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
+    if c.size != grid.dim:
+        raise PreconditionError("ball center dimension does not match the grid")
+    d2 = sum((m - c[a]) ** 2 for a, m in enumerate(grid.meshes()))
+    return d2 <= radius * radius
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .grid import Grid
-from .nonlinearity import Bistable, stiffness
+from .nonlinearity import Bistable
 from .reduction import pairwise_sum
 
 __all__ = [
@@ -271,13 +271,10 @@ def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:
     bounded shifts, so probing lattice shifts with |s| <= R_J plus one
     plateau probe at 2 R_J along an axis is exhaustive for alpha <= 1.
     """
-    stiff = stiffness(f)
-    if stiff.intF <= 0.0:
-        raise PreconditionError("int_0^1 f <= 0: the potential drop must be positive")
     w11 = k.profile.grad_l1(k.dim)
     w11_disc = _central_diff_grad_l1(k) if w11 is not None else None
     note = "" if w11 is not None else "W1,1 unavailable for this profile"
-    delta0 = (stiff.gamma / w11) if w11 is not None else None
+    delta0 = (f.gamma / w11) if w11 is not None else None
 
     nik: dict = {}
     m = k.reach
@@ -303,14 +300,14 @@ def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:
             best = max(best, _shifted_l1(k, s) / mag**alpha)
         nik[float(alpha)] = best
 
-    d0 = _d0_bisection(k.radius, k.dim, stiff.intF)
+    d0 = _d0_bisection(k.radius, k.dim, f.int_f)
     return KernelConstants(
         w11=w11,
         w11_discrete=w11_disc,
         nikolskii=nik,
         delta0=delta0,
         d0=d0,
-        gamma=stiff.gamma,
-        int_f=stiff.intF,
+        gamma=f.gamma,
+        int_f=f.int_f,
         note=note,
     )

@@ -4,8 +4,12 @@ The nonlinearity is the cubic ``f(s) = a s (s - theta) (1 - s)``, which
 satisfies all the structural requirements for ``theta < 1/2`` and has
 closed forms for every derived constant.
 
-Validation is by dense scan (1e4 points, tolerance 1e-10) plus closed-form
-critical points; every rejection names the violated clause.
+A :class:`Bistable` validates itself on construction, by dense scan (1e4
+points, tolerance 1e-10) plus closed-form critical points; every rejection
+names the violated clause. It is the one nonlinearity type passed between
+modules: solutions stay in [0, 1], where every extension agrees with it,
+and a solver that evaluates ``f`` off [0, 1] builds the extension it needs
+with :func:`extend`.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from .errors import PreconditionError
 
 __all__ = [
     "Bistable",
-    "Stiffness",
     "ExtendedNonlinearity",
     "make_bistable",
-    "stiffness",
     "extend",
     "EXTENSION_MODES",
 ]
@@ -34,10 +36,13 @@ EXTENSION_MODES = ("odd", "linear-tails", "zero-left")
 
 @dataclass(frozen=True)
 class Bistable:
-    """Validated bistable cubic with zeros at 0, theta, 1."""
+    """Bistable cubic with zeros at 0, theta, 1; validated on construction."""
 
     theta: float
     amplitude: float
+
+    def __post_init__(self):
+        _validate_bistable(self)
 
     def f(self, s):
         s = np.asarray(s, dtype=np.float64)
@@ -58,13 +63,36 @@ class Bistable:
 
     @property
     def int_f(self) -> float:
+        """int_0^1 f."""
         return self.amplitude * (1.0 - 2.0 * self.theta) / 12.0
+
+    @property
+    def max_fprime(self) -> float:
+        """max f' on [0, 1], at the critical point s = (1 + theta)/3."""
+        th = self.theta
+        return self.amplitude * (1.0 - th + th * th) / 3.0
+
+    @property
+    def max_abs_fprime(self) -> float:
+        """max |f'| on [0, 1], which is -min f' there: f' is concave, so its
+        minimum sits at an endpoint, and max f' <= a/3 < a (1 - theta)."""
+        return max(abs(float(self.fprime(0.0))), abs(float(self.fprime(1.0))))
+
+    @property
+    def gamma(self) -> float:
+        """min (s - f(s))' on [0, 1], that is 1 - max f'."""
+        return 1.0 - self.max_fprime
 
 
 def _validate_bistable(b: Bistable) -> None:
+    """Reject with the violated clause; theta >= 1/2 surfaces as a
+    non-positive integral, matching the structural reason it fails."""
     th = b.theta
+    if not (0.0 < th < 1.0):
+        raise PreconditionError(f"theta must lie in (0, 1), got {th}")
+    if not (b.amplitude > 0.0):
+        raise PreconditionError(f"amplitude must be positive, got {b.amplitude}")
     s = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    fs = np.asarray(b.f(s), dtype=np.float64)
 
     def reject(clause: str, detail: str = ""):
         raise PreconditionError(f"bistable structure violated: {clause}{detail}")
@@ -86,51 +114,13 @@ def _validate_bistable(b: Bistable) -> None:
         reject("f'(theta) > 0")
     if float(b.fprime(1.0)) >= 0.0:
         reject("f'(1) < 0")
-    if _max_fprime(b) >= 1.0:
-        reject("f' < 1 on [0, 1]", f" fails: max f' = {_max_fprime(b):.6g}")
-
-
-def _max_fprime(b: Bistable) -> float:
-    """max f' on [0, 1], at the critical point s = (1 + theta)/3."""
-    th = b.theta
-    return b.amplitude * (1.0 - th + th * th) / 3.0
+    if b.max_fprime >= 1.0:
+        reject("f' < 1 on [0, 1]", f" fails: max f' = {b.max_fprime:.6g}")
 
 
 def make_bistable(theta: float, amplitude: float = 1.0) -> Bistable:
-    """Validated cubic ``a s (s - theta)(1 - s)``.
-
-    The scan rejects with the violated structural clause; theta >= 1/2 surfaces
-    as a negative integral, matching the structural reason it fails.
-    """
-    if not (0.0 < theta < 1.0):
-        raise PreconditionError(f"theta must lie in (0, 1), got {theta}")
-    if not (amplitude > 0.0):
-        raise PreconditionError(f"amplitude must be positive, got {amplitude}")
-    b = Bistable(theta=float(theta), amplitude=float(amplitude))
-    _validate_bistable(b)
-    return b
-
-
-@dataclass(frozen=True)
-class Stiffness:
-    """Derived constants: max f', gamma = min (s - f(s))', int_0^1 f."""
-
-    maxfp: float
-    gamma: float
-    intF: float
-
-    def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise PreconditionError(
-                f"gamma = 1 - max f' must be positive, got {self.gamma}"
-            )
-
-
-def stiffness(b: Bistable) -> Stiffness:
-    maxfp = _max_fprime(b)
-    if maxfp >= 1.0:
-        raise PreconditionError(f"max f' = {maxfp:.6g} >= 1 breaks the slope bound f' < 1")
-    return Stiffness(maxfp=maxfp, gamma=1.0 - maxfp, intF=b.int_f)
+    """The cubic ``a s (s - theta)(1 - s)``, validated by :class:`Bistable`."""
+    return Bistable(theta=float(theta), amplitude=float(amplitude))
 
 
 @dataclass(frozen=True)
@@ -210,18 +200,6 @@ class ExtendedNonlinearity:
         elif self.mode == "zero-left":
             out = np.where(t < 0.0, 0.0, out)
         return out if out.ndim else float(out)
-
-    def max_abs_fprime(self) -> float:
-        """max |f'| over [0, 1] by a 4001-point scan; used by explicit-step
-        CFL bounds."""
-        # the maximum of |f'| on [0,1] for the cubic is at an endpoint or
-        # at the interior critical point, all of which the scan brackets
-        return float(np.max(np.abs(self.fprime(np.linspace(0.0, 1.0, 4001)))))
-
-    def max_fprime_signed(self) -> float:
-        """max f' over [0, 1] in closed form; every extension agrees with
-        the base there."""
-        return _max_fprime(self.base)
 
 
 def extend(b: Bistable, mode: str) -> ExtendedNonlinearity:

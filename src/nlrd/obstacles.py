@@ -20,7 +20,7 @@ import numpy as np
 
 from .convolve import convolve
 from .errors import PreconditionError
-from .grid import Field, Grid
+from .grid import Field, Grid, ball_mask
 from .kernels import Kernel
 
 __all__ = [
@@ -138,17 +138,14 @@ def _is_discrete_convex(grid: Grid, mask: np.ndarray) -> bool:
 
 
 def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
-    meshes = grid.meshes()
     if family == "none":
         return np.zeros(grid.shape, dtype=bool)
     if family == "ball":
-        c = np.atleast_1d(params.get("center", np.zeros(grid.dim)))
-        r = float(params["radius"])
-        d2 = sum((m - c[a]) ** 2 for a, m in enumerate(meshes))
-        return d2 <= r * r
+        return ball_mask(grid, params.get("center", np.zeros(grid.dim)),
+                         float(params["radius"]))
     if grid.dim == 1:
         raise PreconditionError(f"family {family!r} needs dim 2")
-    X, Y = meshes
+    X, Y = grid.meshes()
     if family == "ellipse":
         c = np.atleast_1d(params.get("center", (0.0, 0.0)))
         a, b = float(params["a"]), float(params["b"])

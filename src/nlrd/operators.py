@@ -20,31 +20,21 @@ import numpy as np
 
 from .convolve import convolve
 from .errors import PreconditionError
-from .grid import Field, Grid
+from .grid import Field, ball_mask
 from .kernels import Kernel
-from .nonlinearity import ExtendedNonlinearity
+from .nonlinearity import Bistable
 from .obstacles import Obstacle
 
 __all__ = ["Problem", "apply_L", "residual", "ball_mask"]
 
 
-def ball_mask(grid: Grid, center, radius: float) -> np.ndarray:
-    """Cells with center in the closed Euclidean ball."""
-    c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    if c.size != grid.dim:
-        raise PreconditionError("ball center dimension does not match the grid")
-    meshes = grid.meshes()
-    d2 = sum((m - c[a]) ** 2 for a, m in enumerate(meshes))
-    return d2 <= radius * radius
-
-
 @dataclass
 class Problem:
-    """Kernel + obstacle + extended nonlinearity + far-field clamp."""
+    """Kernel + obstacle + bistable nonlinearity + far-field clamp."""
 
     kernel: Kernel
     obstacle: Obstacle
-    f: ExtendedNonlinearity
+    f: Bistable
     far_field: float = 1.0
     clamp_width: float | None = None
     conv_path: str = "fast"

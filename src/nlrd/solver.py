@@ -60,7 +60,7 @@ from .convolve import convolve, fft_buffers
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, make_grid, shift_windows
 from .kernels import Kernel, KernelConstants
-from .nonlinearity import Bistable, ExtendedNonlinearity, extend
+from .nonlinearity import Bistable, extend
 from .operators import Problem, ball_mask
 from .reduction import pairwise_sum
 
@@ -99,7 +99,7 @@ class EvolveResult:
 def max_step(p: Problem) -> float:
     """Comparison-preserving explicit-Euler bound 0.9/(max J + max |f'|)."""
     max_j = float(np.max(p.jself[p.domain_mask]))
-    return 0.9 / (max_j + p.f.max_abs_fprime())
+    return 0.9 / (max_j + p.f.max_abs_fprime)
 
 
 def evolve(
@@ -164,7 +164,7 @@ def ball_grid(center, radius: float, h: float, pad: float = 0.0) -> Grid:
 
 def evolve_ball(
     k: Kernel,
-    f: ExtendedNonlinearity,
+    f: Bistable,
     center,
     radius: float,
     grid: Grid | None = None,
@@ -177,16 +177,19 @@ def evolve_ball(
     :func:`maximal_solution`. Explicit steps of dt = 0.9/(1 + max |f'|)
     on the FFT path run until the residual sup is <= ``residual_tol``, or
     for at most 500 000 steps, the last iterate then flagged unconverged.
+    The iterates overshoot 1 by roundoff, where ``f`` takes its linear
+    right tail (the zero-left extension).
     """
     grid = grid or ball_grid(center, radius, k.h)
     bmask = ball_mask(grid, center, radius)
-    dt = 0.9 / (1.0 + f.max_abs_fprime())
+    dt = 0.9 / (1.0 + f.max_abs_fprime)
+    fz = extend(f, "zero-left")
     u = np.where(bmask, 1.0, 0.0)
     steps = 0
     with fft_buffers(k):
         while True:
             conv = convolve(u * bmask, k, "fast")
-            r = np.where(bmask, conv - u + f.f(u), 0.0)
+            r = np.where(bmask, conv - u + fz.f(u), 0.0)
             sup = float(np.max(np.abs(r[bmask])))
             if not math.isfinite(sup):
                 raise NumericalFailure(f"non-finite ball residual at step {steps}")
@@ -339,7 +342,7 @@ class MaximalSolution:
     iterations: int
     final_increment: float
     kshift: float
-    f: ExtendedNonlinearity
+    f: Bistable
     kernel: Kernel
     history: list = dc_field(default_factory=list)  # (iter, decrease, worst rise)
 
@@ -352,17 +355,17 @@ class MaximalSolution:
         return self.field.mask
 
 
-def _descend(fold: _MirrorFold, f: ExtendedNonlinearity, kshift: float, tol: float,
-             path: str) -> tuple:
-    """The outer loop of :func:`maximal_solution` on ``fold``'s kept cells:
-    returns the last iterate and the (iteration, decrease, worst rise) rows."""
+def _descend(fold: _MirrorFold, f, kshift: float, tol: float, path: str) -> tuple:
+    """The outer loop of :func:`maximal_solution` on ``fold``'s kept cells,
+    with ``f`` the pointwise nonlinearity: returns the last iterate and the
+    (iteration, decrease, worst rise) rows."""
     bmask = fold.mask
     v = np.where(bmask, 1.0, 0.0)
     inc = math.inf
     history: list = []
     with fft_buffers(fold.k):
         while len(history) < 20_000:
-            rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
+            rhs = np.where(bmask, -kshift * v - f(v), 0.0)
             # inc is still inf on the first step: one sweep, hence a decrease > 0
             new = _resolvent_sweeps(fold, path, kshift, rhs, v.copy(), max(1e-13, 0.01 * inc))
             # 1 is a super-solution, so exact iterates stay <= 1; trimming the
@@ -383,7 +386,7 @@ def _descend(fold: _MirrorFold, f: ExtendedNonlinearity, kshift: float, tol: flo
 
 def maximal_solution(
     k: Kernel,
-    f: ExtendedNonlinearity,
+    f: Bistable,
     center,
     radius: float,
     d0: float,
@@ -393,16 +396,16 @@ def maximal_solution(
 ) -> MaximalSolution:
     """Monotone resolvent iteration from v_0 = 1 on the closed ball.
 
-    Requires R >= d0 (existence threshold from ``kernel_constants``), the
-    zero-left extension, under which every iterate stays nonnegative, and
-    ``tol`` >= 1e-13, the floor of the inner solves. Each step runs the
-    sweeps of :func:`resolvent_solve` warm-started at v_n with increment
-    tolerance max(1e-13, 0.01 x the previous decrease), so the inner
-    accuracy follows the outer progress. The sequence is checked to be
-    non-increasing to 1e-12 at every step; the loop stops once a decrease
-    is <= ``tol`` (within 20 000 steps), and the final field solves the
-    ball equation to 1e-9 and exceeds theta somewhere, else the run is
-    reported as collapsed.
+    Requires R >= d0 (existence threshold from ``kernel_constants``) and
+    ``tol`` >= 1e-13, the floor of the inner solves. ``f`` is evaluated
+    through its zero-left extension, under which every iterate stays
+    nonnegative. Each step runs the sweeps of :func:`resolvent_solve`
+    warm-started at v_n with increment tolerance max(1e-13, 0.01 x the
+    previous decrease), so the inner accuracy follows the outer progress.
+    The sequence is checked to be non-increasing to 1e-12 at every step;
+    the loop stops once a decrease is <= ``tol`` (within 20 000 steps), and
+    the final field solves the ball equation to 1e-9 and exceeds theta
+    somewhere, else the run is reported as collapsed.
 
     The ball's mask, the even kernel, v_0 and f(v) are all mirror-symmetric
     along each axis on which the mask's bounding box equals its own mirror
@@ -415,8 +418,6 @@ def maximal_solution(
     ball-equation residual is gated on the unfolded field with one
     full-box convolution, independently of the fold.
     """
-    if f.mode != "zero-left":
-        raise PreconditionError("maximal_solution requires the zero-left extension")
     ncoords = np.atleast_1d(center).size
     if ncoords != k.dim:
         raise PreconditionError(
@@ -435,14 +436,15 @@ def maximal_solution(
     fold = _MirrorFold(full, k, deficit=True)
     # iterates stay in [0, 1]; k must dominate the steepest descent of f
     # there or the scheme loses its ordering
-    kshift = float(math.ceil(f.max_abs_fprime())) + 1.0
-    v, history = _descend(fold, f, kshift, tol, path)
+    kshift = float(math.ceil(f.max_abs_fprime)) + 1.0
+    fz = extend(f, "zero-left")
+    v, history = _descend(fold, fz.f, kshift, tol, path)
     values = np.zeros(grid.shape)
     fold.unfold(v, values)
     del fold, v  # drop the folded work arrays before the full-box gate
     res = convolve(values, k, path)
     res -= values
-    res += f.f(values)
+    res += fz.f(values)
     res_sup = float(np.max(np.abs(res[full])))
     if res_sup > 1e-9:
         raise NumericalFailure(f"ball-equation residual {res_sup:.3e} > 1e-9")
@@ -453,7 +455,7 @@ def maximal_solution(
     # float64 deep inside large balls; only overshoot is an error
     if not (0.0 < vmin and vmax <= 1.0):
         raise NumericalFailure(f"solution escaped (0, 1]: [{vmin:.3e}, {vmax:.17g}]")
-    theta = f.base.theta
+    theta = f.theta
     if vmax <= theta:
         raise NumericalFailure(
             f"collapsed to trivial branch: max v = {vmax:.6f} <= theta = {theta}"
@@ -484,17 +486,16 @@ class EnergyResult:
     potential_term: float
 
 
-def energy(k: Kernel, f: ExtendedNonlinearity, center, radius: float, u: Field) -> EnergyResult:
+def energy(k: Kernel, f: Bistable, center, radius: float, u: Field) -> EnergyResult:
     """E(u) over the ball, computed by two independent summation routes.
 
     Route 1 sums J(x-y)(u(y)-u(x))^2 pair by pair over the offset table
     plus the boundary-leak mass term; route 2 uses the correlation form
     -1/2 <u, L_B u> + 1/2 <u, u> - sum F(u). The two must agree to
     1e-9 relative, which cross-checks the convolution machinery inside a
-    genuinely different reduction order.
+    genuinely different reduction order. The potential is the
+    antiderivative of the odd extension of ``f``, which is even in u.
     """
-    if f.mode != "odd":
-        raise PreconditionError("energy requires the odd extension (even antiderivative)")
     grid = u.grid
     bmask = ball_mask(grid, center, radius)
     if not np.array_equal(bmask, u.mask):
@@ -514,7 +515,7 @@ def energy(k: Kernel, f: ExtendedNonlinearity, center, radius: float, u: Field) 
     mass_in_ball = convolve(bm, k, "fast")
     cvals = np.where(bmask, 1.0 - mass_in_ball, 0.0)
     mass_term = 0.5 * hd * pairwise_sum(cvals * vals * vals)
-    Fvals = np.where(bmask, f.antiderivative(vals), 0.0)
+    Fvals = np.where(bmask, extend(f, "odd").antiderivative(vals), 0.0)
     potential_term = hd * pairwise_sum(Fvals)
     form1 = pair_term + mass_term - potential_term
 
@@ -628,7 +629,7 @@ def front_profile(
         lo_state, hi_state = 0.0, 1.0
         fd = f.f
         theta_level = f.theta
-        fp_scan = np.abs(f.fprime(np.linspace(0.0, 1.0, 4001)))
+        max_fp = f.max_abs_fprime
     else:
         delta = float(level_shift_delta)
         if not (0.0 < delta < 1.0):
@@ -642,9 +643,9 @@ def front_profile(
             return fl.f(s) - shift
 
         theta_level = 0.0  # the shifted family is normalized by its zero crossing
-        fp_scan = np.abs(fl.fprime(np.linspace(lo_state, hi_state, 4001)))
+        max_fp = float(np.max(np.abs(fl.fprime(np.linspace(lo_state, hi_state, 4001)))))
 
-    tau = 0.5 / (1.0 + float(np.max(fp_scan)))
+    tau = 0.5 / (1.0 + max_fp)
     band = max(int(round(RJ / h)), 1)
     interior = np.zeros(n, dtype=bool)
     interior[band:-band] = True

@@ -23,7 +23,7 @@ from .convolve import convolve, convolve_at
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, holder_quotient, shift_windows
 from .kernels import Kernel, KernelConstants, marginal_j1
-from .nonlinearity import ExtendedNonlinearity
+from .nonlinearity import Bistable
 from .obstacles import DeformationFamily, build_obstacle, jmass
 from .operators import Problem, ball_mask, residual
 from .solver import (
@@ -250,7 +250,7 @@ def bounds_suite(
     rep = Report("bounds")
     jm = jmass(p.kernel, p.obstacle)
     min_j = float(np.min(jm.values[jm.mask]))
-    maxfp = p.f.max_fprime_signed()
+    maxfp = p.f.max_fprime
     h = p.grid.h
 
     for alpha in alphas:
@@ -347,8 +347,10 @@ def liouville_experiment(
     sweep_opts: dict | None = None,
     log_every: int = 1000,
     dt: float | None = None,
+    probe_deltas=(0.1, 0.01),
 ) -> Report:
-    """Evolve from the hostile datum and certify min u >= 1 - 1e-6.
+    """Evolve from the hostile datum and certify min u >= 1 - 1e-6, then
+    run :func:`bounds_suite` at ``alphas`` and ``probe_deltas``.
 
     Convex obstacles are expected to pass; the annulus geometry (when the
     kernel hypothesis of the counterexample holds) is seeded with the
@@ -377,7 +379,7 @@ def liouville_experiment(
     min_u = float(np.min(u.values[p.domain_mask]))
     rep.add("liouville_min_u", min_u >= 1.0 - PASS_LEVEL, min_u, 1.0 - PASS_LEVEL, PASS_LEVEL)
 
-    for c in bounds_suite(u, p, phi, kc, alphas=alphas).checks:
+    for c in bounds_suite(u, p, phi, kc, alphas=alphas, probe_deltas=probe_deltas).checks:
         rep.checks.append(c)
 
     axes = [np.eye(p.grid.dim)[a] for a in range(p.grid.dim)]
@@ -743,7 +745,7 @@ def robustness_experiment(
     fam: DeformationFamily,
     grid: Grid,
     kernel: Kernel,
-    f: ExtendedNonlinearity,
+    f: Bistable,
     kc: KernelConstants,
     eps_grid=(1.0, 0.5, 0.2, 0.1, 0.05),
     alphas=(0.5, 1.0),
@@ -784,7 +786,7 @@ def robustness_experiment(
     rep.add("mask_inclusion_chain", nested, float(nested), 1.0, 0.0,
             note="K subset K_eps1 subset K_eps2 as cell masks")
 
-    maxfp = f.max_fprime_signed()
+    maxfp = f.max_fprime
     min_j_all = math.inf
     for e in eps_sorted:
         jm = jmass(kernel, obstacles[e])

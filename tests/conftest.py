@@ -13,7 +13,6 @@ from nlrd import (
     Problem,
     build_kernel,
     build_obstacle,
-    extend,
     kernel_constants,
     make_bistable,
     make_grid,
@@ -25,16 +24,6 @@ from nlrd.solver import evolve, front_profile
 @pytest.fixture(scope="session")
 def ref_f():
     return make_bistable(0.3, 1.0)
-
-
-@pytest.fixture(scope="session")
-def ref_fz(ref_f):
-    return extend(ref_f, "zero-left")
-
-
-@pytest.fixture(scope="session")
-def ref_fo(ref_f):
-    return extend(ref_f, "odd")
 
 
 @pytest.fixture(scope="session")
@@ -70,9 +59,9 @@ def phi_ref(kq8, ref_f):
 
 
 @pytest.fixture(scope="session")
-def disk_problem(kq8, grid8, ref_fz):
+def disk_problem(kq8, grid8, ref_f):
     K = build_obstacle("ball", {"radius": 1.0}, grid8, margin=1.5)
-    return Problem(kq8, K, ref_fz)
+    return Problem(kq8, K, ref_f)
 
 
 @pytest.fixture(scope="session")
@@ -83,9 +72,9 @@ def disk_solution(disk_problem):
 
 
 @pytest.fixture(scope="session")
-def annulus_problem(kt4, grid4, ref_fz):
+def annulus_problem(kt4, grid4, ref_f):
     K = build_obstacle("annulus", {"r1": 1.0, "r2": 2.0}, grid4, margin=1.5)
-    return Problem(kt4, K, ref_fz)
+    return Problem(kt4, K, ref_f)
 
 
 @pytest.fixture(scope="session")

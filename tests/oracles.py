@@ -251,6 +251,11 @@ def conv_fft_oneshot(arr: np.ndarray, kernel, s: tuple) -> np.ndarray:
     return full[tuple(slice(m, m + n) for n in arr.shape)] * kernel.h**arr.ndim
 
 
+def max_abs_fprime_scan(f) -> float:
+    """max |f'| over [0, 1] by a 4001-point scan, endpoints included."""
+    return float(np.max(np.abs(f.fprime(np.linspace(0.0, 1.0, 4001)))))
+
+
 def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
                            max_outer: int = 20_000):
     """The monotone resolvent scheme with every inner solve tight.
@@ -260,7 +265,7 @@ def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
     one more convolution; the outer loop stops at a decrease <= tol and a
     last convolution gates the ball residual at 1e-9. Returns (values,
     number of convolutions)."""
-    kshift = float(math.ceil(f.max_abs_fprime())) + 1.0
+    kshift = float(math.ceil(max_abs_fprime_scan(f))) + 1.0
     denom = kshift + 1.0
     convs = 0
 
@@ -309,7 +314,7 @@ def maximal_solution_fullbox(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
     rows (iteration, decrease, worst rise)."""
     from nlrd.convolve import convolve
 
-    kshift = float(math.ceil(f.max_abs_fprime())) + 1.0
+    kshift = float(math.ceil(max_abs_fprime_scan(f))) + 1.0
     denom = kshift + 1.0
     outside = ~bmask
 

@@ -22,7 +22,6 @@ from nlrd import (
     energy,
     evolve,
     evolve_ball,
-    extend,
     kernel_constants,
     make_bistable,
     make_grid,
@@ -55,7 +54,7 @@ def _line(num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def liouville_runs(ref_f, ref_fz, phi_ref, kc_ref):
+def liouville_runs(ref_f, phi_ref, kc_ref):
     """Converged hostile-datum runs for the three convex geometries, h and h/2."""
     shapes = {
         "disk": ("ball", {"radius": 1.0}),
@@ -68,7 +67,7 @@ def liouville_runs(ref_f, ref_fz, phi_ref, kc_ref):
             g = make_grid([-8, -8], [8, 8], h)
             k = build_kernel(KernelProfile("quartic", 0.5), g)
             K = build_obstacle(fam, par, g, margin=1.5)
-            p = Problem(k, K, ref_fz)
+            p = Problem(k, K, ref_f)
             t0 = time.monotonic()
             res = evolve(p, p.hostile_datum(), residual_tol=1e-8)
             wall = time.monotonic() - t0
@@ -78,13 +77,12 @@ def liouville_runs(ref_f, ref_fz, phi_ref, kc_ref):
 
 @pytest.fixture(scope="module")
 def strong_pieces(strong_f):
-    fz = extend(strong_f, "zero-left")
     g = make_grid([-10.5, -10.5], [10.5, 10.5], H)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     kc = kernel_constants(k, strong_f, [0.5, 1.0])
     K = build_obstacle("ball", {"radius": 1.0}, g, margin=1.5)
-    p = Problem(k, K, fz)
-    return g, k, kc, p, fz
+    p = Problem(k, K, strong_f)
+    return g, k, kc, p, strong_f
 
 
 def test_criterion_01_counterexample(annulus_problem):
@@ -120,7 +118,7 @@ def test_criterion_02_liouville_convex(liouville_runs):
     _line(2, "Liouville on convex obstacles", ok, "; ".join(details))
 
 
-def test_criterion_03_operator_paths(ref_fz):
+def test_criterion_03_operator_paths(ref_f):
     rng = np.random.default_rng(0)
     t0 = time.monotonic()
     worst = 0.0
@@ -133,7 +131,7 @@ def test_criterion_03_operator_paths(ref_fz):
     for kind, inner in (("tophat", 0.0), ("quartic", 0.0), ("ring", 0.25)):
         k = build_kernel(KernelProfile(kind, 0.5, inner), g)
         for K in obstacles.values():
-            p = Problem(k, K, ref_fz)
+            p = Problem(k, K, ref_f)
             for _ in range(17):
                 u = Field(g, rng.uniform(0, 1, g.shape), p.domain_mask)
                 a = apply_L(p, u, "direct").values
@@ -146,7 +144,7 @@ def test_criterion_03_operator_paths(ref_fz):
           f"{count} fields, sup gap {worst:.2e}, {wall:.1f}s")
 
 
-def test_criterion_04_monotone_scheme(ref_f, ref_fz):
+def test_criterion_04_monotone_scheme(ref_f):
     details = []
     ok = True
     # 1-D, R = 20
@@ -161,13 +159,13 @@ def test_criterion_04_monotone_scheme(ref_f, ref_fz):
         "1-D R=20": (k1, kc1, [0.0], 20.0, g1),
         "2-D R=15": (k2, kc2, [0.0, 0.0], 15.0, g2),
     }.items():
-        v = maximal_solution(k, ref_fz, center, R, kc.d0, grid=grid)
+        v = maximal_solution(k, ref_f, center, R, kc.d0, grid=grid)
         worst_rise = max(r for _, _, r in v.history)
         bm = v.bmask
-        res = convolve(v.values * bm, k, "fast") - v.values + ref_fz.f(v.values)
+        res = convolve(v.values * bm, k, "fast") - v.values + ref_f.f(v.values)
         res_sup = float(np.max(np.abs(res[bm])))
         vmax = float(np.max(v.values[bm]))
-        ev, _, conv_ok, _ = evolve_ball(k, ref_fz, center, R, grid=grid, residual_tol=1e-10)
+        ev, _, conv_ok, _ = evolve_ball(k, ref_f, center, R, grid=grid, residual_tol=1e-10)
         agree = float(np.max(np.abs(ev.values - v.values)))
         ok &= worst_rise <= 1e-12 and res_sup <= 1e-9 and vmax > ref_f.theta
         ok &= conv_ok and agree <= 1e-6
@@ -176,20 +174,19 @@ def test_criterion_04_monotone_scheme(ref_f, ref_fz):
     _line(4, "monotone scheme", ok, "; ".join(details))
 
 
-def test_criterion_05_maximal_structure(ref_f, ref_fz, strong_f):
+def test_criterion_05_maximal_structure(ref_f, strong_f):
     ok = True
     details = []
-    fz = extend(strong_f, "zero-left")
     h2 = 1 / 8
     kk = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h2))
     kcs = kernel_constants(kk, strong_f, [1.0])
 
     # (i) nested balls, common lattice, same and different centers
     gn = make_grid([-6.5, -6.5], [6.5, 6.5], h2)
-    v4 = maximal_solution(kk, fz, [0.0, 0.0], 4.0, kcs.d0, grid=gn, tol=3e-11)
-    v6 = maximal_solution(kk, fz, [0.0, 0.0], 6.0, kcs.d0, grid=gn, tol=3e-11)
+    v4 = maximal_solution(kk, strong_f, [0.0, 0.0], 4.0, kcs.d0, grid=gn, tol=3e-11)
+    v6 = maximal_solution(kk, strong_f, [0.0, 0.0], 6.0, kcs.d0, grid=gn, tol=3e-11)
     gap_same = float(np.max((v4.values - v6.values)[v4.bmask]))
-    voff = maximal_solution(kk, fz, [1.0, 0.0], 4.0, kcs.d0, grid=gn, tol=3e-11)
+    voff = maximal_solution(kk, strong_f, [1.0, 0.0], 4.0, kcs.d0, grid=gn, tol=3e-11)
     gap_off = float(np.max((voff.values - v6.values)[voff.bmask]))
     ok &= gap_same <= 1e-10 and gap_off <= 1e-10
     details.append(f"nesting gaps {gap_same:.1e}/{gap_off:.1e}")
@@ -198,17 +195,17 @@ def test_criterion_05_maximal_structure(ref_f, ref_fz, strong_f):
     kref = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h2))
     kc_ref2 = kernel_constants(kref, ref_f, [1.0])
     gref = make_grid([-20.125, -20.125], [20.125, 20.125], h2)
-    v15 = maximal_solution(kref, ref_fz, [0.0, 0.0], 15.0, kc_ref2.d0, grid=gref, tol=3e-11)
-    v20 = maximal_solution(kref, ref_fz, [0.0, 0.0], 20.0, kc_ref2.d0, grid=gref, tol=3e-11)
+    v15 = maximal_solution(kref, ref_f, [0.0, 0.0], 15.0, kc_ref2.d0, grid=gref, tol=3e-11)
+    v20 = maximal_solution(kref, ref_f, [0.0, 0.0], 20.0, kc_ref2.d0, grid=gref, tol=3e-11)
     gap_ref = float(np.max((v15.values - v20.values)[v15.bmask]))
     ok &= gap_ref <= 1e-10
     details.append(f"reference 15-in-20 gap {gap_ref:.1e}")
 
     # (ii) translation identity, exact on matching lattices
     gt = make_grid([-12, -12], [12, 12], h2)
-    t0 = maximal_solution(kk, fz, [0.0, 0.0], 4.0, kcs.d0, grid=gt, path="direct")
+    t0 = maximal_solution(kk, strong_f, [0.0, 0.0], 4.0, kcs.d0, grid=gt, path="direct")
     shift = (16, -8)
-    t1 = maximal_solution(kk, fz, [shift[0] * h2, shift[1] * h2], 4.0, kcs.d0,
+    t1 = maximal_solution(kk, strong_f, [shift[0] * h2, shift[1] * h2], 4.0, kcs.d0,
                           grid=gt, path="direct")
     rolled = np.roll(np.roll(t0.values, shift[0], axis=0), shift[1], axis=1)
     exact = np.array_equal(rolled[t1.bmask], t1.values[t1.bmask])
@@ -220,14 +217,14 @@ def test_criterion_05_maximal_structure(ref_f, ref_fz, strong_f):
     k1 = build_kernel(KernelProfile("quartic", 0.5), g1)
     kc1 = kernel_constants(k1, ref_f, [1.0])
     R = 7.6
-    v2R = maximal_solution(k1, ref_fz, [0.0], 2 * R, kc1.d0, grid=g1, tol=3e-11)
-    v4R = maximal_solution(k1, ref_fz, [0.0], 4 * R, kc1.d0, grid=g1, tol=3e-11)
+    v2R = maximal_solution(k1, ref_f, [0.0], 2 * R, kc1.d0, grid=g1, tol=3e-11)
+    v4R = maximal_solution(k1, ref_f, [0.0], 4 * R, kc1.d0, grid=g1, tol=3e-11)
     small = ball_mask(g1, [0.0], R)
     minmax_1d = float(np.min(v4R.values[small])) - float(np.max(v2R.values[small]))
     Rs = 3.75
     g2 = make_grid([-15.5, -15.5], [15.5, 15.5], h2)
-    w2 = maximal_solution(kk, fz, [0.0, 0.0], 2 * Rs, kcs.d0, grid=g2, tol=3e-11)
-    w4 = maximal_solution(kk, fz, [0.0, 0.0], 4 * Rs, kcs.d0, grid=g2, tol=3e-11)
+    w2 = maximal_solution(kk, strong_f, [0.0, 0.0], 2 * Rs, kcs.d0, grid=g2, tol=3e-11)
+    w4 = maximal_solution(kk, strong_f, [0.0, 0.0], 4 * Rs, kcs.d0, grid=g2, tol=3e-11)
     small2 = ball_mask(g2, [0.0, 0.0], Rs)
     minmax_2d = float(np.min(w4.values[small2])) - float(np.max(w2.values[small2]))
     ok &= minmax_1d >= -1e-10 and minmax_2d >= -1e-10
@@ -238,13 +235,13 @@ def test_criterion_05_maximal_structure(ref_f, ref_fz, strong_f):
     mid = g1b.counts[0] // 2
     vals = []
     for RR in (8.0, 10.0, 15.0, 20.0):
-        vv = maximal_solution(k1, ref_fz, [0.0], RR, kc1.d0, grid=g1b)
+        vv = maximal_solution(k1, ref_f, [0.0], RR, kc1.d0, grid=g1b)
         vals.append(vv.values[mid])
     grow_1d = all(b >= a for a, b in zip(vals, vals[1:])) and (1.0 - vals[-1] <= 0.05)
     vals2 = []
     for RR in (15.0, 20.0):
         gg = ball_grid([0.0, 0.0], RR, h2)
-        vv = maximal_solution(kk, extend(ref_f, "zero-left"), [0.0, 0.0], RR,
+        vv = maximal_solution(kk, ref_f, [0.0, 0.0], RR,
                               kernel_constants(kk, ref_f, [1.0]).d0, grid=gg)
         cc = (gg.counts[0] // 2, gg.counts[1] // 2)
         vals2.append(vv.values[cc])
@@ -256,7 +253,7 @@ def test_criterion_05_maximal_structure(ref_f, ref_fz, strong_f):
     _line(5, "maximal-solution structure", ok, "; ".join(details))
 
 
-def test_criterion_06_energy_negativity(ref_f, ref_fz, ref_fo):
+def test_criterion_06_energy_negativity(ref_f):
     h = 1 / 8
     R = 20.0
     g = ball_grid([0.0, 0.0], R, h)
@@ -265,10 +262,10 @@ def test_criterion_06_energy_negativity(ref_f, ref_fz, ref_fo):
     ok = abs(kc.d0 - 14.75) < 0.01
     bm = ball_mask(g, [0.0, 0.0], R)
     ind = Field(g, np.where(bm, 1.0, 0.0), bm)
-    E1 = energy(k, ref_fo, [0.0, 0.0], R, ind)
+    E1 = energy(k, ref_f, [0.0, 0.0], R, ind)
     closed_bound = 0.5 * math.pi * (R**2 - (R - 0.5) ** 2) - R**2 * math.pi / 30.0
-    v = maximal_solution(k, ref_fz, [0.0, 0.0], R, kc.d0, grid=g)
-    Ev = energy(k, ref_fo, [0.0, 0.0], R, v.field)
+    v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
+    Ev = energy(k, ref_f, [0.0, 0.0], R, v.field)
     rel_gap = max(
         abs(E1.value - E1.cross_form) / (1.0 + abs(E1.value)),
         abs(Ev.value - Ev.cross_form) / (1.0 + abs(Ev.value)),
@@ -281,7 +278,7 @@ def test_criterion_06_energy_negativity(ref_f, ref_fz, ref_fo):
           f"E(v) {Ev.value:.3f}, forms gap {rel_gap:.1e}")
 
 
-def test_criterion_07_subsolution_certificate(ref_f, ref_fz):
+def test_criterion_07_subsolution_certificate(ref_f):
     t0 = time.monotonic()
     h = H
     R = 15.0
@@ -289,7 +286,7 @@ def test_criterion_07_subsolution_certificate(ref_f, ref_fz):
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     kc = kernel_constants(k, ref_f, [1.0])
     assert abs(kc.delta0 - 0.115) < 1e-3
-    v = maximal_solution(k, ref_fz, [0.0, 0.0], R, kc.d0, grid=g)
+    v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
     w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
     wall = time.monotonic() - t0
     ok = w.verify_min >= -2.0 * h * kc.w11 and wall < 60.0
@@ -298,12 +295,12 @@ def test_criterion_07_subsolution_certificate(ref_f, ref_fz):
 
 
 def test_criterion_08_suites(strong_pieces, strong_f):
-    g, k, kc, p, fz = strong_pieces
+    g, k, kc, p, f = strong_pieces
     phi = front_profile(marginal_j1(k), strong_f, tol=1e-13)
     res = evolve(p, p.hostile_datum(), residual_tol=1e-8)
     assert res.converged
     cx = 4.8125
-    v = maximal_solution(k, fz, [cx, 0.0], 3.75, kc.d0)
+    v = maximal_solution(k, f, [cx, 0.0], 3.75, kc.d0)
     w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
     rep = comparison_suite(p, trials=100, seed=0, phi=phi, u_ref=res.u, subsol=w)
     by = {c.name: c for c in rep.checks}
@@ -357,11 +354,10 @@ def test_criterion_11_robustness(kq8, grid8):
     # ~0.24, so the flatness hypothesis demands a flatter well than the
     # reference cubic: amplitude 0.5 gives max f' = 0.132 with margin
     f_rob = make_bistable(0.3, 0.5)
-    fz_rob = extend(f_rob, "zero-left")
     kc_rob = kernel_constants(kq8, f_rob, [0.5, 1.0])
     fam = deformation_family(1.0, PsiSpec())
     rep = robustness_experiment(
-        fam, grid8, kq8, fz_rob, kc_rob,
+        fam, grid8, kq8, f_rob, kc_rob,
         eps_grid=(1.0, 0.5, 0.2, 0.1, 0.05), alphas=(0.5, 1.0),
         pass_eps=0.1,
     )

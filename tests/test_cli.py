@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import nlrd.cli
 import nlrd.verify
 from nlrd.cli import main
+from nlrd.config import build_problem, load_config
 
 COUNTEREXAMPLE_INI = """
 [grid]
@@ -163,6 +165,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
      ("experiment", "robustness")),
     (COUNTEREXAMPLE_INI + "\n[problem]\nclamp_width = 3.0\n[experiment]\nepsilons = 0.1\n",
      ("experiment", "robustness")),
+    # the extension is each solver's own choice, not a config key
     (MAXIMAL_INI.replace("amplitude = 3.0", "amplitude = 3.0\nextension = odd"),
      ("maximal",)),
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = star\npoints = 0"),
@@ -179,6 +182,8 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     # a probe level 1 - delta outside (0, 1) is no level of u
     (LIOUVILLE_SMALL_INI + "probe_deltas = 2\n", ("verify", "bounds")),
     (LIOUVILLE_SMALL_INI + "probe_deltas = 0.1,-0.5\n", ("verify", "bounds")),
+    # with no probe deltas the bounds suite passed without a single probe row
+    (LIOUVILLE_SMALL_INI + "probe_deltas =\n", ("verify", "bounds")),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
@@ -187,7 +192,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
         "zero_star_points", "negative_psi_k", "negative_log_every",
         "ball_tol_below_floor", "custom_profile", "empty_alphas", "probe_delta_above_one",
-        "negative_probe_delta"])
+        "negative_probe_delta", "empty_probe_deltas"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -199,6 +204,23 @@ def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("precondition rejected:")
+
+
+def test_liouville_honours_probe_deltas(tmp_path):
+    cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI + "probe_deltas = 0.2\n")
+    out = tmp_path / "out"
+    main(["--config", cfg, "--out", str(out), "experiment", "liouville"])
+    names = {c["name"] for c in json.loads((out / "liouville.report.json").read_text())["checks"]}
+    assert "uniform_bound_delta_0.2" in names
+    assert not any(n.startswith("uniform_bound_delta_0.1") for n in names)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Example config", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = build_problem(load_config(_cfg(tmp_path, block)))
+    assert p.obstacle.family == "ball"
 
 
 def test_tiny_spacing_exits_two_before_allocating(tmp_path, capsys):

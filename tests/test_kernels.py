@@ -12,7 +12,6 @@ from nlrd import (
     kernel_constants,
     make_grid,
     marginal_j1,
-    stiffness,
 )
 
 
@@ -125,8 +124,7 @@ def test_kernel_constants_quartic(grid2, ref_f):
     assert kc.w11 == 6.4
     assert abs(kc.w11_discrete - kc.w11) / kc.w11 < 0.05
     # delta0 is stored as the defining quotient
-    st = stiffness(ref_f)
-    assert kc.delta0 == st.gamma / kc.w11
+    assert kc.delta0 == ref_f.gamma / kc.w11
     assert abs(kc.delta0 - 0.1151) < 5e-4
     assert all(v > 0 for v in kc.nikolskii.values())
 

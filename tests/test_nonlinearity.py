@@ -3,24 +3,24 @@ import pytest
 
 import oracles
 from nlrd import (
+    Bistable,
     PreconditionError,
     extend,
     make_bistable,
-    stiffness,
 )
 
 
 def test_reference_cubic_constants(ref_f):
-    st = stiffness(ref_f)
     # critical point of f' at s = (1+theta)/3 = 13/30
-    assert abs(st.maxfp - 79 / 300) < 1e-15
+    assert abs(ref_f.max_fprime - 79 / 300) < 1e-15
     assert abs(float(ref_f.fprime(13 / 30)) - 79 / 300) < 1e-12
     assert float(ref_f.fprime(0.0)) == pytest.approx(-0.3, abs=1e-15)
     assert float(ref_f.fprime(1.0)) == pytest.approx(-0.7, abs=1e-15)
-    assert st.maxfp < 0.5  # flat enough for the measurable-solution pathway
+    assert ref_f.max_fprime < 0.5  # flat enough for the measurable-solution pathway
+    assert ref_f.max_abs_fprime == 0.7  # -min f' = |f'(1)| = 1 - theta
     # integral against an independent Simpson oracle
     quad = oracles.simpson(ref_f.f, 0.0, 1.0)
-    assert abs(st.intF - 1 / 30) < 1e-15
+    assert abs(ref_f.int_f - 1 / 30) < 1e-15
     assert abs(quad - 1 / 30) < 1e-12
 
 
@@ -30,9 +30,30 @@ def test_scan_oracle_agrees_with_closed_form_maxfp(ref_f):
     assert abs(scan - 79 / 300) < 1e-9
 
 
+def test_max_abs_fprime_matches_scan_oracle():
+    # the closed form max(|f'(0)|, |f'(1)|) against the 4001-point |f'| scan
+    # it replaces, bit for bit, over a sweep of valid (theta, amplitude)
+    pairs = 0
+    for theta in np.linspace(0.01, 0.49, 49):
+        a_max = 3.0 / (1.0 - theta + theta * theta)  # max f' < 1
+        for amplitude in np.linspace(0.05, 0.999 * a_max, 40):
+            f = make_bistable(theta, amplitude)
+            assert f.max_abs_fprime == oracles.max_abs_fprime_scan(f), (theta, amplitude)
+            pairs += 1
+    assert pairs == 49 * 40
+
+
 def test_theta_above_half_rejected_by_integral_clause():
     with pytest.raises(PreconditionError, match="int_0\\^1 f"):
         make_bistable(0.6, 1.0)
+
+
+def test_direct_construction_is_validated():
+    # every Bistable that exists is valid: the constructor itself rejects
+    with pytest.raises(PreconditionError, match="int_0\\^1 f"):
+        Bistable(0.6, 1.0)
+    with pytest.raises(PreconditionError, match="amplitude"):
+        Bistable(0.3, 0.0)
 
 
 def test_bad_amplitude_and_theta():
@@ -49,17 +70,16 @@ def test_fprime_below_one_clause():
 
 
 def test_stiffness_gamma_is_exact_complement(ref_f):
-    st = stiffness(ref_f)
-    assert st.gamma == 1.0 - st.maxfp
-    assert abs(st.gamma - 221 / 300) < 1e-15
+    assert ref_f.gamma == 1.0 - ref_f.max_fprime
+    assert abs(ref_f.gamma - 221 / 300) < 1e-15
 
 
 def test_stiffness_scaled_amplitude():
     theta = 0.3
     a = 0.49 * 3.0 / (1.0 - theta + theta * theta)
-    st = stiffness(make_bistable(theta, a))
-    assert abs(st.maxfp - 0.49) < 1e-15
-    assert abs(st.gamma - 0.51) < 1e-15
+    f = make_bistable(theta, a)
+    assert abs(f.max_fprime - 0.49) < 1e-15
+    assert abs(f.gamma - 0.51) < 1e-15
 
 
 def test_antiderivative_at_one(ref_f):

@@ -15,11 +15,11 @@ from nlrd import (
 
 
 @pytest.fixture(scope="module")
-def empty_problem(ref_fz):
+def empty_problem(ref_f):
     g = make_grid([-4, -4], [4, 4], 1 / 16)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     K = build_obstacle("none", {}, g)
-    return Problem(k, K, ref_fz, conv_path="direct")
+    return Problem(k, K, ref_f, conv_path="direct")
 
 
 def test_constants_annihilated_exactly(empty_problem):
@@ -135,11 +135,11 @@ def test_next_fast_len_properties():
         assert m <= 1 << (n - 1).bit_length() if n > 1 else True
 
 
-def test_problem_validations(grid4, ref_fz):
+def test_problem_validations(grid4, ref_f):
     k = build_kernel(KernelProfile("quartic", 0.5), grid4)
     K = build_obstacle("none", {}, grid4)
     with pytest.raises(PreconditionError, match="clamp"):
-        Problem(k, K, ref_fz, clamp_width=0.25)
+        Problem(k, K, ref_f, clamp_width=0.25)
     Kbig = build_obstacle("ball", {"radius": 3.8}, grid4, margin=0.0)
     with pytest.raises(PreconditionError, match="clamp"):
-        Problem(k, Kbig, ref_fz)
+        Problem(k, Kbig, ref_f)

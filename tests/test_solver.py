@@ -36,12 +36,12 @@ from nlrd.verify import counterexample_field
 # evolve
 
 
-def test_evolve_fixed_point_at_step_zero(ref_fz):
+def test_evolve_fixed_point_at_step_zero(ref_f):
     g = make_grid([-4, -4], [4, 4], 1 / 16)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     for K in (build_obstacle("none", {}, g),
               build_obstacle("ball", {"radius": 1.0}, g, margin=1.5)):
-        p = Problem(k, K, ref_fz, conv_path="direct")
+        p = Problem(k, K, ref_f, conv_path="direct")
         res = evolve(p, p.constant_datum(1.0))
         assert res.converged and res.steps == 0
         assert res.residual_sup == 0.0
@@ -65,7 +65,7 @@ def test_evolve_counterexample_stationary(annulus_problem):
 def test_evolve_preserves_ordering_small(path):
     g = make_grid([-2, -2], [2, 2], 1 / 8)
     k = build_kernel(KernelProfile("tophat", 0.5), g)
-    f = extend(make_bistable(0.3, 1.0), "zero-left")
+    f = make_bistable(0.3, 1.0)
     p = Problem(k, build_obstacle("none", {}, g), f, conv_path=path)
     rng = np.random.default_rng(17)
     from nlrd.solver import max_step
@@ -101,7 +101,7 @@ def test_evolve_preserves_ordering_small(path):
 
 
 @pytest.fixture(scope="module")
-def ball1d(ref_fz):
+def ball1d(ref_f):
     g = make_grid([-21], [21], 1 / 16)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     return g, k
@@ -138,10 +138,10 @@ def test_resolvent_linear_residual_random(ball1d, opts, bound):
 
 
 @pytest.fixture(scope="module")
-def maximal_1d(ball1d, ref_f, ref_fz):
+def maximal_1d(ball1d, ref_f):
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
-    v = maximal_solution(k, ref_fz, [0.0], 20.0, kc.d0, grid=g)
+    v = maximal_solution(k, ref_f, [0.0], 20.0, kc.d0, grid=g)
     return g, k, kc, v
 
 
@@ -154,33 +154,33 @@ def test_maximal_solution_1d_center_value(maximal_1d):
     assert all(b[1] <= a[1] + 1e-12 for a, b in zip(v.history, v.history[1:]))
 
 
-def test_maximal_agrees_with_parabolic_route(maximal_1d, ref_fz):
+def test_maximal_agrees_with_parabolic_route(maximal_1d, ref_f):
     g, k, kc, v = maximal_1d
-    ev, steps, conv, _ = evolve_ball(k, ref_fz, [0.0], 20.0, grid=g, residual_tol=1e-10)
+    ev, steps, conv, _ = evolve_ball(k, ref_f, [0.0], 20.0, grid=g, residual_tol=1e-10)
     assert conv
     assert float(np.max(np.abs(ev.values - v.values))) <= 1e-6
 
 
-def test_maximal_nested_balls_1d(maximal_1d, ref_fz):
+def test_maximal_nested_balls_1d(maximal_1d, ref_f):
     g, k, kc, v20 = maximal_1d
-    v15 = maximal_solution(k, ref_fz, [0.0], 15.0, kc.d0, grid=g, tol=3e-11)
-    v20t = maximal_solution(k, ref_fz, [0.0], 20.0, kc.d0, grid=g, tol=3e-11)
+    v15 = maximal_solution(k, ref_f, [0.0], 15.0, kc.d0, grid=g, tol=3e-11)
+    v20t = maximal_solution(k, ref_f, [0.0], 20.0, kc.d0, grid=g, tol=3e-11)
     inside = v15.bmask
     assert float(np.max((v15.values - v20t.values)[inside])) <= 1e-10
 
 
-def test_maximal_rejects_small_radius(ball1d, ref_fz, ref_f):
+def test_maximal_rejects_small_radius(ball1d, ref_f):
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     with pytest.raises(PreconditionError, match="d0"):
-        maximal_solution(k, ref_fz, [0.0], 5.0, kc.d0, grid=g)
+        maximal_solution(k, ref_f, [0.0], 5.0, kc.d0, grid=g)
 
 
 def test_maximal_collapses_below_existence_radius():
     # a nearly balanced well on a ball barely wider than the kernel: no
     # nontrivial solution exists, and forcing a small d0 lets the scheme
     # run there; it must detect the collapse rather than return junk
-    f45 = extend(make_bistable(0.45, 1.0), "zero-left")
+    f45 = make_bistable(0.45, 1.0)
     g = make_grid([-3], [3], 1 / 16)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     with pytest.raises(NumericalFailure, match="collapsed"):
@@ -188,19 +188,18 @@ def test_maximal_collapses_below_existence_radius():
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d_R20", "2d_R4"])
-def test_maximal_inexact_matches_tight_reference(dim, ball1d, ref_f, ref_fz, strong_f,
-                                                 monkeypatch):
+def test_maximal_inexact_matches_tight_reference(dim, ball1d, ref_f, strong_f, monkeypatch):
     import nlrd.solver
 
     if dim == 1:
         g, k = ball1d
-        base, fz, center, R = ref_f, ref_fz, [0.0], 20.0
+        f, center, R = ref_f, [0.0], 20.0
     else:
         h = 1 / 8
         k = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h))
-        base, fz, center, R = strong_f, extend(strong_f, "zero-left"), [0.0, 0.0], 4.0
+        f, center, R = strong_f, [0.0, 0.0], 4.0
         g = ball_grid(center, R, h)
-    kc = kernel_constants(k, base, [1.0])
+    kc = kernel_constants(k, f, [1.0])
     calls = []
     real = nlrd.solver.convolve
 
@@ -209,8 +208,8 @@ def test_maximal_inexact_matches_tight_reference(dim, ball1d, ref_f, ref_fz, str
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nlrd.solver, "convolve", counting)
-    v = maximal_solution(k, fz, center, R, kc.d0, grid=g)
-    ref, ref_convs = oracles.maximal_solution_tight(k, fz, v.bmask)
+    v = maximal_solution(k, f, center, R, kc.d0, grid=g)
+    ref, ref_convs = oracles.maximal_solution_tight(k, f, v.bmask)
     assert float(np.max(np.abs(v.values - ref))) <= 1e-10
     assert all(rise <= 1e-12 for _, _, rise in v.history)
     # the first inner solve makes at least one sweep, so the outer loop
@@ -220,7 +219,7 @@ def test_maximal_inexact_matches_tight_reference(dim, ball1d, ref_f, ref_fz, str
 
 
 def test_maximal_translation_identity(strong_f):
-    f = extend(strong_f, "zero-left")
+    f = strong_f
     h = 1 / 8
     k = build_kernel(KernelProfile("quartic", 0.5), make_grid([-6, -6], [6, 6], h))
     kc = kernel_constants(k, strong_f, [1.0])
@@ -236,21 +235,21 @@ def test_maximal_translation_identity(strong_f):
     assert np.array_equal(rolled[v1.bmask], v1.values[v1.bmask])
 
 
-def test_maximal_rejects_tol_below_inner_floor(ball1d, ref_f, ref_fz):
+def test_maximal_rejects_tol_below_inner_floor(ball1d, ref_f):
     # below the 1e-13 floor of the inner solves the outer decreases stall
     # in roundoff, and the loop would spend its whole step budget
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     for tol in (1e-16, 9e-14, 0.0, -1.0, math.nan):
         with pytest.raises(PreconditionError, match="floor"):
-            maximal_solution(k, ref_fz, [0.0], 20.0, kc.d0, grid=g, tol=tol)
+            maximal_solution(k, ref_f, [0.0], 20.0, kc.d0, grid=g, tol=tol)
 
 
-def test_maximal_rejects_ball_off_grid(ball1d, ref_f, ref_fz):
+def test_maximal_rejects_ball_off_grid(ball1d, ref_f):
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     with pytest.raises(PreconditionError, match="no grid cell"):
-        maximal_solution(k, ref_fz, [100.0], 20.0, kc.d0, grid=g)
+        maximal_solution(k, ref_f, [100.0], 20.0, kc.d0, grid=g)
 
 
 def _fold_case(name):
@@ -324,22 +323,22 @@ def test_mirror_fold_convolution_matches_full_box(name, path, deficit):
 
 @pytest.mark.parametrize("path", ["direct", "fast"])
 @pytest.mark.parametrize("case", ["2d_corner", "2d_shared_box", "2d_cell_centre", "1d_R20"])
-def test_maximal_matches_full_box_oracle(case, path, ball1d, ref_f, ref_fz, strong_f):
+def test_maximal_matches_full_box_oracle(case, path, ball1d, ref_f, strong_f):
     if case == "1d_R20":
         g, k = ball1d
-        base, fz, center, R = ref_f, ref_fz, [0.0], 20.0
+        f, center, R = ref_f, [0.0], 20.0
     else:
         h = 1 / 8
         k = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h))
-        base, fz, R = strong_f, extend(strong_f, "zero-left"), 4.0
+        f, R = strong_f, 4.0
         center = {"2d_corner": [0.0, 0.0], "2d_shared_box": [2.0, -1.0],
                   "2d_cell_centre": [h / 2, h / 2]}[case]
         g = ball_grid(center, R, h) if case == "2d_corner" else make_grid(
             [-12, -12], [12, 12], h)
-    kc = kernel_constants(k, base, [1.0])
-    v = maximal_solution(k, fz, center, R, kc.d0, grid=g, path=path)
+    kc = kernel_constants(k, f, [1.0])
+    v = maximal_solution(k, f, center, R, kc.d0, grid=g, path=path)
     assert _MirrorFold(v.bmask, k).axes == list(range(k.dim))
-    ref, history = oracles.maximal_solution_fullbox(k, fz, v.bmask, path=path)
+    ref, history = oracles.maximal_solution_fullbox(k, f, v.bmask, path=path)
     if path == "direct":
         assert v.values.tobytes() == ref.tobytes()
         assert v.history == history
@@ -347,38 +346,38 @@ def test_maximal_matches_full_box_oracle(case, path, ball1d, ref_f, ref_fz, stro
         assert float(np.max(np.abs(v.values - ref))) <= 1e-12
 
 
-def test_maximal_fast_path_keeps_saturated_cells(ball1d, ref_f, ref_fz):
+def test_maximal_fast_path_keeps_saturated_cells(ball1d, ref_f):
     # on fast the sweeps convolve the deficit 1 - w, whose FFT roundoff
     # stays far below an ulp of 1 deep inside the ball: every cell where
     # the direct path gives exactly 1 gives 1 on fast too
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     for R in (8.0, 10.0):
-        fast = maximal_solution(k, ref_fz, [0.0], R, kc.d0, grid=g)
-        direct = maximal_solution(k, ref_fz, [0.0], R, kc.d0, grid=g, path="direct")
+        fast = maximal_solution(k, ref_f, [0.0], R, kc.d0, grid=g)
+        direct = maximal_solution(k, ref_f, [0.0], R, kc.d0, grid=g, path="direct")
         deep = direct.values == 1.0
         assert np.count_nonzero(deep) >= 40
         assert np.all(fast.values[deep] == 1.0)
 
 
-def test_lemma_64iii_minmax_1d(ball1d, ref_f, ref_fz):
+def test_lemma_64iii_minmax_1d(ball1d, ref_f):
     _, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     R = 7.6  # just above the 1-D threshold d0 = 7.5
     g = make_grid([-31], [31], 1 / 16)
-    v2 = maximal_solution(k, ref_fz, [0.0], 2 * R, kc.d0, grid=g, tol=3e-11)
-    v4 = maximal_solution(k, ref_fz, [0.0], 4 * R, kc.d0, grid=g, tol=3e-11)
+    v2 = maximal_solution(k, ref_f, [0.0], 2 * R, kc.d0, grid=g, tol=3e-11)
+    v4 = maximal_solution(k, ref_f, [0.0], 4 * R, kc.d0, grid=g, tol=3e-11)
     small = ball_mask(g, [0.0], R)
     assert float(np.min(v4.values[small])) >= float(np.max(v2.values[small])) - 1e-10
 
 
-def test_lemma_65_growth_1d(ball1d, ref_f, ref_fz):
+def test_lemma_65_growth_1d(ball1d, ref_f):
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     mid = g.counts[0] // 2
     centers = []
     for R in (8.0, 10.0, 15.0, 20.0):
-        v = maximal_solution(k, ref_fz, [0.0], R, kc.d0, grid=g)
+        v = maximal_solution(k, ref_f, [0.0], R, kc.d0, grid=g)
         centers.append(v.values[mid])
     assert all(b >= a for a, b in zip(centers, centers[1:]))
     assert 1.0 - centers[-1] <= 0.05
@@ -388,21 +387,21 @@ def test_lemma_65_growth_1d(ball1d, ref_f, ref_fz):
 # energy and eigenvalue
 
 
-def test_energy_zero_field(ball1d, ref_fo):
+def test_energy_zero_field(ball1d, ref_f):
     g, k = ball1d
     bm = ball_mask(g, [0.0], 10.0)
     zero = Field(g, np.zeros(g.shape), bm)
-    E = energy(k, ref_fo, [0.0], 10.0, zero)
+    E = energy(k, ref_f, [0.0], 10.0, zero)
     assert E.value == 0.0
 
 
-def test_energy_random_field_against_pair_oracle(ball1d, ref_fo):
+def test_energy_random_field_against_pair_oracle(ball1d, ref_f):
     g, k = ball1d
     bm = ball_mask(g, [0.0], 10.0)
     rng = np.random.default_rng(7)
     u = Field(g, np.where(bm, rng.uniform(-0.5, 1.5, g.shape), 0.0), bm)
-    E = energy(k, ref_fo, [0.0], 10.0, u)
-    pair, mass, potential = oracles.energy_pairs_1d(k, ref_fo, bm, u.values)
+    E = energy(k, ref_f, [0.0], 10.0, u)
+    pair, mass, potential = oracles.energy_pairs_1d(k, extend(ref_f, "odd"), bm, u.values)
     assert E.pair_term > 0.0
     for got, ref in ((E.pair_term, pair), (E.mass_term, mass),
                      (E.potential_term, potential)):
@@ -410,29 +409,21 @@ def test_energy_random_field_against_pair_oracle(ball1d, ref_fo):
     assert abs(E.value - (pair + mass - potential)) <= 1e-12 * (1.0 + abs(E.value))
 
 
-def test_energy_requires_odd_extension(ball1d, ref_fz):
-    g, k = ball1d
-    bm = ball_mask(g, [0.0], 10.0)
-    zero = Field(g, np.zeros(g.shape), bm)
-    with pytest.raises(PreconditionError, match="odd"):
-        energy(k, ref_fz, [0.0], 10.0, zero)
-
-
-def test_energy_indicator_bound_2d(ref_f, ref_fo, ref_fz):
+def test_energy_indicator_bound_2d(ref_f):
     h = 1 / 8
     R = 20.0
     g = ball_grid([0.0, 0.0], R, h)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     bm = ball_mask(g, [0.0, 0.0], R)
     ind = Field(g, np.where(bm, 1.0, 0.0), bm)
-    E1 = energy(k, ref_fo, [0.0, 0.0], R, ind)
+    E1 = energy(k, ref_f, [0.0, 0.0], R, ind)
     bound = 0.5 * math.pi * (R**2 - (R - 0.5) ** 2) - R**2 * math.pi / 30.0
     assert bound < 0.0
     assert E1.value <= bound
     assert abs(E1.value - E1.cross_form) <= 1e-9 * (1.0 + abs(E1.value))
     kc = kernel_constants(k, ref_f, [1.0])
-    v = maximal_solution(k, ref_fz, [0.0, 0.0], R, kc.d0, grid=g)
-    Ev = energy(k, ref_fo, [0.0, 0.0], R, v.field)
+    v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
+    Ev = energy(k, ref_f, [0.0, 0.0], R, v.field)
     assert Ev.value <= E1.value < 0.0
 
 
@@ -520,13 +511,13 @@ def test_shifted_front_family(kq8, ref_f):
 
 
 @pytest.fixture(scope="module")
-def subsolution_2d(ref_f, ref_fz):
+def subsolution_2d(ref_f):
     h = 1 / 8
     R = 20.0
     g = ball_grid([0.0, 0.0], R + 0.5, h, pad=0.25)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     kc = kernel_constants(k, ref_f, [1.0])
-    v = maximal_solution(k, ref_fz, [0.0, 0.0], R, kc.d0, grid=g)
+    v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
     w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
     return g, k, kc, v, w
 
@@ -543,7 +534,7 @@ def test_subsolution_vanishes_past_cone(subsolution_2d):
     assert float(np.max(np.abs(w.field.values[far]))) == 0.0
 
 
-def test_subsolution_certificate(subsolution_2d, ref_fz):
+def test_subsolution_certificate(subsolution_2d, ref_f):
     g, k, kc, v, w = subsolution_2d
     assert w.verify_min >= -w.tol_geom
     # independent pointwise oracle at sampled cells
@@ -554,7 +545,7 @@ def test_subsolution_certificate(subsolution_2d, ref_fz):
     for i in rng.choice(cells.shape[0], 5, replace=False):
         idx = tuple(cells[i])
         lhs = oracles.conv_at(wv, k, idx) - w.field.values[idx] + float(
-            ref_fz.f(w.field.values[idx])
+            ref_f.f(w.field.values[idx])
         )
         assert lhs >= -w.tol_geom - 1e-12
 
@@ -565,10 +556,10 @@ def test_subsolution_delta_validation(subsolution_2d):
         build_subsolution(v, kc.delta0 * 1.5, kc, grid=g)
 
 
-def test_subsolution_needs_w11_kernel(ref_f, ref_fz):
+def test_subsolution_needs_w11_kernel(ref_f):
     g = make_grid([-21], [21], 1 / 16)
     k = build_kernel(KernelProfile("tophat", 0.5), g)
     kc = kernel_constants(k, ref_f, [1.0])
-    v = maximal_solution(k, ref_fz, [0.0], 20.0, 7.51, grid=g)
+    v = maximal_solution(k, ref_f, [0.0], 20.0, 7.51, grid=g)
     with pytest.raises(PreconditionError, match="W\\^\\{1,1\\}|delta0"):
         build_subsolution(v, 0.05, kc, grid=g)

@@ -12,7 +12,6 @@ from nlrd import (
     build_kernel,
     build_obstacle,
     deformation_family,
-    extend,
     kernel_constants,
     make_bistable,
     make_grid,
@@ -87,19 +86,19 @@ def test_counterexample_report_passes(annulus_problem):
     assert by_name["nonconstant_range"].measured == 1.0
 
 
-def test_counterexample_smaller_kernel_still_exact(grid4, ref_fz):
+def test_counterexample_smaller_kernel_still_exact(grid4, ref_f):
     k = build_kernel(KernelProfile("tophat", 0.4), grid4)
     K = build_obstacle("annulus", {"r1": 1.0, "r2": 2.0}, grid4, margin=1.5)
-    rep = counterexample_check(Problem(k, K, ref_fz))
+    rep = counterexample_check(Problem(k, K, ref_f))
     assert rep.passed
 
 
-def test_counterexample_rejects_wide_kernel(ref_fz):
+def test_counterexample_rejects_wide_kernel(ref_f):
     g = make_grid([-4, -4], [4, 4], 1 / 16)
     k = build_kernel(KernelProfile("tophat", 0.6), g)
     K = build_obstacle("annulus", {"r1": 1.0, "r2": 2.0}, g, margin=1.5)
     with pytest.raises(PreconditionError, match="0.5"):
-        counterexample_check(Problem(k, K, ref_fz))
+        counterexample_check(Problem(k, K, ref_f))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +171,12 @@ def test_liouville_annulus_fails_by_design(annulus_problem, phi_ref, ref_f):
 
 def test_liouville_sweep_mode_replays_covering_argument(strong_f):
     # steep well: d0 ~ 3.7 keeps the covering balls at desk scale
-    fz = extend(strong_f, "zero-left")
     h = 1 / 8
     g = make_grid([-12, -12], [12, 12], h)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     kc = kernel_constants(k, strong_f, [1.0])
     K = build_obstacle("ball", {"radius": 1.0}, g, margin=1.5)
-    p = Problem(k, K, fz)
+    p = Problem(k, K, strong_f)
     phi = front_profile(marginal_j1(k), strong_f, tol=1e-13)
     rep = liouville_experiment(
         p, phi, kc, mode="sweep",
@@ -199,11 +197,11 @@ def test_liouville_sweep_mode_replays_covering_argument(strong_f):
 
 
 @pytest.fixture(scope="module")
-def small_problem(ref_fz):
+def small_problem(ref_f):
     # quartic kernel: the shared front profile is its marginal's solution
     g = make_grid([-3, -3], [3, 3], 1 / 16)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
-    return Problem(k, build_obstacle("ball", {"radius": 0.5}, g, margin=1.5), ref_fz)
+    return Problem(k, build_obstacle("ball", {"radius": 0.5}, g, margin=1.5), ref_f)
 
 
 def test_comparison_suite_small(small_problem, phi_ref):
@@ -217,16 +215,16 @@ def test_comparison_suite_small(small_problem, phi_ref):
     assert names["weak_plane_wave_subsolution"].passed is True
 
 
-def test_comparison_suite_ring_kernel_chain(ref_fz):
+def test_comparison_suite_ring_kernel_chain(ref_f):
     # r1 > 0: propagation through a detached annulus still covers the domain
     g = make_grid([-2, -2], [2, 2], 1 / 16)
     k = build_kernel(KernelProfile("ring", 0.5, 0.25), g)
-    p = Problem(k, build_obstacle("none", {}, g), ref_fz)
+    p = Problem(k, build_obstacle("none", {}, g), ref_f)
     rep = comparison_suite(p, trials=10, seed=1)
     assert {c.name: c for c in rep.checks}["strong_chain_covers"].passed is True
 
 
-def test_tophat_annulus_is_open(ref_fz, monkeypatch):
+def test_tophat_annulus_is_open(ref_f, monkeypatch):
     # tophat: J > 0 on the closed disk, so the four taps at exactly
     # |z| = R_J = 8h carry weight, but they lie off the open annulus
     # 0 < |z| < R_J that both strong-principle checks use
@@ -244,7 +242,7 @@ def test_tophat_annulus_is_open(ref_fz, monkeypatch):
     helper = verify_mod._annulus_offsets
     monkeypatch.setattr(verify_mod, "_annulus_offsets",
                         lambda kern: calls.append(kern) or helper(kern))
-    p = Problem(k, build_obstacle("none", {}, g), ref_fz)
+    p = Problem(k, build_obstacle("none", {}, g), ref_f)
     rep = comparison_suite(p, trials=2, seed=0)
     assert len(calls) == 2  # the contact trials and the chain
     by = {c.name: c for c in rep.checks}
@@ -255,10 +253,10 @@ def test_tophat_annulus_is_open(ref_fz, monkeypatch):
 # robustness
 
 
-def test_robustness_quick(ref_f, ref_fz, kq8, grid8, kc_ref):
+def test_robustness_quick(ref_f, kq8, grid8, kc_ref):
     fam = deformation_family(1.0, PsiSpec())
     rep = robustness_experiment(
-        fam, grid8, kq8, ref_fz, kc_ref,
+        fam, grid8, kq8, ref_f, kc_ref,
         eps_grid=(0.2, 0.05), alphas=(1.0,), pass_eps=0.1,
     )
     assert rep.passed
@@ -272,10 +270,9 @@ def test_robustness_quick(ref_f, ref_fz, kq8, grid8, kc_ref):
 
 def test_robustness_flatness_rejection(grid8):
     # steep nonlinearity: max f' above the uniform mass-map infimum
-    steep = extend(make_bistable(0.25, 2.2), "zero-left")
+    steep = make_bistable(0.25, 2.2)
     k = build_kernel(KernelProfile("quartic", 0.5), grid8)
-    f_for_constants = make_bistable(0.25, 2.2)
-    kc = kernel_constants(k, f_for_constants, [1.0])
+    kc = kernel_constants(k, steep, [1.0])
     fam = deformation_family(1.0, PsiSpec())
     with pytest.raises(PreconditionError, match="flatness"):
         robustness_experiment(fam, grid8, k, steep, kc, eps_grid=(0.1,), alphas=(1.0,))
