@@ -33,7 +33,7 @@ from .config import build_pieces, build_problem, load_config, resolve
 from .errors import NumericalFailure, PreconditionError
 from .grid import field_to_csv
 from .kernels import kernel_constants, marginal_j1
-from .obstacles import PsiSpec, deformation_family
+from .obstacles import deformation_family
 from .solver import build_subsolution, evolve, front_profile, maximal_solution
 from .verify import (
     PROGRESS_HEADER,
@@ -195,9 +195,7 @@ def cmd_robustness(cfg, args) -> Report:
     grid, kernel, f = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     o = cfg["obstacle"]
-    fam = deformation_family(
-        o["radius"], PsiSpec(kind=o["psi"], k=o["psi_k"], amp=o["psi_amp"])
-    )
+    fam = deformation_family(o["radius"], o["psi_k"], o["psi_amp"])
     return robustness_experiment(
         fam, grid, kernel, f, kc,
         eps_grid=cfg["experiment"]["epsilons"],

@@ -14,7 +14,7 @@ from .errors import PreconditionError
 from .grid import Grid, make_grid
 from .kernels import Kernel, KernelProfile, build_kernel
 from .nonlinearity import make_bistable
-from .obstacles import Obstacle, PsiSpec, build_obstacle
+from .obstacles import Obstacle, build_obstacle
 from .operators import Problem
 
 __all__ = ["load_config", "resolve", "build_problem", "build_pieces"]
@@ -98,7 +98,6 @@ _SCHEMA: dict = {
         "ramp": (_float, "0.4"),
         "points": (_positive(int), "5"),
         "epsilon": (_float, "0.1"),
-        "psi": (str, "cos_clipped"),
         "psi_k": (_positive(int), "6"),
         "psi_amp": (_float, "1.0"),
         "margin": (_nonnegative(_float), "1.5"),
@@ -214,32 +213,7 @@ def build_kernel_cfg(cfg: dict, grid: Grid) -> Kernel:
 
 def build_obstacle_cfg(cfg: dict, grid: Grid) -> Obstacle:
     o = cfg["obstacle"]
-    fam = o["family"]
-    params: dict = {}
-    if fam in ("ball", "ellipse") and len(o["center"]) != grid.dim:
-        raise PreconditionError(
-            f"[obstacle] center has {len(o['center'])} coordinates on a "
-            f"{grid.dim}-D grid"
-        )
-    if fam == "ball":
-        params = {"center": o["center"], "radius": o["radius"]}
-    elif fam == "ellipse":
-        params = {"center": o["center"], "a": o["a"], "b": o["b"]}
-    elif fam == "polygon":
-        params = {"vertices": o["vertices"]}
-    elif fam == "annulus":
-        params = {"r1": o["r1"], "r2": o["r2"]}
-    elif fam == "star":
-        params = {"r0": o["r0"], "r1": o["ramp"], "points": o["points"]}
-    elif fam == "deformed":
-        params = {
-            "radius": o["radius"],
-            "epsilon": o["epsilon"],
-            "psi": PsiSpec(kind=o["psi"], k=o["psi_k"], amp=o["psi_amp"]),
-        }
-    elif fam != "none":
-        raise PreconditionError(f"unknown obstacle family {fam!r}")
-    return build_obstacle(fam, params, grid, margin=o["margin"])
+    return build_obstacle(o["family"], o, grid, margin=o["margin"])
 
 
 def build_problem(cfg: dict, conv_path: str = "fast") -> Problem:

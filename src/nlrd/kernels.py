@@ -32,7 +32,7 @@ import numpy as np
 from .errors import PreconditionError
 from .grid import Grid
 from .nonlinearity import Bistable
-from .reduction import pairwise_sum
+from .reduction import _bisect, pairwise_sum
 
 __all__ = [
     "KernelProfile",
@@ -244,24 +244,17 @@ def _d0_bisection(radius: float, dim: int, int_f: float) -> float:
     threshold would fall at or below R_J and the returned value is clamped
     to R_J (the energy inequality then holds for every admissible R)."""
 
-    def excess(R: float) -> float:
-        return 0.5 * (1.0 - (1.0 - radius / R) ** dim) - int_f
+    def holds(R: float) -> bool:
+        return 0.5 * (1.0 - (1.0 - radius / R) ** dim) < int_f
 
-    if excess(radius * (1.0 + 1e-9)) < 0.0:
+    if holds(radius * (1.0 + 1e-9)):
         return radius
-    lo = radius
     hi = max(4.0 * radius, 1.0)
-    while excess(hi) >= 0.0:
+    while not holds(hi):
         hi *= 2.0
         if hi > 1e12:
             raise PreconditionError("d0 search diverged; int_0^1 f too small")
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(holds, radius, hi, 1e-6)
 
 
 def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:

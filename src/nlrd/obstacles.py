@@ -24,6 +24,7 @@ from .grid import Field, Grid, ball_mask
 from .kernels import Kernel
 
 __all__ = [
+    "FAMILY_KEYS",
     "Obstacle",
     "PsiSpec",
     "DeformationFamily",
@@ -34,6 +35,16 @@ __all__ = [
     "convex_hull_mask",
 ]
 
+# family -> the [obstacle] keys its shape reads
+FAMILY_KEYS = {
+    "none": (),
+    "ball": ("center", "radius"),
+    "ellipse": ("center", "a", "b"),
+    "polygon": ("vertices",),
+    "annulus": ("r1", "r2"),
+    "star": ("r0", "ramp", "points"),
+    "deformed": ("radius", "epsilon", "psi_k", "psi_amp"),
+}
 CONVEX_FAMILIES = {"none", "ball", "ellipse", "polygon"}
 
 
@@ -148,6 +159,8 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
     X, Y = grid.meshes()
     if family == "ellipse":
         c = np.atleast_1d(params.get("center", (0.0, 0.0)))
+        if c.size != 2:
+            raise PreconditionError(f"ellipse center has {c.size} coordinates on a 2-D grid")
         a, b = float(params["a"]), float(params["b"])
         return ((X - c[0]) / a) ** 2 + ((Y - c[1]) / b) ** 2 <= 1.0
     if family == "polygon":
@@ -172,40 +185,37 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
                 raise PreconditionError("polygon vertices are not convex")
             inside &= e[0] * (Y - a0[1]) - e[1] * (X - a0[0]) >= 0.0
         return inside
+    rr = np.hypot(X, Y)
     if family == "annulus":
         r1, r2 = float(params["r1"]), float(params["r2"])
         if not (0.0 < r1 < r2):
             raise PreconditionError("annulus needs 0 < r1 < r2")
-        rr = np.hypot(X, Y)
         return (rr >= r1) & (rr <= r2)
+    phi = np.arctan2(Y, X)
     if family == "star":
-        r0 = float(params.get("r0", 1.0))
-        r1 = float(params.get("r1", 0.4))
-        kk = int(params.get("points", 5))
-        phi = np.arctan2(Y, X)
-        return np.hypot(X, Y) <= r0 + r1 * np.cos(kk * phi)
-    if family == "deformed":
-        base_r = float(params["radius"])
-        eps = float(params.get("epsilon", 0.0))
-        psi = params.get("psi") or PsiSpec()
-        phi = np.arctan2(Y, X)
-        return np.hypot(X, Y) <= base_r + eps * psi(phi)
-    raise PreconditionError(f"unknown obstacle family {family!r}")
+        return rr <= float(params["r0"]) + float(params["ramp"]) * np.cos(
+            int(params["points"]) * phi)
+    psi = PsiSpec(int(params["psi_k"]), float(params["psi_amp"]))  # deformed
+    return rr <= float(params["radius"]) + float(params["epsilon"]) * psi(phi)
 
 
 def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -> Obstacle:
     """Mask a shape at cell centers; convexity is asserted for convex
-    families via the hull fixed-point test."""
-    mask = _shape_mask(family, dict(params), grid)
+    families via the hull fixed-point test. Only the keys that
+    ``FAMILY_KEYS[family]`` lists are read from ``params`` and kept."""
+    if family not in FAMILY_KEYS:
+        raise PreconditionError(f"unknown obstacle family {family!r}")
+    params = {key: params[key] for key in FAMILY_KEYS[family] if key in params}
+    mask = _shape_mask(family, params, grid)
     if family != "none" and not np.any(mask):
         raise PreconditionError(f"obstacle {family!r} contains no cell centers")
     _check_margin(grid, mask, margin, f"obstacle {family!r}")
     convex = family in CONVEX_FAMILIES
-    if family == "deformed" and float(params.get("epsilon", 0.0)) == 0.0:
+    if family == "deformed" and float(params["epsilon"]) == 0.0:
         convex = True  # the eps -> 0 limit is the base disk
     if convex and np.any(mask) and not _is_discrete_convex(grid, mask):
         raise PreconditionError(f"family {family!r} mask failed the hull test")
-    return Obstacle(grid=grid, mask_K=mask, family=family, params=dict(params), convex=convex)
+    return Obstacle(grid=grid, mask_K=mask, family=family, params=params, convex=convex)
 
 
 def thicken(K: Obstacle, delta: float) -> Obstacle:
@@ -235,24 +245,20 @@ def thicken(K: Obstacle, delta: float) -> Obstacle:
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """Angular bump for deformations: amp * max(0, 1 + cos(k phi)) >= 0."""
+    """Angular bump for deformations: amp * max(0, 1 + cos(k phi)), which is
+    >= 0 exactly when amp >= 0."""
 
-    kind: str = "cos_clipped"
-    k: int = 6
-    amp: float = 1.0
+    k: int
+    amp: float
 
     def __post_init__(self):
-        if self.kind != "cos_clipped":
-            raise PreconditionError(f"unknown psi kind {self.kind!r}; expected 'cos_clipped'")
+        if not self.amp >= 0.0:
+            raise PreconditionError(
+                f"psi amplitude {self.amp} takes negative values; K would not contain K_eps")
 
     def __call__(self, phi):
         phi = np.asarray(phi, dtype=np.float64)
         return self.amp * np.clip(1.0 + np.cos(self.k * phi), 0.0, None)
-
-    def validate(self) -> None:
-        probe = np.linspace(-math.pi, math.pi, 14401)
-        if float(np.min(self(probe))) < 0.0:
-            raise PreconditionError("psi takes negative values; K would not contain K_eps")
 
 
 @dataclass(frozen=True)
@@ -262,9 +268,6 @@ class DeformationFamily:
     base_radius: float
     psi: PsiSpec
 
-    def __post_init__(self):
-        self.psi.validate()
-
     def obstacle(self, eps: float, grid: Grid, margin: float = 1.5) -> Obstacle:
         if not (0.0 <= eps <= 1.0):
             raise PreconditionError(f"epsilon must lie in [0, 1], got {eps}")
@@ -272,14 +275,16 @@ class DeformationFamily:
             return build_obstacle("ball", {"radius": self.base_radius}, grid, margin)
         return build_obstacle(
             "deformed",
-            {"radius": self.base_radius, "epsilon": eps, "psi": self.psi},
+            {"radius": self.base_radius, "epsilon": eps,
+             "psi_k": self.psi.k, "psi_amp": self.psi.amp},
             grid,
             margin,
         )
 
 
-def deformation_family(base_radius: float, psi: PsiSpec | None = None) -> DeformationFamily:
-    return DeformationFamily(base_radius=float(base_radius), psi=psi or PsiSpec())
+def deformation_family(base_radius: float, psi_k: int = 6,
+                       psi_amp: float = 1.0) -> DeformationFamily:
+    return DeformationFamily(float(base_radius), PsiSpec(int(psi_k), float(psi_amp)))
 
 
 def jmass(k: Kernel, K: Obstacle) -> Field:

@@ -2,7 +2,8 @@
 
 All scalar sums in the package go through :func:`pairwise_sum`, a strict
 binary-tree fold. The summation order is a pure function of the array
-length, so results are bit-identical across runs and thread counts.
+length, so results are bit-identical across runs and thread counts. Every
+threshold search goes through :func:`_bisect`, one fixed midpoint rule.
 """
 
 from __future__ import annotations
@@ -31,3 +32,16 @@ def pairwise_sum(a) -> float:
         else:
             x = x[0::2] + x[1::2]
     return float(x[0])
+
+
+def _bisect(ok, lo: float, hi: float, step: float) -> float:
+    """Halve ``[lo, hi]`` until it is at most ``step`` wide and return its
+    upper end. ``ok`` must be false at ``lo``, true at ``hi`` and monotone
+    between, so the result is the least ``ok`` point to within ``step``."""
+    while hi - lo > step:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

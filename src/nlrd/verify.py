@@ -26,6 +26,7 @@ from .kernels import Kernel, KernelConstants, marginal_j1
 from .nonlinearity import Bistable
 from .obstacles import DeformationFamily, build_obstacle, jmass
 from .operators import Problem, ball_mask, residual
+from .reduction import _bisect
 from .solver import (
     FrontProfile,
     SubSolution,
@@ -129,8 +130,10 @@ class Report:
 # sliding plane waves
 
 
-def _profile_eval(phi: FrontProfile, t: np.ndarray) -> np.ndarray:
-    return np.minimum(phi(t), CAP_LEVEL)
+def _fits_below(phi: FrontProfile, coord: np.ndarray, u: np.ndarray):
+    """Predicate of a shift r: the capped profile phi(coord - r) lies below
+    u + 1e-10 at every cell."""
+    return lambda r: bool(np.all(np.minimum(phi(coord - r), CAP_LEVEL) <= u + 1e-10))
 
 
 def sliding_radius(u: Field, e, phi: FrontProfile) -> float:
@@ -148,11 +151,7 @@ def sliding_radius(u: Field, e, phi: FrontProfile) -> float:
         raise PreconditionError("sliding direction must be a unit vector")
     meshes = u.grid.meshes()
     dot = sum(e[a] * meshes[a] for a in range(u.grid.dim))[u.mask]
-    uvals = u.values[u.mask]
-
-    def fits(r: float) -> bool:
-        return bool(np.all(_profile_eval(phi, dot - r) <= uvals + 1e-10))
-
+    fits = _fits_below(phi, dot, u.values[u.mask])
     L_box = float(np.max(np.abs(dot))) + u.grid.h
     if fits(-L_box):
         return -math.inf
@@ -161,15 +160,7 @@ def sliding_radius(u: Field, e, phi: FrontProfile) -> float:
         hi = 2.0 * hi + 1.0
         if hi > 1e9:
             raise NumericalFailure("no translate of the profile fits below u")
-    lo = -L_box
-    step = u.grid.h / 4.0
-    while hi - lo > step:
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(fits, -L_box, hi, u.grid.h / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +271,7 @@ def bounds_suite(
     meshes = u.grid.meshes()
     rr = np.sqrt(sum(m * m for m in meshes))[u.mask]
     uvals = u.values[u.mask]
-
-    def fits(r0: float) -> bool:
-        return bool(np.all(_profile_eval(phi, rr - r0) <= uvals + 1e-10))
+    fits = _fits_below(phi, rr, uvals)
 
     box_radius = max(max(abs(v) for v in u.grid.lo), max(abs(v) for v in u.grid.hi))
     if not fits(box_radius):
@@ -290,17 +279,8 @@ def bounds_suite(
                 note="no radial translate fits below u")
         r0 = None
     else:
-        lo, hi = -box_radius - 1.0, box_radius
-        if fits(lo):
-            r0 = lo
-        else:
-            while hi - lo > h:
-                mid = 0.5 * (lo + hi)
-                if fits(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            r0 = hi
+        lo = -box_radius - 1.0
+        r0 = lo if fits(lo) else _bisect(fits, lo, box_radius, h)
         rep.add("radial_lower_bound_r0", r0 <= box_radius, r0, box_radius, h)
 
     if p.obstacle.convex and np.any(p.obstacle.mask_K):
@@ -678,30 +658,36 @@ def _annulus_offsets(k: Kernel) -> np.ndarray:
 
 
 def _chain_steps(p: Problem) -> int | None:
-    """BFS count of annulus dilations needed to cover the component of the
-    domain containing a deep interior cell; None if it never covers."""
+    """Annulus dilations needed to cover the component of the domain that
+    holds a deep interior cell (full-support adjacency), within
+    4 max(counts) - 1 of them; None if they do not cover it."""
     start = tuple(np.argwhere(p.interior_mask)[0])
-    deltas = _annulus_offsets(p.kernel)
-
-    # component oracle: flood fill with full-support adjacency
     full = p.kernel.weights > 0
     full[(p.kernel.reach,) * p.kernel.dim] = False
-    full_deltas = np.argwhere(full) - p.kernel.reach
-    comp = _flood(p.domain_mask, start, full_deltas)
+    comp, _ = _bfs(p.domain_mask, start, np.argwhere(full) - p.kernel.reach)
+    # the annulus offsets are full-support offsets, so ``reached`` never
+    # leaves ``comp``: it covers it exactly when the two are equal
+    reached, steps = _bfs(p.domain_mask, start, _annulus_offsets(p.kernel),
+                          4 * max(p.grid.counts) - 1)
+    return steps if np.array_equal(reached, comp) else None
 
-    reached = np.zeros_like(p.domain_mask)
+
+def _bfs(domain: np.ndarray, start: tuple, deltas: np.ndarray, max_steps=None) -> tuple:
+    """Frontier BFS from ``start`` inside ``domain`` by the offsets
+    ``deltas``, for at most ``max_steps`` steps (None: until no cell is
+    new). Returns the reached cells and the number of steps that reached
+    a new cell."""
+    reached = np.zeros_like(domain)
     reached[start] = True
     frontier = reached.copy()
-    for step in range(1, 4 * max(p.grid.counts)):
-        grown = _dilate(frontier, deltas, p.domain_mask)
-        new = grown & ~reached
-        if not np.any(new):
+    steps = 0
+    while max_steps is None or steps < max_steps:
+        frontier = _dilate(frontier, deltas, domain) & ~reached
+        if not np.any(frontier):
             break
-        reached |= new
-        frontier = new
-        if np.array_equal(reached & comp, comp):
-            return step
-    return 0 if np.array_equal(reached & comp, comp) else None
+        reached |= frontier
+        steps += 1
+    return reached, steps
 
 
 def _dilate(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndarray:
@@ -710,16 +696,6 @@ def _dilate(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndar
         here, there = shift_windows(d, mask.shape)
         out[there] |= mask[here]
     return out & domain
-
-
-def _flood(domain: np.ndarray, start: tuple, deltas: np.ndarray) -> np.ndarray:
-    comp = np.zeros_like(domain)
-    comp[start] = True
-    while True:
-        grown = _dilate(comp, deltas, domain) | comp
-        if np.array_equal(grown, comp):
-            return comp
-        comp = grown
 
 
 def _sweeping_checks(rep, p, u_ref, subsol, trials) -> None:

@@ -27,7 +27,6 @@ from nlrd import (
     make_grid,
     marginal_j1,
     maximal_solution,
-    PsiSpec,
 )
 from nlrd.cli import main as cli_main
 from nlrd.convolve import convolve
@@ -355,7 +354,7 @@ def test_criterion_11_robustness(kq8, grid8):
     # reference cubic: amplitude 0.5 gives max f' = 0.132 with margin
     f_rob = make_bistable(0.3, 0.5)
     kc_rob = kernel_constants(kq8, f_rob, [0.5, 1.0])
-    fam = deformation_family(1.0, PsiSpec())
+    fam = deformation_family(1.0)
     rep = robustness_experiment(
         fam, grid8, kq8, f_rob, kc_rob,
         eps_grid=(1.0, 0.5, 0.2, 0.1, 0.05), alphas=(0.5, 1.0),

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -154,6 +155,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\na = -1"), COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI.replace("r1 = 1.0", "r1 = 1.0\nmargin = -1"), COUNTEREXAMPLE),
     (MAXIMAL_INI.replace("center = 0,0", "center = 0"), ("maximal",)),
+    # psi had one legal value and is no key any more: exit 2 as an unknown key
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi = garbage"),
      ("solve",)),
     # without the pass_eps check this run completes and passes, certifying no epsilon
@@ -184,6 +186,9 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (LIOUVILLE_SMALL_INI + "probe_deltas = 0.1,-0.5\n", ("verify", "bounds")),
     # with no probe deltas the bounds suite passed without a single probe row
     (LIOUVILLE_SMALL_INI + "probe_deltas =\n", ("verify", "bounds")),
+    # a negative bump would carve K_eps out of K; it used to run under solve
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_amp = -1"),
+     ("solve",)),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
@@ -192,7 +197,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
         "zero_star_points", "negative_psi_k", "negative_log_every",
         "ball_tol_below_floor", "custom_profile", "empty_alphas", "probe_delta_above_one",
-        "negative_probe_delta", "empty_probe_deltas"])
+        "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -221,6 +226,23 @@ def test_readme_example_config_loads(tmp_path):
     block = section.split("```ini\n", 1)[1].split("```", 1)[0]
     p = build_problem(load_config(_cfg(tmp_path, block)))
     assert p.obstacle.family == "ball"
+
+
+def test_perfbench_tracer_runs_liouville(tmp_path):
+    # the tracer wraps package functions and methods by name: deleting or
+    # renaming one of them breaks the benchmark, and this run with it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans), "--",
+         "--config", _cfg(tmp_path, LIOUVILLE_SMALL_INI), "--out", str(tmp_path / "o"),
+         "experiment", "liouville"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]
 
 
 def test_tiny_spacing_exits_two_before_allocating(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import oracles
 from nlrd import (
     KernelProfile,
     PreconditionError,
-    PsiSpec,
     build_kernel,
     build_obstacle,
     deformation_family,
@@ -15,7 +15,8 @@ from nlrd import (
     make_grid,
     thicken,
 )
-from nlrd.obstacles import convex_hull_mask
+from nlrd.config import build_grid, build_obstacle_cfg, load_config
+from nlrd.obstacles import FAMILY_KEYS, convex_hull_mask
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,39 @@ def test_empty_obstacle_full_domain(g4):
     K = build_obstacle("none", {}, g4)
     assert not np.any(K.mask_K)
     assert np.all(K.domain_mask)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_KEYS))
+def test_family_reads_only_its_keys(tmp_path, family):
+    # every [obstacle] key is present, defaults filled; only the family's own count
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[grid]\nlo = -4,-4\nhi = 4,4\nh = 0.125\n[obstacle]\nfamily = {family}\n")
+    cfg = load_config(str(path))
+    grid = build_grid(cfg)
+    o = cfg["obstacle"]
+    K = build_obstacle_cfg(cfg, grid)
+    own = build_obstacle(family, {key: o[key] for key in FAMILY_KEYS[family]}, grid,
+                         margin=o["margin"])
+    assert np.array_equal(K.mask_K, own.mask_K)
+    assert tuple(K.params) == FAMILY_KEYS[family]
+    assert family == "none" or K.cell_count() > 0
+
+
+def test_readme_family_table_matches_family_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Obstacle families", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            family, keys = (cell.strip() for cell in row.split("|")[1:3])
+            documented[family.strip("`")] = tuple(
+                k.strip().strip("`") for k in keys.split(",") if k.strip() != "—")
+    assert documented == FAMILY_KEYS
+
+
+def test_unknown_family_rejected(g4):
+    with pytest.raises(PreconditionError, match="unknown obstacle family"):
+        build_obstacle("torus", {"radius": 1.0}, g4)
 
 
 def test_convex_families_are_hull_fixed_points(g8):
@@ -115,7 +149,7 @@ def test_thicken_annulus_closes_hole():
 
 
 def test_deformation_family_limits_and_inclusion(g8):
-    fam = deformation_family(1.0, PsiSpec())
+    fam = deformation_family(1.0)
     K0 = fam.obstacle(0.0, g8)
     base = build_obstacle("ball", {"radius": 1.0}, g8, margin=1.5)
     assert np.array_equal(K0.mask_K, base.mask_K)
@@ -128,7 +162,7 @@ def test_deformation_family_limits_and_inclusion(g8):
 
 
 def test_deformation_hausdorff_monotone(g8):
-    fam = deformation_family(1.0, PsiSpec())
+    fam = deformation_family(1.0)
     base = fam.obstacle(0.0, g8).mask_K
     meshes = g8.meshes()
     pts_base = np.stack([m[base] for m in meshes], axis=1)
@@ -150,12 +184,12 @@ def test_deformation_hausdorff_monotone(g8):
 
 def test_psi_negative_rejected():
     with pytest.raises(PreconditionError, match="negative"):
-        deformation_family(1.0, PsiSpec(amp=-1.0))
+        deformation_family(1.0, psi_amp=-1.0)
 
 
 def test_star_family_builds_but_claims_nothing(g8):
     # exploratory geometry: exposed, never certified convex
-    K = build_obstacle("star", {"r0": 1.0, "r1": 0.4, "points": 5}, g8, margin=1.5)
+    K = build_obstacle("star", {"r0": 1.0, "ramp": 0.4, "points": 5}, g8, margin=1.5)
     assert not K.convex
     assert K.cell_count() > 0
     hull = convex_hull_mask(g8, K.mask_K)

@@ -8,7 +8,6 @@ from nlrd import (
     KernelProfile,
     PreconditionError,
     Problem,
-    PsiSpec,
     build_kernel,
     build_obstacle,
     deformation_family,
@@ -254,7 +253,7 @@ def test_tophat_annulus_is_open(ref_f, monkeypatch):
 
 
 def test_robustness_quick(ref_f, kq8, grid8, kc_ref):
-    fam = deformation_family(1.0, PsiSpec())
+    fam = deformation_family(1.0)
     rep = robustness_experiment(
         fam, grid8, kq8, ref_f, kc_ref,
         eps_grid=(0.2, 0.05), alphas=(1.0,), pass_eps=0.1,
@@ -273,7 +272,7 @@ def test_robustness_flatness_rejection(grid8):
     steep = make_bistable(0.25, 2.2)
     k = build_kernel(KernelProfile("quartic", 0.5), grid8)
     kc = kernel_constants(k, steep, [1.0])
-    fam = deformation_family(1.0, PsiSpec())
+    fam = deformation_family(1.0)
     with pytest.raises(PreconditionError, match="flatness"):
         robustness_experiment(fam, grid8, k, steep, kc, eps_grid=(0.1,), alphas=(1.0,))
 
