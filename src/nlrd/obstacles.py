@@ -202,9 +202,15 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
 def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -> Obstacle:
     """Mask a shape at cell centers; convexity is asserted for convex
     families via the hull fixed-point test. Only the keys that
-    ``FAMILY_KEYS[family]`` lists are read from ``params`` and kept."""
+    ``FAMILY_KEYS[family]`` lists are read from ``params`` and kept; each
+    is required, except ``center``, which defaults to the origin."""
     if family not in FAMILY_KEYS:
         raise PreconditionError(f"unknown obstacle family {family!r}")
+    missing = [key for key in FAMILY_KEYS[family] if key != "center" and key not in params]
+    if missing:
+        raise PreconditionError(
+            f"obstacle family {family!r} is missing the key(s) {', '.join(missing)}"
+        )
     params = {key: params[key] for key in FAMILY_KEYS[family] if key in params}
     mask = _shape_mask(family, params, grid)
     if family != "none" and not np.any(mask):

@@ -15,6 +15,7 @@ there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +26,21 @@ from .kernels import Kernel
 from .nonlinearity import Bistable
 from .obstacles import Obstacle
 
-__all__ = ["Problem", "apply_L", "residual", "ball_mask"]
+__all__ = ["Frame", "Problem", "apply_L", "residual", "ball_mask"]
+
+
+@dataclass(frozen=True)
+class Frame:
+    """The cells :meth:`Problem.step` updates, and what it reads there: the
+    domain and clamp masks, the diagonal mass ``jself``, and ``convolve(x,
+    path)``, which gives J * x on these cells for x given on them. A
+    :class:`Problem` is the full-box frame; a mirror fold of its box is
+    another (see ``solver.evolve``)."""
+
+    domain_mask: np.ndarray
+    clamp_mask: np.ndarray
+    jself: np.ndarray
+    convolve: Callable
 
 
 @dataclass
@@ -77,17 +92,25 @@ class Problem:
         vals[self.clamp_mask] = self.far_field
         return Field(self.grid, vals, self.domain_mask)
 
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        values[self.clamp_mask] = self.far_field
-        values[~self.domain_mask] = 0.0
+    def clamp(self, values: np.ndarray, frame: Frame | None = None) -> np.ndarray:
+        fr = self if frame is None else frame
+        values[fr.clamp_mask] = self.far_field
+        values[~fr.domain_mask] = 0.0
         return values
 
-    def step(self, u: np.ndarray, dt: float, path: str | None = None):
+    def convolve(self, x: np.ndarray, path: str) -> np.ndarray:
+        """J * x on the full box: the convolution of the full-box frame."""
+        return convolve(x, self.kernel, path)
+
+    def step(self, u: np.ndarray, dt: float, path: str | None = None,
+             frame: Frame | None = None):
         """The explicit step ``(clamp(clip(u + dt rate, 0, 1)), rate)``, with
         ``rate = J * u - jself u + f(u)`` on the raw array, unmasked
-        (:func:`residual` is the masked form). ``u`` is not modified."""
-        rate = convolve(u, self.kernel, path or self.conv_path) - self.jself * u + self.f.f(u)
-        return self.clamp(np.clip(u + dt * rate, 0.0, 1.0)), rate
+        (:func:`residual` is the masked form), on the cells of ``frame``
+        (default: the full box). ``u`` is not modified."""
+        fr = self if frame is None else frame
+        rate = fr.convolve(u, path or self.conv_path) - fr.jself * u + self.f.f(u)
+        return self.clamp(np.clip(u + dt * rate, 0.0, 1.0), fr), rate
 
     def check_clamped(self, u: Field) -> None:
         if u.grid != self.grid or not np.array_equal(u.mask, self.domain_mask):

@@ -41,6 +41,16 @@ Scheme notes
   cells whose exact value rounds to 1 come out as 1. The limit is unfolded
   and its ball-equation residual is gated with one full-box convolution,
   so the certificate does not rest on the fold.
+* ``evolve`` folds the whole box by the same rule (see
+  :class:`_MirrorFold`): along each axis on which the domain, ``jself``,
+  the clamp band and u_0 are mirror-symmetric to the bit, the even kernel
+  and the cellwise update keep every iterate symmetric, and
+  :meth:`Problem.step` runs on the kept cells through the fold's frame.
+  The plain folded convolution is used on every path (no deficit form).
+  On ``direct`` the run is the full-box run to the bit. The returned
+  iterate is unfolded, and ``converged`` and ``residual_sup`` come from
+  one full-box residual convolution of it, so the certificate does not
+  rest on the fold.
 * ``front_profile`` relaxes the clamped truncated-line problem. The
   damped iteration preserves monotonicity in x and converges to the
   stationary profile of the clamped line; the translation is fixed
@@ -61,7 +71,7 @@ from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, make_grid, shift_windows
 from .kernels import Kernel, KernelConstants
 from .nonlinearity import Bistable, extend
-from .operators import Problem, ball_mask
+from .operators import Frame, Problem, ball_mask, residual
 from .reduction import pairwise_sum
 
 __all__ = [
@@ -80,6 +90,92 @@ __all__ = [
     "build_subsolution",
     "ball_grid",
 ]
+
+
+# ---------------------------------------------------------------------------
+# mirror folds
+
+
+def _along(axis: int, s: slice) -> tuple:
+    return (slice(None),) * axis + (s,)
+
+
+class _MirrorFold:
+    """The bounding box of ``mask``, folded along every axis on which the
+    box is its own mirror image bit for bit, and so is each of ``fields``
+    restricted to the mask. The box of a ball is cropped to the ball; the
+    domain of an obstacle problem reaches the box edges, so its box is the
+    whole box.
+
+    On an axis of box length n, box cell i mirrors to n-1-i: the
+    half-sample mirror (cell -1-j equals cell j about the box middle) for
+    even n, the whole-sample one (cell -j equals cell j about the middle
+    cell) for odd n. A folded axis keeps cells n//2 .. n-1. The kernel is
+    even, so :meth:`convolve` gives J * x on the kept cells once it reads,
+    below each folded axis, a band of reach-many mirrored cells; the band
+    reads zeros where it reaches past the mirror axis.
+
+    With ``deficit``, for fields near 1 on the mask, the paths other than
+    ``direct`` compute J * 1_B - J * (1_B - x). The FFT's roundoff scales
+    with the 2-norm of its input, and the deficit 1_B - x of a ball iterate
+    is small away from the rim, so deep cells, whose exact value rounds to
+    1, come out as 1 rather than a few ulps below it.
+    """
+
+    def __init__(self, mask: np.ndarray, k: Kernel, *fields: np.ndarray,
+                 deficit: bool = False):
+        if not mask.any():
+            raise PreconditionError("the mask to fold holds no grid cell")
+        self.box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask))
+        crop = mask[self.box]
+        views = [crop] + [np.where(crop, np.asarray(x)[self.box], 0.0) for x in fields]
+        self.axes = [a for a in range(mask.ndim)
+                     if all(np.array_equal(x, np.flip(x, a)) for x in views)]
+        self.keep = tuple(slice(n // 2 if a in self.axes else 0, n)
+                          for a, n in enumerate(crop.shape))
+        self.mask = crop[self.keep]
+        self.k = k
+        m = k.reach
+        # the convolution input: kept cells at offset m on each folded axis
+        self.inner = tuple(slice(m if a in self.axes else 0, None) for a in range(mask.ndim))
+        self.ext = np.zeros(tuple(n + m if a in self.axes else n
+                                  for a, n in enumerate(self.mask.shape)))
+        self.out = np.empty(self.ext.shape)
+        self.deficit = deficit
+        self.ones = None  # J * 1_B on the kept cells, on the direct path
+
+    def fold(self, full: np.ndarray) -> np.ndarray:
+        """A copy of the kept cells of ``full``, in its dtype."""
+        return np.asarray(full)[self.box][self.keep].copy()
+
+    def unfold(self, folded: np.ndarray, out: np.ndarray) -> None:
+        """Write the box of ``out`` from its kept cells ``folded``."""
+        box = out[self.box]
+        box[self.keep] = folded
+        for a in self.axes:
+            n = box.shape[a]
+            half = n // 2
+            box[_along(a, slice(0, half))] = np.flip(box[_along(a, slice(n - half, n))], a)
+
+    def convolve(self, x: np.ndarray, path: str) -> np.ndarray:
+        """J * x on the kept cells, for x given on them; the returned view
+        is overwritten by the next call."""
+        ext, inner, m = self.ext, self.inner, self.k.reach
+        deficit = self.deficit and path != "direct"
+        if not deficit:
+            ext[inner] = x
+        else:
+            if self.ones is None:
+                self.ones = self.convolve(self.mask, "direct").copy()
+            np.subtract(self.mask, x, out=ext[inner])
+        # axis by axis: a later band copies the earlier bands' cells too,
+        # which fills the corners
+        for a in self.axes:
+            n = self.box[a].stop - self.box[a].start
+            src, span = m + n % 2, min(m, n // 2)
+            ext[_along(a, slice(m - span, m))] = np.flip(ext[_along(a, slice(src, src + span))], a)
+        conv = convolve(ext, self.k, path, out=self.out)[inner]
+        return np.subtract(self.ones, conv, out=conv) if deficit else conv
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +211,14 @@ def evolve(
     Stops at the first iterate whose interior residual sup falls below
     ``residual_tol`` (a fixed point therefore stops at step 0), or returns
     the ``max_steps`` iterate flagged unconverged.
+
+    The steps run on the box folded along each axis on which the domain,
+    ``jself``, the clamp band and ``u0`` are mirror-symmetric to the bit
+    (see :class:`_MirrorFold`; the whole box when none is): the kernel and
+    the pointwise update are even, so every iterate is symmetric too. The
+    returned iterate is unfolded, and ``converged`` and ``residual_sup``
+    come from its residual on the full box, one more convolution, so they
+    do not rest on the fold.
     """
     p.check_clamped(u0)
     bound = max_step(p)
@@ -124,28 +228,32 @@ def evolve(
         raise PreconditionError(f"dt = {dt} above the comparison bound {bound:.6g}")
     if np.any(u0.values[p.domain_mask] < 0.0) or np.any(u0.values[p.domain_mask] > 1.0):
         raise PreconditionError("initial datum must take values in [0, 1]")
-    u = u0.values.copy()
-    inter = p.interior_mask
+    fold = _MirrorFold(p.domain_mask, p.kernel, p.jself, p.clamp_mask, u0.values)
+    frame = Frame(fold.mask, fold.fold(p.clamp_mask), fold.fold(p.jself), fold.convolve)
+    dom, inter = frame.domain_mask, fold.fold(p.interior_mask)
+    u = fold.fold(u0.values)
     log_rows: list = []
     steps = 0
     with fft_buffers(p.kernel):
         while True:
-            nxt, r = p.step(u, dt)
+            nxt, r = p.step(u, dt, frame=frame)
             sup = float(np.max(np.abs(r[inter])))
             if not math.isfinite(sup):
                 raise NumericalFailure(f"non-finite residual at step {steps}")
-            row = (steps, sup, float(np.min(u[p.domain_mask])), float(np.max(u[p.domain_mask])))
+            row = (steps, sup, float(np.min(u[dom])), float(np.max(u[dom])))
             if log_every and (steps % log_every == 0):
                 log_rows.append(row)
             if sup <= residual_tol or steps >= max_steps:
                 if not log_rows or log_rows[-1][0] != steps:
                     log_rows.append(row)
-                return EvolveResult(
-                    Field(p.grid, u, p.domain_mask), steps, sup <= residual_tol, sup, dt,
-                    log_rows,
-                )
+                break
             u = nxt
             steps += 1
+    values = np.zeros(p.grid.shape)
+    fold.unfold(u, values)
+    u = Field(p.grid, values, p.domain_mask)
+    _, sup = residual(p, u)
+    return EvolveResult(u, steps, sup <= residual_tol, sup, dt, log_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -198,85 +306,6 @@ def evolve_ball(
                 return field, steps, sup <= residual_tol, sup
             u = u + dt * r
             steps += 1
-
-
-def _along(axis: int, s: slice) -> tuple:
-    return (slice(None),) * axis + (s,)
-
-
-class _MirrorFold:
-    """The bounding box of ``mask``, folded along every axis on which the
-    box is its own mirror image bit for bit, and so is each of ``fields``
-    restricted to the mask.
-
-    On an axis of box length n, box cell i mirrors to n-1-i: the
-    half-sample mirror (cell -1-j equals cell j about the box middle) for
-    even n, the whole-sample one (cell -j equals cell j about the middle
-    cell) for odd n. A folded axis keeps cells n//2 .. n-1. The kernel is
-    even, so :meth:`convolve` gives J * x on the kept cells once it reads,
-    below each folded axis, a band of reach-many mirrored cells; the band
-    reads zeros where it reaches past the mirror axis.
-
-    With ``deficit``, for fields near 1 on the mask, the paths other than
-    ``direct`` compute J * 1_B - J * (1_B - x). The FFT's roundoff scales
-    with the 2-norm of its input, and the deficit 1_B - x of a ball iterate
-    is small away from the rim, so deep cells, whose exact value rounds to
-    1, come out as 1 rather than a few ulps below it.
-    """
-
-    def __init__(self, mask: np.ndarray, k: Kernel, *fields: np.ndarray,
-                 deficit: bool = False):
-        if not mask.any():
-            raise PreconditionError("the ball holds no grid cell")
-        self.box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask))
-        crop = mask[self.box]
-        views = [crop] + [np.where(crop, np.asarray(x)[self.box], 0.0) for x in fields]
-        self.axes = [a for a in range(mask.ndim)
-                     if all(np.array_equal(x, np.flip(x, a)) for x in views)]
-        self.keep = tuple(slice(n // 2 if a in self.axes else 0, n)
-                          for a, n in enumerate(crop.shape))
-        self.mask = crop[self.keep]
-        self.k = k
-        m = k.reach
-        # the convolution input: kept cells at offset m on each folded axis
-        self.inner = tuple(slice(m if a in self.axes else 0, None) for a in range(mask.ndim))
-        self.ext = np.zeros(tuple(n + m if a in self.axes else n
-                                  for a, n in enumerate(self.mask.shape)))
-        self.out = np.empty(self.ext.shape)
-        self.deficit = deficit
-        self.ones = None  # J * 1_B on the kept cells, on the direct path
-
-    def fold(self, full: np.ndarray) -> np.ndarray:
-        return np.asarray(full, dtype=np.float64)[self.box][self.keep].copy()
-
-    def unfold(self, folded: np.ndarray, out: np.ndarray) -> None:
-        """Write the box of ``out`` from its kept cells ``folded``."""
-        box = out[self.box]
-        box[self.keep] = folded
-        for a in self.axes:
-            n = box.shape[a]
-            half = n // 2
-            box[_along(a, slice(0, half))] = np.flip(box[_along(a, slice(n - half, n))], a)
-
-    def convolve(self, x: np.ndarray, path: str) -> np.ndarray:
-        """J * x on the kept cells, for x given on them; the returned view
-        is overwritten by the next call."""
-        ext, inner, m = self.ext, self.inner, self.k.reach
-        deficit = self.deficit and path != "direct"
-        if not deficit:
-            ext[inner] = x
-        else:
-            if self.ones is None:
-                self.ones = self.convolve(self.mask, "direct").copy()
-            np.subtract(self.mask, x, out=ext[inner])
-        # axis by axis: a later band copies the earlier bands' cells too,
-        # which fills the corners
-        for a in self.axes:
-            n = self.box[a].stop - self.box[a].start
-            src, span = m + n % 2, min(m, n // 2)
-            ext[_along(a, slice(m - span, m))] = np.flip(ext[_along(a, slice(src, src + span))], a)
-        conv = convolve(ext, self.k, path, out=self.out)[inner]
-        return np.subtract(self.ones, conv, out=conv) if deficit else conv
 
 
 def _resolvent_sweeps(fold: _MirrorFold, path: str, kshift: float, rhs: np.ndarray,

@@ -664,12 +664,19 @@ def _chain_steps(p: Problem) -> int | None:
     start = tuple(np.argwhere(p.interior_mask)[0])
     full = p.kernel.weights > 0
     full[(p.kernel.reach,) * p.kernel.dim] = False
-    comp, _ = _bfs(p.domain_mask, start, np.argwhere(full) - p.kernel.reach)
+    offsets = np.argwhere(full) - p.kernel.reach
+    annulus = _annulus_offsets(p.kernel)
+    comp, steps = _bfs(p.domain_mask, start, offsets)
     # the annulus offsets are full-support offsets, so ``reached`` never
-    # leaves ``comp``: it covers it exactly when the two are equal
-    reached, steps = _bfs(p.domain_mask, start, _annulus_offsets(p.kernel),
-                          4 * max(p.grid.counts) - 1)
-    return steps if np.array_equal(reached, comp) else None
+    # leaves ``comp``: it covers it exactly when the two are equal. When
+    # the two offset sets are equal (tophat, quartic) the full-support BFS
+    # is the annulus BFS, and only its cap remains to check
+    cap = 4 * max(p.grid.counts) - 1
+    if not np.array_equal(annulus, offsets):
+        reached, steps = _bfs(p.domain_mask, start, annulus, cap)
+        if not np.array_equal(reached, comp):
+            return None
+    return steps if steps <= cap else None
 
 
 def _bfs(domain: np.ndarray, start: tuple, deltas: np.ndarray, max_steps=None) -> tuple:

@@ -369,3 +369,33 @@ def field_csv_rows(f, path) -> None:
         for r in range(vals.size):
             cols = [f"{m[r]:.17g}" for m in meshes]
             fh.write(",".join(cols + [f"{vals[r]:.17g}", str(mask[r])]) + "\n")
+
+
+def evolve_fullbox(p, u0, dt=None, max_steps: int = 200_000, residual_tol: float = 1e-8,
+                   log_every: int = 0):
+    """The package's ``evolve`` before it folded the box: every explicit
+    step is ``Problem.step`` on the whole box, and the stop test reads the
+    full-box residual of the iterate it returns. Returns (values, steps,
+    converged, residual_sup, log_rows) with the package's log rows
+    (step, residual sup, min u, max u)."""
+    from nlrd.convolve import fft_buffers
+    from nlrd.solver import max_step
+
+    dt = max_step(p) if dt is None else dt
+    u = u0.values.copy()
+    dom, inter = p.domain_mask, p.interior_mask
+    log_rows = []
+    steps = 0
+    with fft_buffers(p.kernel):
+        while True:
+            nxt, r = p.step(u, dt)
+            sup = float(np.max(np.abs(r[inter])))
+            row = (steps, sup, float(np.min(u[dom])), float(np.max(u[dom])))
+            if log_every and steps % log_every == 0:
+                log_rows.append(row)
+            if sup <= residual_tol or steps >= max_steps:
+                if not log_rows or log_rows[-1][0] != steps:
+                    log_rows.append(row)
+                return u, steps, sup <= residual_tol, sup, log_rows
+            u = nxt
+            steps += 1

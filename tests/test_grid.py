@@ -150,6 +150,31 @@ def test_holder_quotient_matches_all_pairs(name, alpha, request):
     assert est.value == oracles.holder_quotient_pairs(f, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_holder_quotient_mirror_pruning_is_exact(axis, alpha):
+    import oracles
+
+    # mirror-symmetric to the bit along ``axis`` only, around a hole of
+    # masked-out cells, which the sweep stores as NaN: the symmetry test
+    # has to treat NaN as equal to NaN, or it never prunes
+    g = make_grid([-2, -2], [2, 2], 1 / 16)
+    fns = [lambda x, y: 0.3 * x * x + np.sin(2 * y), lambda x, y: np.tanh(3 * x) + 0.3 * y * y]
+    f = make_field(g, fns[axis], mask=_hole)
+    assert np.array_equal(f.values, np.flip(f.values, axis))
+    assert not np.array_equal(f.values, np.flip(f.values, 1 - axis))
+    est = holder_quotient(f, alpha)
+    assert est.value == oracles.holder_quotient_pairs(f, alpha)
+    # one cell one ulp up breaks the mirror: the whole half-plane is swept
+    vals = f.values.copy()
+    cell = tuple(np.argwhere(f.mask)[5])
+    vals[cell] = np.nextafter(vals[cell], 2.0)
+    skew = f.with_values(vals)
+    full = holder_quotient(skew, alpha)
+    assert full.value == oracles.holder_quotient_pairs(skew, alpha)
+    assert full.pairs_used > 1.5 * est.pairs_used
+
+
 @pytest.mark.parametrize("shape,d", [
     ((7,), (0,)), ((7,), (3,)), ((7,), (-2,)), ((7,), (7,)), ((7,), (-9,)),
     ((5, 6), (0, 0)), ((5, 6), (2, -3)), ((5, 6), (-4, 1)), ((5, 6), (0, 5)),

@@ -85,6 +85,18 @@ def test_unknown_family_rejected(g4):
         build_obstacle("torus", {"radius": 1.0}, g4)
 
 
+@pytest.mark.parametrize("family,params,missing", [
+    ("star", {"r0": 1.0, "r1": 0.4, "points": 5}, "ramp"),  # r1 is the annulus key
+    ("ball", {"centre": (0.0, 0.0)}, "radius"),
+    ("ellipse", {"a": 2.0}, "b"),
+    ("deformed", {"radius": 1.0, "epsilon": 0.1, "psi_k": 6}, "psi_amp"),
+    ("annulus", {}, "r1, r2"),
+])
+def test_missing_family_key_names_family_and_key(g8, family, params, missing):
+    with pytest.raises(PreconditionError, match=f"{family!r} is missing the key\\(s\\) {missing}$"):
+        build_obstacle(family, params, g8)
+
+
 def test_convex_families_are_hull_fixed_points(g8):
     for fam, par in (
         ("ball", {"radius": 1.0}),

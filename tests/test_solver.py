@@ -96,6 +96,72 @@ def test_evolve_preserves_ordering_small(path):
     assert res.steps == 5 and res.u.values.tobytes() == want.tobytes()
 
 
+def _evolve_case(name, path, f):
+    """(problem, folded axes) for the folded-evolve tests: 64² and 65²
+    boxes (half- and whole-sample mirrors), an ellipse centred on one axis
+    only, and an off-centre one."""
+    h = 1 / 8
+    g, odd = make_grid([-4, -4], [4, 4], h), make_grid([-4 - h / 2] * 2, [4 + h / 2] * 2, h)
+    family, params, g, axes = {
+        "disk_even": ("ball", {"radius": 1.0}, g, [0, 1]),
+        "disk_odd": ("ball", {"radius": 1.0}, odd, [0, 1]),
+        "ellipse_axis0": ("ellipse", {"center": (0.0, 0.5), "a": 1.0, "b": 0.6}, g, [0]),
+        "ellipse_off_centre": ("ellipse", {"center": (0.3, 0.5), "a": 1.0, "b": 0.6}, g, []),
+    }[name]
+    k = build_kernel(KernelProfile("quartic", 0.5), g)
+    return Problem(k, build_obstacle(family, params, g), f, conv_path=path), axes
+
+
+def _evolve_fold(p, u0):
+    return _MirrorFold(p.domain_mask, p.kernel, p.jself, p.clamp_mask, u0.values)
+
+
+@pytest.mark.parametrize("path", ["direct", "fast"])
+@pytest.mark.parametrize("name", ["disk_even", "disk_odd", "ellipse_axis0",
+                                  "ellipse_off_centre"])
+def test_evolve_matches_full_box_oracle(name, path, ref_f):
+    p, axes = _evolve_case(name, path, ref_f)
+    u0 = p.hostile_datum()
+    assert _evolve_fold(p, u0).axes == axes
+    res = evolve(p, u0, log_every=25)
+    values, steps, converged, sup, rows = oracles.evolve_fullbox(p, u0, log_every=25)
+    assert res.steps == steps and res.converged and converged
+    assert [r[0] for r in res.log_rows] == [r[0] for r in rows]
+    if path == "direct" or not axes:
+        # direct sums mirrored taps in pairs, so the full-box iterates are
+        # symmetric to the bit; an unfolded run is the full-box run
+        assert res.u.values.tobytes() == values.tobytes()
+        assert res.log_rows == rows and res.residual_sup == sup
+    else:
+        assert float(np.max(np.abs(res.u.values - values))) <= 1e-12
+        assert max(abs(a - b) for r, s in zip(res.log_rows, rows) for a, b in zip(r, s)) <= 1e-12
+        assert abs(res.residual_sup - sup) <= 1e-12
+
+
+def test_evolve_counterexample_stays_fixed_when_folded(annulus_problem):
+    p = annulus_problem
+    u = counterexample_field(p)
+    assert _evolve_fold(p, u).axes == [0, 1]
+    res = evolve(p, u, max_steps=1, residual_tol=-1.0)
+    assert res.steps == 1 and not res.converged
+    assert float(np.max(np.abs(res.u.values - u.values))) <= 1e-12
+
+
+def test_evolve_gate_does_not_rest_on_the_fold(disk_problem, phi_ref, kc_ref, monkeypatch):
+    # a fold that reports J * u = 0: from the hostile datum its rate is 0
+    # on every interior cell, so the folded run stops at step 0; the
+    # full-box gate sees the true residual at the clamp band's edge
+    from nlrd.verify import liouville_experiment
+
+    p = disk_problem
+    assert _evolve_fold(p, p.hostile_datum()).axes == [0, 1]
+    monkeypatch.setattr(_MirrorFold, "convolve", lambda self, x, path: np.zeros(x.shape))
+    res = evolve(p, p.hostile_datum(), residual_tol=1e-8)
+    assert res.steps == 0 and not res.converged and res.residual_sup > 1e-2
+    rep = liouville_experiment(p, phi_ref, kc_ref, residual_tol=1e-8)
+    assert [(c.name, c.passed) for c in rep.checks] == [("converged", False)]
+
+
 # ---------------------------------------------------------------------------
 # resolvent and the monotone scheme
 
