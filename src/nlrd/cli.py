@@ -114,6 +114,7 @@ def cmd_maximal(cfg, args) -> Report:
     f = v.f
     rep = Report("maximal")
     rep.add("iterations", None, float(v.iterations))
+    rep.add("resolvent_shift", None, v.kshift)
     rep.add("final_increment", v.final_increment <= cfg["ball"]["tol"],
             v.final_increment, cfg["ball"]["tol"], None)
     vmax = float(np.max(v.values[v.bmask]))

@@ -267,17 +267,20 @@ def holder_quotient(u: Field, alpha: float) -> HolderEstimate:
     return HolderEstimate(best, True, used)
 
 
-_CSV_BLOCK = 1 << 12  # cells formatted per write in field_to_csv
-
-
 def field_to_csv(f: Field, path) -> None:
-    """Write ``x0[,x1],value,mask`` rows, 17 significant digits, C-order."""
-    cols = [m.ravel() for m in f.grid.meshes()]
-    cols += [f.values.ravel(), f.mask.ravel().astype(int)]
-    heads = [f"x{a}" for a in range(f.grid.dim)]
-    row = ",".join(["{:.17g}"] * (f.grid.dim + 1) + ["{:d}"]) + "\n"
+    """Write ``x0[,x1],value,mask`` rows, 17 significant digits, C-order.
+
+    Each axis coordinate is formatted once, and the values and the mask are
+    converted to Python objects one row (the last axis) at a time, so the
+    writer holds no full-box copy beyond the field itself.
+    """
+    grid = f.grid
+    axes = [[f"{c:.17g}," for c in grid.axis_centers(a).tolist()] for a in range(grid.dim)]
+    prefixes, last = (axes[0] if grid.dim == 2 else [""]), axes[-1]
+    rows = zip(prefixes, f.values.reshape(len(prefixes), -1), f.mask.reshape(len(prefixes), -1))
+    flags = ("0\n", "1\n")
     with open(path, "w") as fh:
-        fh.write(",".join(heads + ["value", "mask"]) + "\n")
-        # Python floats cost ~32 B per cell, so convert block by block
-        for lo in range(0, cols[0].size, _CSV_BLOCK):
-            fh.writelines(map(row.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in cols)))
+        fh.write(",".join([f"x{a}" for a in range(grid.dim)] + ["value", "mask"]) + "\n")
+        for x0, vals, mask in rows:
+            fh.write("".join([f"{x0}{x1}{v:.17g},{flags[m]}"
+                              for x1, v, m in zip(last, vals.tolist(), mask.tolist())]))

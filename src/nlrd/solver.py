@@ -12,9 +12,10 @@ Scheme notes
   clipping is a no-op for order-respecting data and only guards float drift.
 * ``maximal_solution`` runs the resolvent scheme
   L_B[v_{n+1}] - (k+1) v_{n+1} = -k v_n - f(v_n), v_0 = 1, with
-  k = ceil(max |f'|) + 1. Monotone descent of the iterates needs
-  s -> k s + f(s) increasing, i.e. k >= -min f' (the steep downhill side
-  of f is the binding constraint); the inner linear solve then contracts
+  k = ceil(4 max |f'|) / 4. Monotone descent of the iterates needs
+  s -> k s + f(s) increasing, i.e. k >= -min f' = max |f'| on [0, 1] (the
+  steep downhill side of f is the binding constraint); rounding up to a
+  quarter keeps k and k + 1 exact. The inner linear solve then contracts
   with factor <= 1/(k+1).
 * The inner solves are inexact (Dembo, Eisenstat and Steihaug, SIAM J.
   Numer. Anal. 19, 1982): each stops at an increment of a hundredth of
@@ -428,7 +429,10 @@ def maximal_solution(
     Requires R >= d0 (existence threshold from ``kernel_constants``) and
     ``tol`` >= 1e-13, the floor of the inner solves. ``f`` is evaluated
     through its zero-left extension, under which every iterate stays
-    nonnegative. Each step runs the sweeps of :func:`resolvent_solve`
+    nonnegative. The resolvent shift k is max |f'| = -min f' on [0, 1],
+    the least shift that keeps each step order-preserving, rounded up to a
+    multiple of 1/4 so that k and k + 1 are exact (0.75 on the reference
+    well). Each step runs the sweeps of :func:`resolvent_solve`
     warm-started at v_n with increment tolerance max(1e-13, 0.01 x the
     previous decrease), so the inner accuracy follows the outer progress.
     The sequence is checked to be non-increasing to 1e-12 at every step;
@@ -464,8 +468,9 @@ def maximal_solution(
     full = ball_mask(grid, center, radius)
     fold = _MirrorFold(full, k, deficit=True)
     # iterates stay in [0, 1]; k must dominate the steepest descent of f
-    # there or the scheme loses its ordering
-    kshift = float(math.ceil(f.max_abs_fprime)) + 1.0
+    # there (-min f' = max |f'|) or the scheme loses its ordering. A quarter
+    # multiple is exact in binary, so k and k + 1 carry no rounding.
+    kshift = math.ceil(4.0 * f.max_abs_fprime) / 4.0
     fz = extend(f, "zero-left")
     v, history = _descend(fold, fz.f, kshift, tol, path)
     values = np.zeros(grid.shape)

@@ -265,7 +265,7 @@ def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
     one more convolution; the outer loop stops at a decrease <= tol and a
     last convolution gates the ball residual at 1e-9. Returns (values,
     number of convolutions)."""
-    kshift = float(math.ceil(max_abs_fprime_scan(f))) + 1.0
+    kshift = math.ceil(4.0 * max_abs_fprime_scan(f)) / 4.0
     denom = kshift + 1.0
     convs = 0
 
@@ -314,7 +314,7 @@ def maximal_solution_fullbox(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
     rows (iteration, decrease, worst rise)."""
     from nlrd.convolve import convolve
 
-    kshift = float(math.ceil(max_abs_fprime_scan(f))) + 1.0
+    kshift = math.ceil(4.0 * max_abs_fprime_scan(f)) / 4.0
     denom = kshift + 1.0
     outside = ~bmask
 

@@ -386,6 +386,10 @@ def test_maximal_and_subsolution_commands(tmp_path):
     logs = (out / "iterations.csv").read_text().strip().split("\n")
     assert logs[0] == "iteration,decrease,worst_rise"
     assert len(logs) > 2
+    rep = json.loads((out / "maximal.report.json").read_text())
+    shift = next(c for c in rep["checks"] if c["name"] == "resolvent_shift")
+    # -min f' = 2.25 for theta = 0.25, amplitude 3: already a quarter multiple
+    assert shift["passed"] is None and shift["measured"] == 2.25
     again = tmp_path / "again"
     assert main(["--config", cfg, "--out", str(again), "maximal"]) == 0
     for name in ("maximal.report.json", "maximal.checks.csv", "maximal.csv", "iterations.csv"):

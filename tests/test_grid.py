@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -226,11 +228,41 @@ def test_field_csv_format(tmp_path):
 def test_field_csv_matches_row_writer(tmp_path, dim):
     import oracles
 
-    # 2-D: 6400 cells, more than one write block of the writer
+    # 2-D: 6400 cells in 80 rows of the writer
     g = make_grid([-5.0] * dim, [5.0] * dim, 0.125)
     rng = np.random.default_rng(5)
     mask = rng.uniform(size=g.shape) < 0.7
     f = Field(g, np.where(mask, rng.normal(size=g.shape) / 3.0, 0.0), mask)
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    field_to_csv(f, fast)
+    oracles.field_csv_rows(f, ref)
+    assert fast.read_bytes() == ref.read_bytes()
+
+
+def _csv_case(name):
+    if name == "non_square":
+        # 40 x 12 cells on different extents: swapped axes would show
+        g = make_grid([-2.0, -1.0], [3.0, 0.5], 0.125)
+        rng = np.random.default_rng(6)
+        mask = rng.uniform(size=g.shape) < 0.6
+        return Field(g, rng.normal(size=g.shape), mask)
+    if name in ("specials_2d", "specials_1d"):
+        dim = 2 if name == "specials_2d" else 1
+        g = make_grid([-1.0] * dim, [1.0] * dim, 0.25)
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, -1e300, 0.1]
+        vals = np.resize(np.array(special), g.ncells).reshape(g.shape)
+        return Field(g, vals, np.ones(g.shape, dtype=bool))
+    g = make_grid([-1.0, -0.5], [1.0, 0.5], 0.125)
+    vals = np.random.default_rng(7).normal(size=g.shape)
+    return Field(g, vals, np.full(g.shape, name == "all_in"))
+
+
+@pytest.mark.parametrize("name", ["non_square", "specials_2d", "specials_1d",
+                                  "all_in", "all_out"])
+def test_field_csv_matches_row_writer_edge_cases(tmp_path, name):
+    import oracles
+
+    f = _csv_case(name)
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
     field_to_csv(f, fast)
     oracles.field_csv_rows(f, ref)

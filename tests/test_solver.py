@@ -28,7 +28,7 @@ from nlrd import (
 )
 from nlrd.convolve import convolve
 from nlrd.operators import ball_mask
-from nlrd.solver import _MirrorFold, ball_grid
+from nlrd.solver import _descend, _MirrorFold, ball_grid
 from nlrd.verify import counterexample_field
 
 
@@ -299,6 +299,30 @@ def test_maximal_translation_identity(strong_f):
     assert np.array_equal(np.roll(np.roll(v0.bmask, shift[0], axis=0), shift[1], axis=1),
                           v1.bmask)
     assert np.array_equal(rolled[v1.bmask], v1.values[v1.bmask])
+
+
+@pytest.mark.parametrize("theta, amplitude", [(0.3, 1.0), (0.25, 1.0), (0.2, 2.0),
+                                               (0.1, 0.5), (0.4, 3.0)])
+def test_maximal_resolvent_shift_is_dyadic_at_threshold(theta, amplitude, ball1d):
+    # the shift is -min f' = max |f'| rounded up to a quarter; for
+    # (0.25, 1) the threshold 0.75 is a quarter, so the shift equals it
+    g, k = ball1d
+    f = make_bistable(theta, amplitude)
+    kc = kernel_constants(k, f, [1.0])
+    v = maximal_solution(k, f, [0.0], 10.0, kc.d0, grid=g)
+    threshold = oracles.max_abs_fprime_scan(f)
+    assert 4.0 * v.kshift == math.floor(4.0 * v.kshift)
+    assert threshold <= v.kshift < threshold + 0.25
+
+
+def test_descend_rejects_a_shift_below_the_threshold(ball1d, ref_f):
+    # k = 0.5 < -min f' = 0.7: a resolvent step no longer preserves order,
+    # and the rise gate catches the first iterate that climbs
+    _, k = ball1d
+    full = ball_mask(ball_grid([0.0], 8.0, k.h), [0.0], 8.0)
+    fz = extend(ref_f, "zero-left")
+    with pytest.raises(NumericalFailure, match="resolvent shift too small"):
+        _descend(_MirrorFold(full, k, deficit=True), fz.f, 0.5, 1e-10, "fast")
 
 
 def test_maximal_rejects_tol_below_inner_floor(ball1d, ref_f):
