@@ -14,6 +14,7 @@ from .grid import (
     Field,
     Grid,
     HolderEstimate,
+    HolderTable,
     ball_mask,
     field_to_csv,
     holder_quotient,

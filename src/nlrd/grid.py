@@ -14,7 +14,8 @@ the lattice offsets of a half-plane in increasing length, one vectorised
 pass per offset, and stops once the oscillation of the field over the
 remaining distances cannot beat the running maximum. On a field that is
 mirror-symmetric along an axis it sweeps only the quarter plane, which
-has the same maximum.
+has the same maximum. A :class:`HolderTable` keeps each offset's maximum,
+so the sweeps of several exponents over one field pass each offset once.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "Grid",
     "Field",
     "HolderEstimate",
+    "HolderTable",
     "make_grid",
     "make_field",
     "ball_mask",
@@ -219,7 +221,46 @@ def _half_plane_offsets(shape: tuple, quarter: bool = False) -> np.ndarray:
     return offs[keep]
 
 
-def holder_quotient(u: Field, alpha: float) -> HolderEstimate:
+class HolderTable:
+    """One field's offset maxima, shared by the Hoelder sweeps of every alpha.
+
+    For a lattice offset d, ``max_x |u(x + d) - u(x)|`` over the masked-in
+    pairs, and the number of those pairs, do not depend on alpha. The table
+    computes them the first time any sweep over ``u`` reaches d and hands
+    them to every later sweep. Create one per field and pass it to each
+    :func:`holder_quotient` call on that field.
+    """
+
+    def __init__(self, u: Field):
+        vals = u.masked_in()
+        if vals.size < 2:
+            raise PreconditionError("holder_quotient needs at least 2 masked-in cells")
+        if not np.all(np.isfinite(vals)):
+            raise PreconditionError("holder_quotient needs finite masked-in values")
+        self.field = u
+        self.osc = float(np.max(vals) - np.min(vals))
+        self._w = np.where(u.mask, u.values, np.nan)
+        # equal_nan: the masked-out cells hold NaN, which never equals itself
+        mirrored = u.grid.dim == 2 and any(
+            np.array_equal(self._w, np.flip(self._w, a), equal_nan=True) for a in (0, 1))
+        self.offsets = _half_plane_offsets(u.grid.shape, quarter=mirrored)
+        self.lengths = np.sqrt(np.sum((self.offsets * u.grid.h) ** 2, axis=1))
+        self._maxima: dict = {}
+
+    def offset_max(self, k: int) -> tuple:
+        """``(max |u(x + d) - u(x)|, masked-in pairs)`` for ``d =
+        offsets[k]``; the maximum is NaN when no masked-in pair has it."""
+        hit = self._maxima.get(k)
+        if hit is None:
+            u = self.field
+            here, there = shift_windows(self.offsets[k], u.grid.shape)
+            diff = np.fmax.reduce(np.abs(self._w[there] - self._w[here]), axis=None)
+            hit = (diff, int(np.count_nonzero(u.mask[here] & u.mask[there])))
+            self._maxima[k] = hit
+        return hit
+
+
+def holder_quotient(u: Field, alpha: float, table: HolderTable | None = None) -> HolderEstimate:
     """Discrete C^{0,alpha} seminorm: max |u(x)-u(y)| / |x-y|^alpha over
     masked-in pairs, computed exactly.
 
@@ -238,32 +279,30 @@ def holder_quotient(u: Field, alpha: float) -> HolderEstimate:
     which are the same pairs reversed) with the same ``|u(x) - u(y)|`` and
     the same distance, so the two offsets have the same maximum and the
     value is unchanged to the bit. ``pairs_used`` counts the swept pairs.
+
+    ``table``, a :class:`HolderTable` of ``u``, carries the per-offset
+    maxima from one alpha's sweep to the next. Division by the positive
+    ``|d|^alpha`` is monotone in floating point, and each alpha keeps its
+    own order and cut, so the value and ``pairs_used`` are those of a
+    sweep without the table, to the bit.
     """
     if not (0.0 < alpha <= 1.0):
         raise PreconditionError(f"alpha must lie in (0, 1], got {alpha}")
-    vals = u.masked_in()
-    if vals.size < 2:
-        raise PreconditionError("holder_quotient needs at least 2 masked-in cells")
-    if not np.all(np.isfinite(vals)):
-        raise PreconditionError("holder_quotient needs finite masked-in values")
-    osc = float(np.max(vals) - np.min(vals))
-    w = np.where(u.mask, u.values, np.nan)
-    # equal_nan: the masked-out cells hold NaN, which never equals itself
-    mirrored = u.grid.dim == 2 and any(np.array_equal(w, np.flip(w, a), equal_nan=True)
-                                       for a in (0, 1))
-    offs = _half_plane_offsets(u.grid.shape, quarter=mirrored)
-    den = np.sqrt(np.sum((offs * u.grid.h) ** 2, axis=1)) ** alpha
+    if table is None:
+        table = HolderTable(u)
+    elif table.field is not u:
+        raise PreconditionError("the Hoelder table belongs to another field")
+    den = table.lengths ** alpha
     order = np.argsort(den, kind="stable")
     best = 0.0
     used = 0
     for k in order:
-        if osc / den[k] <= best:
+        if table.osc / den[k] <= best:
             break
-        here, there = shift_windows(offs[k], u.grid.shape)
-        diff = np.fmax.reduce(np.abs(w[there] - w[here]), axis=None)
+        diff, pairs = table.offset_max(k)
         if diff == diff:  # NaN when no masked-in pair has this offset
             best = max(best, float(diff / den[k]))
-            used += int(np.count_nonzero(u.mask[here] & u.mask[there]))
+            used += pairs
     return HolderEstimate(best, True, used)
 
 

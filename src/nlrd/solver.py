@@ -52,11 +52,13 @@ Scheme notes
   iterate is unfolded, and ``converged`` and ``residual_sup`` come from
   one full-box residual convolution of it, so the certificate does not
   rest on the fold.
-* ``front_profile`` relaxes the clamped truncated-line problem. The
-  damped iteration preserves monotonicity in x and converges to the
-  stationary profile of the clamped line; the translation is fixed
-  afterwards by anchoring the coordinate origin at the cell where the
-  profile crosses theta.
+* ``front_profile`` relaxes the clamped truncated-line problem at the step
+  tau = 0.99/(1 - J_1(0) h + max |f'|), 0.99 times the largest step at
+  which the damped sweep is order preserving. The sweep therefore keeps
+  the step datum's monotonicity in x and converges to the stationary
+  profile of the clamped line; the translation is fixed afterwards by
+  anchoring the coordinate origin at the cell where the profile crosses
+  theta.
 """
 
 from __future__ import annotations
@@ -627,27 +629,46 @@ class FrontProfile:
         return out if out.ndim else float(out)
 
 
+def _front_rate(phi: np.ndarray, j1: Kernel, f: Bistable) -> np.ndarray:
+    """J_1 * phi - phi + f(phi) on the direct path: the front sweep's rate
+    and the clamped-line residual."""
+    return convolve(phi, j1, "direct") - phi + f.f(phi)
+
+
+def _front_step(j1: Kernel, f: Bistable) -> float:
+    """0.99 times the largest order-preserving step of the front sweep,
+    1/(1 - J_1(0) h + max |f'|)."""
+    return 0.99 / (1.0 - j1.center_weight * j1.h + f.max_abs_fprime)
+
+
 def front_profile(
     j1: Kernel,
     f: Bistable,
     line_length: float | None = None,
     tol: float = 1e-12,
-    level_shift_delta: float | None = None,
 ) -> FrontProfile:
     """Damped fixed-point iteration for the clamped-line front.
 
     phi <- phi + tau (J_1 * phi - phi + f(phi)) from a step datum, with the
-    end bands clamped to the stable states and tau = 0.5/(1 + max |f'|),
-    on the direct convolution path. The layer drifts to its equilibrium
-    near the invaded end and the iteration converges there: the increment
-    falls to ``tol`` within 400 000 sweeps, and the residual at least
-    2 R_J from the ends is at most 1e-8. The coordinate origin is finally
-    anchored at the theta crossing, which removes the translation degree
-    of freedom without touching the samples.
+    end bands clamped to the stable states, on the direct convolution path.
+    The step is tau = 0.99/(1 - J_1(0) h + max |f'|). In the update of a
+    cell, every other cell enters with the weight tau J_1(z) h >= 0, and,
+    for profiles with values in [0, 1], the cell itself with
+    1 + tau (J_1(0) h - 1 + f'(s)) for some s in [0, 1], which is at
+    least 1 - 0.99 because f' >= -max |f'| there. So one sweep maps an
+    ordered pair of profiles to an ordered pair, and the factor 0.99
+    leaves that diagonal a margin of a hundredth against rounding. The
+    sweep also commutes with a one-cell translation away from the clamped
+    bands, and the step datum is nondecreasing, so every iterate is
+    nondecreasing in x. The returned profile is checked for that, cell by
+    cell, to -1e-12.
 
-    ``level_shift_delta`` builds the shifted profile for
-    f_delta(s) = f(s) - f(1 - delta/2), whose limits are (s_delta,
-    1 - delta/2); used by the uniform-lower-bound machinery.
+    The layer drifts to its equilibrium near the invaded end and the
+    iteration converges there: the increment falls to ``tol`` within
+    400 000 sweeps, and the residual at least 2 R_J from the ends is at
+    most 1e-8. The coordinate origin is finally anchored at the theta
+    crossing, which removes the translation degree of freedom without
+    touching the samples.
     """
     if j1.dim != 1:
         raise PreconditionError("front_profile needs a 1-D kernel (use marginal_j1)")
@@ -659,39 +680,17 @@ def front_profile(
     n = int(round(L / h))
     grid = make_grid([-0.5 * n * h], [0.5 * n * h], h)
 
-    if level_shift_delta is None:
-        lo_state, hi_state = 0.0, 1.0
-        fd = f.f
-        theta_level = f.theta
-        max_fp = f.max_abs_fprime
-    else:
-        delta = float(level_shift_delta)
-        if not (0.0 < delta < 1.0):
-            raise PreconditionError("level shift delta must lie in (0, 1)")
-        fl = extend(f, "linear-tails")
-        shift = float(f.f(1.0 - delta / 2.0))
-        s_delta = shift / float(f.fprime(0.0))
-        lo_state, hi_state = s_delta, 1.0 - delta / 2.0
-
-        def fd(s):
-            return fl.f(s) - shift
-
-        theta_level = 0.0  # the shifted family is normalized by its zero crossing
-        max_fp = float(np.max(np.abs(fl.fprime(np.linspace(lo_state, hi_state, 4001)))))
-
-    tau = 0.5 / (1.0 + max_fp)
+    tau = _front_step(j1, f)
     band = max(int(round(RJ / h)), 1)
     interior = np.zeros(n, dtype=bool)
     interior[band:-band] = True
 
     x = grid.axis_centers(0)
-    phi = np.where(x < 0.0, lo_state, hi_state)
-    phi[:band] = lo_state
-    phi[-band:] = hi_state
+    phi = np.where(x < 0.0, 0.0, 1.0)  # the clamped bands hold 0 and 1
 
     sweeps = 0
     while True:
-        r = convolve(phi, j1, "direct") - phi + fd(phi)
+        r = _front_rate(phi, j1, f)
         inc = tau * float(np.max(np.abs(r[interior])))
         if not math.isfinite(inc):
             raise NumericalFailure(f"front iteration lost finiteness at sweep {sweeps}")
@@ -710,12 +709,12 @@ def front_profile(
 
     wide = np.zeros(n, dtype=bool)
     wide[2 * band : -2 * band] = True
-    r = convolve(phi, j1, "direct") - phi + fd(phi)
+    r = _front_rate(phi, j1, f)
     res_sup = float(np.max(np.abs(r[wide])))
     if res_sup > 1e-8:
         raise NumericalFailure(f"front residual {res_sup:.3e} > 1e-08")
 
-    pin = int(np.searchsorted(phi, theta_level))
+    pin = int(np.searchsorted(phi, f.theta))
     pin = min(max(pin, 0), n - 1)
     anchored = make_grid([-(pin + 0.5) * h], [(n - pin - 0.5) * h], h)
     return FrontProfile(
@@ -725,7 +724,6 @@ def front_profile(
         residual_sup=res_sup,
         left_value=float(phi[0]),
         right_value=float(phi[-1]),
-        limits=(lo_state, hi_state),
         source_kernel=j1,
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .convolve import convolve, convolve_at
 from .errors import NumericalFailure, PreconditionError
-from .grid import Field, Grid, holder_quotient, shift_windows
+from .grid import Field, Grid, HolderTable, holder_quotient, shift_windows
 from .kernels import Kernel, KernelConstants, marginal_j1
 from .nonlinearity import Bistable
 from .obstacles import DeformationFamily, build_obstacle, jmass
@@ -244,12 +244,15 @@ def bounds_suite(
     maxfp = p.f.max_fprime
     h = p.grid.h
 
+    table = None  # one Hoelder offset sweep for every alpha
     for alpha in alphas:
         nik = kc.nikolskii.get(float(alpha))
         if nik is None or not math.isfinite(nik):
             rep.add(f"holder_alpha_{alpha}", None, note="skipped: no Nikolskii constant")
             continue
-        est = holder_quotient(u, alpha)
+        if table is None:
+            table = HolderTable(u)
+        est = holder_quotient(u, alpha, table)
         lhs = (min_j - maxfp) * est.value
         slack = holder_slack(h, alpha, nik)
         bound = 2.0 * nik + slack
@@ -266,6 +269,7 @@ def bounds_suite(
                 f"holder_alpha_{alpha}", lhs <= bound, lhs, bound, slack,
                 note=f"quotient {est.value:.6g} (exact)",
             )
+    del table  # as large as the field's offsets: gone before the radial checks
 
     # smallest r0 with phi(|x| - r0) <= u everywhere (bisection over the grid)
     meshes = u.grid.meshes()
@@ -661,7 +665,8 @@ def _chain_steps(p: Problem) -> int | None:
     """Annulus dilations needed to cover the component of the domain that
     holds a deep interior cell (full-support adjacency), within
     4 max(counts) - 1 of them; None if they do not cover it."""
-    start = tuple(np.argwhere(p.interior_mask)[0])
+    # the first interior cell in row-major order, without listing them all
+    start = np.unravel_index(np.argmax(p.interior_mask), p.interior_mask.shape)
     full = p.kernel.weights > 0
     full[(p.kernel.reach,) * p.kernel.dim] = False
     offsets = np.argwhere(full) - p.kernel.reach
@@ -698,11 +703,23 @@ def _bfs(domain: np.ndarray, start: tuple, deltas: np.ndarray, max_steps=None) -
 
 
 def _dilate(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mask)
+    """Cells of ``domain`` that a cell of ``mask`` reaches by one offset.
+    Only the bounding box of ``mask``, grown by the largest offset, can be
+    reached, so the shifts run inside that window."""
+    grow = np.max(np.abs(deltas), axis=0)
+    window = []
+    for a, g in enumerate(grow):
+        hit = np.flatnonzero(np.any(mask, axis=tuple(b for b in range(mask.ndim) if b != a)))
+        window.append(slice(max(hit[0] - g, 0), hit[-1] + g + 1))
+    window = tuple(window)
+    sub = mask[window]
+    reach = np.zeros_like(sub)
     for d in deltas:
-        here, there = shift_windows(d, mask.shape)
-        out[there] |= mask[here]
-    return out & domain
+        here, there = shift_windows(d, sub.shape)
+        reach[there] |= sub[here]
+    out = np.zeros_like(mask)
+    out[window] = reach & domain[window]
+    return out
 
 
 def _sweeping_checks(rep, p, u_ref, subsol, trials) -> None:
@@ -811,8 +828,9 @@ def robustness_experiment(
         )
         if ok and (empirical is None or e > empirical):
             empirical = e
+        table = HolderTable(res.u)  # one Hoelder offset sweep for every alpha
         for a in alphas:
-            est = holder_quotient(res.u, a)
+            est = holder_quotient(res.u, a, table)
             slack = holder_slack(grid.h, a, kc.nikolskii[float(a)])
             rep.add(
                 f"eps_{e}_holder_alpha_{a}",
@@ -822,6 +840,7 @@ def robustness_experiment(
                 slack,
                 note=f"A = {A[a]:.6g} uniform in eps",
             )
+        del table  # gone before the next evolve
     rep.add("empirical_eps0", empirical is not None,
             empirical if empirical is not None else "none",
             note="largest deformation in the grid that still certifies u = 1")

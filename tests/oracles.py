@@ -143,6 +143,17 @@ def shifted_l1_tophat_axis(kernel, cells: int) -> float:
     return float(np.sum(np.abs(moved - big))) * kernel.h**2
 
 
+def dilate_box(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndarray:
+    """Cells of ``domain`` one offset away from a cell of ``mask``, each
+    offset applied to the whole box."""
+    out = np.zeros_like(mask)
+    for d in deltas:
+        src = tuple(slice(max(-int(di), 0), n - max(int(di), 0)) for di, n in zip(d, mask.shape))
+        dst = tuple(slice(max(int(di), 0), n - max(-int(di), 0)) for di, n in zip(d, mask.shape))
+        out[dst] |= mask[src]
+    return out & domain
+
+
 def holder_quotient_pairs(u, alpha: float) -> float:
     """max |u(x)-u(y)| / |x-y|^alpha over all masked-in pairs, one source
     cell at a time, with the distance sqrt((di h)^2 + (dj h)^2)."""

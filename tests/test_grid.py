@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import nlrd.grid as grid_mod
 from nlrd import (
     Field,
+    HolderTable,
     PreconditionError,
     field_to_csv,
     holder_quotient,
@@ -175,6 +177,45 @@ def test_holder_quotient_mirror_pruning_is_exact(axis, alpha):
     full = holder_quotient(skew, alpha)
     assert full.value == oracles.holder_quotient_pairs(skew, alpha)
     assert full.pairs_used > 1.5 * est.pairs_used
+
+
+@pytest.mark.parametrize("alphas", [(0.5, 1.0), (1.0, 0.5)])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_holder_table_matches_independent_sweeps(symmetric, alphas, monkeypatch):
+    g = make_grid([-2, -2], [2, 2], 1 / 16)
+    if symmetric:  # bit-symmetric along axis 0: the quarter plane is swept
+        fn = lambda x, y: 0.3 * x * x + np.sin(2 * y)
+    else:
+        fn = lambda x, y: np.tanh(3 * x) + 0.5 * np.sin(2 * y + 0.3)
+    f = make_field(g, fn, mask=_hole)
+    windows = []
+
+    def counting(d, shape):
+        windows.append(1)
+        return shift_windows(d, shape)
+
+    monkeypatch.setattr(grid_mod, "shift_windows", counting)
+    alone, passes = [], []
+    for a in alphas:
+        alone.append(holder_quotient(f, a))
+        passes.append(len(windows))
+        windows.clear()
+    table = HolderTable(f)
+    assert bool(np.all(table.offsets[:, 1] >= 0)) == symmetric
+    shared = [holder_quotient(f, a, table) for a in alphas]
+    for est, ref in zip(shared, alone):
+        assert est.value == ref.value
+        assert est.pairs_used == ref.pairs_used
+    # each offset is passed over once, for whichever exponent reaches it first
+    assert max(passes) <= len(windows) < sum(passes)
+
+
+def test_holder_table_rejects_another_field():
+    g = make_grid([-1, -1], [1, 1], 0.25)
+    f = make_field(g, lambda x, y: x + y)
+    table = HolderTable(f)
+    with pytest.raises(PreconditionError, match="another field"):
+        holder_quotient(f.with_values(f.values * 2.0), 0.5, table)
 
 
 @pytest.mark.parametrize("shape,d", [

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from nlrd import (
     principal_eigenvalue,
     resolvent_solve,
 )
+from nlrd.config import build_pieces, load_config
 from nlrd.convolve import convolve
 from nlrd.operators import ball_mask
-from nlrd.solver import _descend, _MirrorFold, ball_grid
+import nlrd.solver as solver_mod
+from nlrd.solver import _descend, _front_rate, _front_step, _MirrorFold, ball_grid
 from nlrd.verify import counterexample_field
 
 
@@ -584,16 +587,49 @@ def test_front_rejects_short_line(kq8, ref_f):
         front_profile(j1, ref_f, line_length=10.0)
 
 
-def test_shifted_front_family(kq8, ref_f):
+def test_front_step_preserves_order(kq8, ref_f):
     j1 = marginal_j1(kq8)
-    delta = 0.2
-    phi = front_profile(j1, ref_f, level_shift_delta=delta)
-    s_delta = float(ref_f.f(1.0 - delta / 2.0)) / float(ref_f.fprime(0.0))
-    assert s_delta < 0.0
-    assert abs(phi.left_value - s_delta) <= 1e-3
-    assert abs(phi.right_value - (1.0 - delta / 2.0)) <= 1e-3
-    assert float(np.min(np.diff(phi.values))) > -1e-12
-    assert phi.residual_sup <= 1e-8
+    tau = _front_step(j1, ref_f)
+    assert tau == 0.99 / (1.0 - j1.center_weight * j1.h + ref_f.max_abs_fprime)
+
+    def sweep(v, step):
+        return v + step * _front_rate(v, j1, ref_f)
+
+    # an ordered pair in [0, 1]: equal on half the cells and on saturated
+    # ends at 0 and 1, at least 1e-3 apart on the rest
+    rng = np.random.default_rng(11)
+    n = 400
+    phi = rng.uniform(0.0, 0.9, n)
+    psi = np.where(rng.random(n) < 0.5, phi, phi + rng.uniform(1e-3, 0.1, n))
+    phi[:20] = psi[:20] = 0.0
+    phi[-20:] = psi[-20:] = 1.0
+    assert np.all(sweep(phi, tau) <= sweep(psi, tau))
+
+    # one cell below a saturated line: at the certified step it stays
+    # below, at 1.5 times the order-preserving bound it overtakes the line
+    line = np.ones(n)
+    dip = line.copy()
+    dip[n // 2] = 1.0 - 1e-3
+    assert np.all(sweep(dip, tau) <= sweep(line, tau))
+    over = sweep(dip, 1.5 * tau / 0.99) - sweep(line, 1.5 * tau / 0.99)
+    assert over[n // 2] > 0.0
+
+
+def test_liouville_disk_front_sweeps(monkeypatch):
+    cfg = load_config(str(Path(__file__).parents[1] / "configs" / "liouville_disk.ini"))
+    _, kernel, f = build_pieces(cfg)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "convolve", counting)
+    phi = front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
+                        tol=cfg["front"]["tol"])
+    # one convolution per sweep, plus the stopping sweep and the residual
+    assert len(calls) <= 2700
+    assert phi.pin_index == 8
 
 
 # ---------------------------------------------------------------------------

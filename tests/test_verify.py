@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from nlrd import (
     KernelProfile,
     PreconditionError,
@@ -212,6 +213,24 @@ def test_comparison_suite_small(small_problem, phi_ref):
     assert names["strong_annulus_detection"].passed is True
     assert names["strong_chain_covers"].passed is True
     assert names["weak_plane_wave_subsolution"].passed is True
+
+
+def test_chain_window_dilation_matches_whole_box(disk_problem):
+    # the liouville_disk.ini domain: every BFS step dilates its frontier to
+    # the same cells as a whole-box dilation, and the chain takes 45 steps
+    p = disk_problem
+    offsets = verify_mod._annulus_offsets(p.kernel)
+    reached = np.zeros_like(p.domain_mask)
+    reached[tuple(np.argwhere(p.interior_mask)[0])] = True
+    frontier = reached.copy()
+    steps = 0
+    while np.any(frontier):
+        grown = verify_mod._dilate(frontier, offsets, p.domain_mask)
+        assert np.array_equal(grown, oracles.dilate_box(frontier, offsets, p.domain_mask))
+        frontier = grown & ~reached
+        reached |= frontier
+        steps += np.any(frontier)
+    assert steps == verify_mod._chain_steps(p) == 45
 
 
 def test_comparison_suite_ring_kernel_chain(ref_f):
