@@ -130,10 +130,8 @@ def cmd_front(cfg, args) -> Report:
                         tol=cfg["front"]["tol"])
     rep = Report("front")
     rep.add("residual_off_bands", phi.residual_sup <= 1e-8, phi.residual_sup, 0.0, 1e-8)
-    rep.add("left_limit", abs(phi.left_value - phi.limits[0]) <= 1e-3,
-            phi.left_value, phi.limits[0], 1e-3)
-    rep.add("right_limit", abs(phi.right_value - phi.limits[1]) <= 1e-3,
-            phi.right_value, phi.limits[1], 1e-3)
+    rep.add("left_limit", abs(phi.left_value) <= 1e-3, phi.left_value, 0.0, 1e-3)
+    rep.add("right_limit", abs(phi.right_value - 1.0) <= 1e-3, phi.right_value, 1.0, 1e-3)
     rep.tables["front"] = (("x", "phi"), list(zip(phi.coords(), phi.values)))
     return rep
 

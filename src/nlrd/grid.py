@@ -14,8 +14,10 @@ the lattice offsets of a half-plane in increasing length, one vectorised
 pass per offset, and stops once the oscillation of the field over the
 remaining distances cannot beat the running maximum. On a field that is
 mirror-symmetric along an axis it sweeps only the quarter plane, which
-has the same maximum. A :class:`HolderTable` keeps each offset's maximum,
-so the sweeps of several exponents over one field pass each offset once.
+has the same maximum, and on one symmetric along both axes it takes each
+offset's maximum over half of its window. A :class:`HolderTable` keeps
+each offset's maximum, so the sweeps of several exponents over one field
+pass each offset once.
 """
 
 from __future__ import annotations
@@ -241,20 +243,28 @@ class HolderTable:
         self.osc = float(np.max(vals) - np.min(vals))
         self._w = np.where(u.mask, u.values, np.nan)
         # equal_nan: the masked-out cells hold NaN, which never equals itself
-        mirrored = u.grid.dim == 2 and any(
-            np.array_equal(self._w, np.flip(self._w, a), equal_nan=True) for a in (0, 1))
-        self.offsets = _half_plane_offsets(u.grid.shape, quarter=mirrored)
+        mirrors = [u.grid.dim == 2
+                   and np.array_equal(self._w, np.flip(self._w, a), equal_nan=True)
+                   for a in (0, 1)]
+        self.point_symmetric = all(mirrors)
+        self.offsets = _half_plane_offsets(u.grid.shape, quarter=any(mirrors))
         self.lengths = np.sqrt(np.sum((self.offsets * u.grid.h) ** 2, axis=1))
         self._maxima: dict = {}
 
     def offset_max(self, k: int) -> tuple:
         """``(max |u(x + d) - u(x)|, masked-in pairs)`` for ``d =
-        offsets[k]``; the maximum is NaN when no masked-in pair has it."""
+        offsets[k]``; the maximum is NaN when no masked-in pair has it.
+        On a point-symmetric field the maximum is taken over the first
+        half of the window's rows, and the pairs are counted on all of it."""
         hit = self._maxima.get(k)
         if hit is None:
             u = self.field
             here, there = shift_windows(self.offsets[k], u.grid.shape)
-            diff = np.fmax.reduce(np.abs(self._w[there] - self._w[here]), axis=None)
+            ahead, behind = self._w[there], self._w[here]
+            if self.point_symmetric:  # the window equals its 180-degree rotation
+                rows = (ahead.shape[0] + 1) // 2
+                ahead, behind = ahead[:rows], behind[:rows]
+            diff = np.fmax.reduce(np.abs(ahead - behind), axis=None)
             hit = (diff, int(np.count_nonzero(u.mask[here] & u.mask[there])))
             self._maxima[k] = hit
         return hit
@@ -279,6 +289,14 @@ def holder_quotient(u: Field, alpha: float, table: HolderTable | None = None) ->
     which are the same pairs reversed) with the same ``|u(x) - u(y)|`` and
     the same distance, so the two offsets have the same maximum and the
     value is unchanged to the bit. ``pairs_used`` counts the swept pairs.
+
+    When the field and its mask are mirror-symmetric to the bit along
+    both axes, they equal their own 180-degree rotation, which maps the
+    pair ``(x, x + d)`` to the pair ``(x', x' + d)`` with ``x' + d`` the
+    image of ``x``. So each offset's window of ``|u(x + d) - u(x)|`` equals
+    its own rotation, bit for bit (``|a - b|`` and ``|b - a|`` round
+    alike), and its maximum is taken over the first ``ceil(rows / 2)``
+    rows of the window only. ``pairs_used`` still counts the whole window.
 
     ``table``, a :class:`HolderTable` of ``u``, carries the per-offset
     maxima from one alpha's sweep to the next. Division by the positive

@@ -31,7 +31,7 @@ __all__ = [
 _SCAN_POINTS = 10_000
 _SCAN_TOL = 1e-10
 
-EXTENSION_MODES = ("odd", "linear-tails", "zero-left")
+EXTENSION_MODES = ("odd", "zero-left")
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,9 @@ def make_bistable(theta: float, amplitude: float = 1.0) -> Bistable:
 class ExtendedNonlinearity:
     """Extension of a bistable f to the whole line.
 
-    Modes: ``odd`` (-f(-s) to the left, f'(1)(s-1) to the right),
-    ``linear-tails`` (f'(0) s / f'(1)(s-1)), and ``zero-left``
-    (0 to the left, f'(1)(s-1) to the right). All agree with the base
-    on [0, 1] exactly.
+    Modes: ``odd`` (-f(-s) to the left, f'(1)(s-1) to the right) and
+    ``zero-left`` (0 to the left, f'(1)(s-1) to the right). Both agree
+    with the base on [0, 1] exactly.
     """
 
     base: Bistable
@@ -151,7 +150,6 @@ class ExtendedNonlinearity:
         if s.ndim and s.size and 0.0 <= s.min() and s.max() <= 1.0:
             # the general path below reduces to base.f(s) here; NaN fails the test
             return np.asarray(base.f(s), dtype=np.float64)
-        fp0 = float(base.fprime(0.0))
         mid = base.f(np.clip(s, 0.0, 1.0))
         hi = self._upper(s)
         out = np.where(s > 1.0, hi, mid)
@@ -159,25 +157,6 @@ class ExtendedNonlinearity:
             # reflect the full upper-half extension
             refl = np.where(-s > 1.0, self._upper(-s), base.f(np.clip(-s, 0.0, 1.0)))
             lo = -refl
-        elif self.mode == "linear-tails":
-            lo = fp0 * s
-        else:
-            lo = np.zeros_like(s)
-        out = np.where(s < 0.0, lo, out)
-        return out if out.ndim else float(out)
-
-    def fprime(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        base = self.base
-        fp1 = float(base.fprime(1.0))
-        fp0 = float(base.fprime(0.0))
-        mid = base.fprime(np.clip(s, 0.0, 1.0))
-        out = np.where(s > 1.0, fp1, mid)
-        if self.mode == "odd":
-            refl = np.where(-s > 1.0, fp1, base.fprime(np.clip(-s, 0.0, 1.0)))
-            lo = refl
-        elif self.mode == "linear-tails":
-            lo = np.full_like(s, fp0)
         else:
             lo = np.zeros_like(s)
         out = np.where(s < 0.0, lo, out)
@@ -189,15 +168,12 @@ class ExtendedNonlinearity:
         base = self.base
         F1 = base.int_f
         fp1 = float(base.fprime(1.0))
-        fp0 = float(base.fprime(0.0))
         tc = np.clip(np.abs(t) if self.mode == "odd" else t, 0.0, 1.0)
         mid = base.antiderivative(tc)
         s_eff = np.abs(t) if self.mode == "odd" else t
         hi = F1 + 0.5 * fp1 * (s_eff - 1.0) ** 2
         out = np.where(s_eff > 1.0, hi, mid)
-        if self.mode == "linear-tails":
-            out = np.where(t < 0.0, 0.5 * fp0 * t**2, out)
-        elif self.mode == "zero-left":
+        if self.mode == "zero-left":
             out = np.where(t < 0.0, 0.0, out)
         return out if out.ndim else float(out)
 

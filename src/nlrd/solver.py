@@ -616,7 +616,6 @@ class FrontProfile:
     residual_sup: float      # over cells at least 2 R_J from the ends
     left_value: float
     right_value: float
-    limits: tuple = (0.0, 1.0)
     source_kernel: Kernel | None = None  # the 1-D kernel it solves against
 
     def coords(self) -> np.ndarray:
@@ -624,8 +623,7 @@ class FrontProfile:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        out = np.interp(t, self.coords(), self.values,
-                        left=self.limits[0], right=self.limits[1])
+        out = np.interp(t, self.coords(), self.values, left=0.0, right=1.0)
         return out if out.ndim else float(out)
 
 
@@ -663,10 +661,23 @@ def front_profile(
     nondecreasing in x. The returned profile is checked for that, cell by
     cell, to -1e-12.
 
-    The layer drifts to its equilibrium near the invaded end and the
-    iteration converges there: the increment falls to ``tol`` within
-    400 000 sweeps, and the residual at least 2 R_J from the ends is at
-    most 1e-8. The coordinate origin is finally anchored at the theta
+    The datum is 0 on the first ``s = min(n // 2, ceil(4 band / sqrt(a)))``
+    cells and 1 after them, with ``band = round(R_J / h)`` cells and the
+    amplitude ``a`` of f. The integral of f over [0, 1] is positive, so 1
+    invades: the layer drifts left and comes to rest against the left
+    clamp, a few cells past it. Starting it ``4 / sqrt(a)`` clamp widths
+    in (the layer widens as ``a`` falls) rather than mid-line skips the
+    long drift, and it still arrives at its resting place from the right.
+    The iterates near the stop therefore still rise, so the stopped
+    profile lies on the sub-solution side up to rounding, which the
+    plane-wave sub-solutions built from it need. A start at the clamp, or
+    a fixed two or four R_J from it, can settle from the other side for a
+    small amplitude. The ``n // 2`` cap keeps the centred step for very
+    flat wells (``a <= 0.0016`` on the shortest line, 200 R_J).
+
+    The iteration stops once the increment falls to ``tol``, within
+    400 000 sweeps, and the residual at least 2 R_J from the ends must be
+    at most 1e-8. The coordinate origin is finally anchored at the theta
     crossing, which removes the translation degree of freedom without
     touching the samples.
     """
@@ -678,15 +689,16 @@ def front_profile(
     if L < 200.0 * RJ - 1e-12:
         raise PreconditionError(f"truncated line must be at least 200 R_J = {200*RJ}")
     n = int(round(L / h))
-    grid = make_grid([-0.5 * n * h], [0.5 * n * h], h)
+    make_grid([-0.5 * n * h], [0.5 * n * h], h)  # rejects an oversized line up front
 
     tau = _front_step(j1, f)
     band = max(int(round(RJ / h)), 1)
     interior = np.zeros(n, dtype=bool)
     interior[band:-band] = True
 
-    x = grid.axis_centers(0)
-    phi = np.where(x < 0.0, 0.0, 1.0)  # the clamped bands hold 0 and 1
+    start = min(n // 2, math.ceil(4.0 * band / math.sqrt(f.amplitude)))
+    phi = np.ones(n)
+    phi[:start] = 0.0  # the clamped bands hold 0 and 1
 
     sweeps = 0
     while True:

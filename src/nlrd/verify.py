@@ -537,7 +537,7 @@ def plane_wave(p: Problem, phi: FrontProfile, axis: int, r_cells: int) -> Field:
     vals = np.empty(grid.shape)
     inside = (idx >= 0) & (idx < coords.size)
     vals[inside] = phi.values[np.clip(idx, 0, coords.size - 1)][inside]
-    vals[~inside] = np.where(idx[~inside] < 0, phi.limits[0], phi.limits[1])
+    vals[~inside] = np.where(idx[~inside] < 0, 0.0, 1.0)
     return Field(grid, vals, p.domain_mask)
 
 

@@ -179,6 +179,36 @@ def test_holder_quotient_mirror_pruning_is_exact(axis, alpha):
     assert full.pairs_used > 1.5 * est.pairs_used
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_holder_half_window_on_point_symmetric_field(alpha):
+    import oracles
+
+    # mirror-symmetric to the bit along both axes around a hole: each
+    # offset's maximum is taken over half of its window
+    g = make_grid([-2, -2], [2, 2], 1 / 16)
+    f = make_field(g, lambda x, y: np.tanh(3 * x * x) + 0.3 * y * y - 0.1 * x * x * y * y,
+                   mask=_hole)
+    half = HolderTable(f)
+    assert half.point_symmetric
+    full = HolderTable(f)
+    full.point_symmetric = False
+    assert np.array_equal(half.offsets, full.offsets)
+    for k in range(len(half.offsets)):
+        (a, pa), (b, pb) = half.offset_max(k), full.offset_max(k)
+        assert pa == pb
+        assert a.tobytes() == b.tobytes()
+    est = holder_quotient(f, alpha, half)
+    assert est.value == oracles.holder_quotient_pairs(f, alpha)
+    assert est.pairs_used == holder_quotient(f, alpha, full).pairs_used
+
+    # symmetric along one mirror only: full windows
+    one = make_field(g, lambda x, y: 0.3 * x * x + np.sin(2 * y), mask=_hole)
+    table = HolderTable(one)
+    assert not table.point_symmetric
+    assert bool(np.all(table.offsets[:, 1] >= 0))
+    assert holder_quotient(one, alpha, table).value == oracles.holder_quotient_pairs(one, alpha)
+
+
 @pytest.mark.parametrize("alphas", [(0.5, 1.0), (1.0, 0.5)])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_holder_table_matches_independent_sweeps(symmetric, alphas, monkeypatch):

@@ -628,8 +628,33 @@ def test_liouville_disk_front_sweeps(monkeypatch):
     phi = front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
                         tol=cfg["front"]["tol"])
     # one convolution per sweep, plus the stopping sweep and the residual
-    assert len(calls) <= 2700
+    assert len(calls) <= 300
     assert phi.pin_index == 8
+
+
+@pytest.mark.parametrize("theta,amplitude", [
+    (theta, amplitude) for theta in (0.05, 0.3, 0.45) for amplitude in (0.1, 1.0, 3.0)
+] + [(0.3, 0.01)])
+def test_front_start_near_clamp_matches_centred_step(kq8, theta, amplitude, monkeypatch):
+    # (0.3, 0.01): a start fixed at 4 R_J from the clamp settles on the
+    # super-solution side there; the start of 4/sqrt(a) clamp widths does not
+    j1 = marginal_j1(kq8)
+    f = make_bistable(theta, amplitude)
+    ref, ref_sweeps = oracles.front_from_centred_step(j1, f)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "convolve", counting)
+    phi = front_profile(j1, f)
+    assert phi.pin_index == int(np.searchsorted(ref, theta))
+    assert float(np.max(np.abs(phi.values - ref))) <= 1e-11
+    band = max(int(round(j1.radius / j1.h)), 1)
+    r = convolve(phi.values, j1, "direct") - phi.values + f.f(phi.values)
+    assert float(np.min(r[:-band])) >= -1e-14  # sub-solution off the far end
+    assert len(calls) - 2 < ref_sweeps
 
 
 # ---------------------------------------------------------------------------
