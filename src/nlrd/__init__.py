@@ -22,7 +22,7 @@ from .grid import (
     make_grid,
 )
 from .kernels import Kernel, KernelConstants, KernelProfile, build_kernel, kernel_constants, marginal_j1
-from .nonlinearity import Bistable, ExtendedNonlinearity, extend, make_bistable
+from .nonlinearity import Bistable, ExtendedNonlinearity, even_potential, make_bistable
 from .obstacles import (
     DeformationFamily,
     Obstacle,
@@ -30,7 +30,6 @@ from .obstacles import (
     build_obstacle,
     deformation_family,
     jmass,
-    thicken,
 )
 from .operators import Problem, apply_L, residual
 from .solver import (
@@ -44,7 +43,6 @@ from .solver import (
     evolve_ball,
     front_profile,
     maximal_solution,
-    principal_eigenvalue,
     resolvent_solve,
 )
 from .verify import (

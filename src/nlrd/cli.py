@@ -56,14 +56,15 @@ def _write_table(path, header, rows) -> None:
             fh.write(",".join(f"{v}" if isinstance(v, int) else f"{v:.17g}" for v in row) + "\n")
 
 
+def _front(cfg, kernel, f):
+    """The clamped-line front of ``[front]`` against the kernel's marginal."""
+    return front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
+                         tol=cfg["front"]["tol"])
+
+
 def _phi_and_constants(cfg, kernel, f):
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
-    phi = front_profile(
-        marginal_j1(kernel), f,
-        line_length=cfg["front"]["line_length"],
-        tol=cfg["front"]["tol"],
-    )
-    return phi, kc
+    return _front(cfg, kernel, f), kc
 
 
 def _ball(cfg, args):
@@ -126,12 +127,12 @@ def cmd_maximal(cfg, args) -> Report:
 
 def cmd_front(cfg, args) -> Report:
     _, kernel, f = build_pieces(cfg)
-    phi = front_profile(marginal_j1(kernel), f, line_length=cfg["front"]["line_length"],
-                        tol=cfg["front"]["tol"])
+    phi = _front(cfg, kernel, f)
+    left, right = float(phi.values[0]), float(phi.values[-1])
     rep = Report("front")
     rep.add("residual_off_bands", phi.residual_sup <= 1e-8, phi.residual_sup, 0.0, 1e-8)
-    rep.add("left_limit", abs(phi.left_value) <= 1e-3, phi.left_value, 0.0, 1e-3)
-    rep.add("right_limit", abs(phi.right_value - 1.0) <= 1e-3, phi.right_value, 1.0, 1e-3)
+    rep.add("left_limit", abs(left) <= 1e-3, left, 0.0, 1e-3)
+    rep.add("right_limit", abs(right - 1.0) <= 1e-3, right, 1.0, 1e-3)
     rep.tables["front"] = (("x", "phi"), list(zip(phi.coords(), phi.values)))
     return rep
 
@@ -263,8 +264,13 @@ def main(argv=None) -> int:
     stem = _stem(args)
     out = args.out
     try:
+        if args.seed < 0:
+            raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise PreconditionError(f"--out {out!r} cannot be a directory: {exc.strerror}") from exc
         rep = HANDLERS[stem](cfg, args)
         rep.config = resolve(cfg)
         rep.meta["package_version"] = __version__

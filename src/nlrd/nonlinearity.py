@@ -7,9 +7,10 @@ closed forms for every derived constant.
 A :class:`Bistable` validates itself on construction, by dense scan (1e4
 points, tolerance 1e-10) plus closed-form critical points; every rejection
 names the violated clause. It is the one nonlinearity type passed between
-modules: solutions stay in [0, 1], where every extension agrees with it,
-and a solver that evaluates ``f`` off [0, 1] builds the extension it needs
-with :func:`extend`.
+modules: solutions stay in [0, 1], where every extension agrees with it.
+Off [0, 1] the resolvent and parabolic ball solvers evaluate the zero-left
+:class:`ExtendedNonlinearity`, and the energy takes the even potential
+:func:`even_potential`, the antiderivative of the odd extension.
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ __all__ = [
     "Bistable",
     "ExtendedNonlinearity",
     "make_bistable",
-    "extend",
-    "EXTENSION_MODES",
+    "even_potential",
 ]
 
 _SCAN_POINTS = 10_000
 _SCAN_TOL = 1e-10
-
-EXTENSION_MODES = ("odd", "zero-left")
 
 
 @dataclass(frozen=True)
@@ -125,24 +123,10 @@ def make_bistable(theta: float, amplitude: float = 1.0) -> Bistable:
 
 @dataclass(frozen=True)
 class ExtendedNonlinearity:
-    """Extension of a bistable f to the whole line.
-
-    Modes: ``odd`` (-f(-s) to the left, f'(1)(s-1) to the right) and
-    ``zero-left`` (0 to the left, f'(1)(s-1) to the right). Both agree
-    with the base on [0, 1] exactly.
-    """
+    """Zero-left extension of a bistable f to the whole line: 0 to the left
+    of 0, f'(1)(s-1) to the right of 1, and the base itself on [0, 1]."""
 
     base: Bistable
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in EXTENSION_MODES:
-            raise PreconditionError(f"unknown extension mode {self.mode!r}")
-
-    def _upper(self, s):
-        # shared right tail: f'(1) (s - 1)
-        fp1 = float(self.base.fprime(1.0))
-        return fp1 * (s - 1.0)
 
     def f(self, s):
         s = np.asarray(s, dtype=np.float64)
@@ -151,32 +135,19 @@ class ExtendedNonlinearity:
             # the general path below reduces to base.f(s) here; NaN fails the test
             return np.asarray(base.f(s), dtype=np.float64)
         mid = base.f(np.clip(s, 0.0, 1.0))
-        hi = self._upper(s)
+        hi = float(base.fprime(1.0)) * (s - 1.0)
         out = np.where(s > 1.0, hi, mid)
-        if self.mode == "odd":
-            # reflect the full upper-half extension
-            refl = np.where(-s > 1.0, self._upper(-s), base.f(np.clip(-s, 0.0, 1.0)))
-            lo = -refl
-        else:
-            lo = np.zeros_like(s)
-        out = np.where(s < 0.0, lo, out)
-        return out if out.ndim else float(out)
-
-    def antiderivative(self, t):
-        """F(t) = int_0^t of this extension; even in t for the odd mode."""
-        t = np.asarray(t, dtype=np.float64)
-        base = self.base
-        F1 = base.int_f
-        fp1 = float(base.fprime(1.0))
-        tc = np.clip(np.abs(t) if self.mode == "odd" else t, 0.0, 1.0)
-        mid = base.antiderivative(tc)
-        s_eff = np.abs(t) if self.mode == "odd" else t
-        hi = F1 + 0.5 * fp1 * (s_eff - 1.0) ** 2
-        out = np.where(s_eff > 1.0, hi, mid)
-        if self.mode == "zero-left":
-            out = np.where(t < 0.0, 0.0, out)
+        out = np.where(s < 0.0, np.zeros_like(s), out)
         return out if out.ndim else float(out)
 
 
-def extend(b: Bistable, mode: str) -> ExtendedNonlinearity:
-    return ExtendedNonlinearity(base=b, mode=mode)
+def even_potential(b: Bistable, t):
+    """F(|t|) with F = int_0 f on [0, 1] and the quadratic tail
+    int_0^1 f + f'(1)(|t| - 1)^2 / 2 past 1: the antiderivative of the odd
+    extension of f, which is even in t."""
+    t = np.asarray(t, dtype=np.float64)
+    a = np.abs(t)
+    mid = b.antiderivative(np.clip(a, 0.0, 1.0))
+    hi = b.int_f + 0.5 * float(b.fprime(1.0)) * (a - 1.0) ** 2
+    out = np.where(a > 1.0, hi, mid)
+    return out if out.ndim else float(out)

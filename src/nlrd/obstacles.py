@@ -29,7 +29,6 @@ __all__ = [
     "PsiSpec",
     "DeformationFamily",
     "build_obstacle",
-    "thicken",
     "deformation_family",
     "jmass",
     "convex_hull_mask",
@@ -222,31 +221,6 @@ def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -
     if convex and np.any(mask) and not _is_discrete_convex(grid, mask):
         raise PreconditionError(f"family {family!r} mask failed the hull test")
     return Obstacle(grid=grid, mask_K=mask, family=family, params=params, convex=convex)
-
-
-def thicken(K: Obstacle, delta: float) -> Obstacle:
-    """K_delta: cells within Euclidean distance delta of a K cell center,
-    kept 1.5 from the box boundary."""
-    if delta < 0.0:
-        raise PreconditionError(f"thickening width must be >= 0, got {delta}")
-    if delta == 0.0 or not np.any(K.mask_K):
-        return Obstacle(K.grid, K.mask_K, K.family, dict(K.params, delta=0.0), K.convex)
-    grid = K.grid
-    meshes = grid.meshes()
-    pts = np.stack([m.ravel() for m in meshes], axis=1)
-    kpts = np.stack([m[K.mask_K] for m in meshes], axis=1)
-    out = np.zeros(pts.shape[0], dtype=bool)
-    chunk = max(1, int(2e7) // max(kpts.shape[0], 1))
-    for s in range(0, pts.shape[0], chunk):
-        e = min(s + chunk, pts.shape[0])
-        d2 = np.min(
-            np.sum((pts[s:e, None, :] - kpts[None, :, :]) ** 2, axis=2), axis=1
-        )
-        out[s:e] = d2 <= delta * delta
-    mask = out.reshape(grid.shape)
-    _check_margin(grid, mask, 1.5, "thickened obstacle")
-    convex = K.convex and _is_discrete_convex(grid, mask)
-    return Obstacle(grid, mask, K.family, dict(K.params, delta=float(delta)), convex)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Constructive schemes: parabolic relaxation, the monotone resolvent
-iteration for maximal ball solutions, the energy functional, principal
-eigenvalue estimates, 1-D front profiles, and compactly supported
-sub-solutions.
+iteration for maximal ball solutions, the energy functional, 1-D front
+profiles, and compactly supported sub-solutions.
 
 Scheme notes
 ------------
@@ -73,7 +72,7 @@ from .convolve import convolve, fft_buffers
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, make_grid, shift_windows
 from .kernels import Kernel, KernelConstants
-from .nonlinearity import Bistable, extend
+from .nonlinearity import Bistable, ExtendedNonlinearity, even_potential
 from .operators import Frame, Problem, ball_mask, residual
 from .reduction import pairwise_sum
 
@@ -88,7 +87,6 @@ __all__ = [
     "resolvent_solve",
     "maximal_solution",
     "energy",
-    "principal_eigenvalue",
     "front_profile",
     "build_subsolution",
     "ball_grid",
@@ -294,7 +292,7 @@ def evolve_ball(
     grid = grid or ball_grid(center, radius, k.h)
     bmask = ball_mask(grid, center, radius)
     dt = 0.9 / (1.0 + f.max_abs_fprime)
-    fz = extend(f, "zero-left")
+    fz = ExtendedNonlinearity(f)
     u = np.where(bmask, 1.0, 0.0)
     steps = 0
     with fft_buffers(k):
@@ -473,7 +471,7 @@ def maximal_solution(
     # there (-min f' = max |f'|) or the scheme loses its ordering. A quarter
     # multiple is exact in binary, so k and k + 1 carry no rounding.
     kshift = math.ceil(4.0 * f.max_abs_fprime) / 4.0
-    fz = extend(f, "zero-left")
+    fz = ExtendedNonlinearity(f)
     v, history = _descend(fold, fz.f, kshift, tol, path)
     values = np.zeros(grid.shape)
     fold.unfold(v, values)
@@ -530,7 +528,8 @@ def energy(k: Kernel, f: Bistable, center, radius: float, u: Field) -> EnergyRes
     -1/2 <u, L_B u> + 1/2 <u, u> - sum F(u). The two must agree to
     1e-9 relative, which cross-checks the convolution machinery inside a
     genuinely different reduction order. The potential is the
-    antiderivative of the odd extension of ``f``, which is even in u.
+    antiderivative of the odd extension of ``f``, which is even in u
+    (:func:`even_potential`).
     """
     grid = u.grid
     bmask = ball_mask(grid, center, radius)
@@ -551,7 +550,7 @@ def energy(k: Kernel, f: Bistable, center, radius: float, u: Field) -> EnergyRes
     mass_in_ball = convolve(bm, k, "fast")
     cvals = np.where(bmask, 1.0 - mass_in_ball, 0.0)
     mass_term = 0.5 * hd * pairwise_sum(cvals * vals * vals)
-    Fvals = np.where(bmask, extend(f, "odd").antiderivative(vals), 0.0)
+    Fvals = np.where(bmask, even_potential(f, vals), 0.0)
     potential_term = hd * pairwise_sum(Fvals)
     form1 = pair_term + mass_term - potential_term
 
@@ -568,40 +567,6 @@ def energy(k: Kernel, f: Bistable, center, radius: float, u: Field) -> EnergyRes
     return EnergyResult(form1, form2, pair_term, mass_term, potential_term)
 
 
-def principal_eigenvalue(
-    k: Kernel,
-    center,
-    radius: float,
-    grid: Grid | None = None,
-):
-    """lambda_p of L_B - Id by power iteration on the shifted operator
-    L_B + Id (nonnegative spectrum, so the Perron mode dominates), until
-    the Rayleigh quotient moves by at most 1e-8 (at most 10 000 steps)."""
-    grid = grid or ball_grid(center, radius, k.h)
-    bmask = ball_mask(grid, center, radius)
-    x = np.where(bmask, 1.0, 0.0)
-    x /= math.sqrt(pairwise_sum(x * x))
-    lam_shifted = 0.0
-    with fft_buffers(k):
-        for it in range(10_000):
-            ax = np.where(bmask, convolve(x * bmask, k, "fast") + x, 0.0)
-            new_lam = pairwise_sum(x * ax)  # Rayleigh quotient, ||x|| = 1
-            ax /= math.sqrt(pairwise_sum(ax * ax))
-            x = ax
-            if it > 0 and abs(new_lam - lam_shifted) <= 1e-8:
-                lam_shifted = new_lam
-                break
-            lam_shifted = new_lam
-        else:
-            raise NumericalFailure("power iteration did not converge")
-    lam_p = lam_shifted - 2.0  # spectrum was shifted by +1, Id subtracts 1 more
-    if lam_p >= 0.0:
-        raise NumericalFailure(f"principal eigenvalue {lam_p:.3e} not negative")
-    if float(np.min(x[bmask])) <= 0.0:
-        raise NumericalFailure("Perron vector lost positivity")
-    return lam_p, Field(grid, np.where(bmask, x, 0.0), bmask)
-
-
 # ---------------------------------------------------------------------------
 # 1-D front profiles
 
@@ -614,9 +579,7 @@ class FrontProfile:
     values: np.ndarray
     pin_index: int
     residual_sup: float      # over cells at least 2 R_J from the ends
-    left_value: float
-    right_value: float
-    source_kernel: Kernel | None = None  # the 1-D kernel it solves against
+    source_kernel: Kernel    # the 1-D kernel it solves against
 
     def coords(self) -> np.ndarray:
         return self.grid.axis_centers(0)
@@ -734,8 +697,6 @@ def front_profile(
         values=phi,
         pin_index=pin,
         residual_sup=res_sup,
-        left_value=float(phi[0]),
-        right_value=float(phi[-1]),
         source_kernel=j1,
     )
 

@@ -516,14 +516,13 @@ def plane_wave(p: Problem, phi: FrontProfile, axis: int, r_cells: int) -> Field:
     (and an exact discrete sub-solution off the obstacle, by the marginal
     identity)."""
     src = phi.source_kernel
-    if src is not None:
-        own = marginal_j1(p.kernel)
-        if own.reach != src.reach or not np.allclose(
-            own.weights, src.weights, rtol=0.0, atol=1e-15
-        ):
-            raise PreconditionError(
-                "profile was solved against a different kernel's marginal"
-            )
+    own = marginal_j1(p.kernel)
+    if own.reach != src.reach or not np.allclose(
+        own.weights, src.weights, rtol=0.0, atol=1e-15
+    ):
+        raise PreconditionError(
+            "profile was solved against a different kernel's marginal"
+        )
     grid = p.grid
     h = grid.h
     meshes = grid.meshes()

@@ -51,34 +51,6 @@ def conv_at(arr: np.ndarray, kernel, idx) -> float:
     return total * kernel.h**2
 
 
-def dense_ball_operator(kernel, grid, center, radius) -> tuple:
-    """Dense matrix of L_B on a 1-D ball (for eigen oracles; <= ~200 cells)."""
-    xs = grid.axis_centers(0)
-    sel = np.abs(xs - center) <= radius
-    pts = xs[sel]
-    n = pts.size
-    M = np.zeros((n, n))
-    m = kernel.reach
-    for i in range(n):
-        for j in range(n):
-            d = round((pts[j] - pts[i]) / grid.h)
-            if abs(d) <= m:
-                M[i, j] = kernel.weights[d + m] * grid.h
-    return M, sel
-
-
-def brute_distance_mask(grid, src_mask: np.ndarray, delta: float) -> np.ndarray:
-    """Cells within Euclidean distance delta of a source cell (plain loops)."""
-    meshes = grid.meshes()
-    pts = np.stack([m.ravel() for m in meshes], axis=1)
-    kpts = np.stack([m[src_mask] for m in meshes], axis=1)
-    out = np.zeros(pts.shape[0], dtype=bool)
-    for i in range(pts.shape[0]):
-        d2 = np.min(np.sum((kpts - pts[i]) ** 2, axis=1))
-        out[i] = d2 <= delta * delta
-    return out.reshape(grid.shape)
-
-
 def parabolic_front(j1, f, line_length: float, tol: float = 1e-11, dt=None,
                     max_steps: int = 400_000):
     """Independent explicit-Euler march of the clamped 1-D problem.
@@ -189,10 +161,11 @@ def holder_quotient_pairs(u, alpha: float) -> float:
     return best
 
 
-def energy_pairs_1d(kernel, f, bmask: np.ndarray, vals: np.ndarray) -> tuple:
+def energy_pairs_1d(kernel, F, bmask: np.ndarray, vals: np.ndarray) -> tuple:
     """The three terms of the 1-D ball energy by plain loops over cell
     pairs: 1/4 sum J(x-y)(u(y)-u(x))^2 h^2, 1/2 sum c(x) u(x)^2 h with
-    c(x) = 1 - sum_{y in B} J(x-y) h, and sum F(u(x)) h, over x, y in B."""
+    c(x) = 1 - sum_{y in B} J(x-y) h, and sum F(u(x)) h, over x, y in B,
+    for the potential ``F``."""
     m = kernel.reach
     w = kernel.weights
     h = kernel.h
@@ -206,7 +179,7 @@ def energy_pairs_1d(kernel, f, bmask: np.ndarray, vals: np.ndarray) -> tuple:
                 pair += jw * (float(vals[y]) - float(vals[x])) ** 2
                 seen += jw * h
         mass += (1.0 - seen) * float(vals[x]) ** 2
-        potential += float(f.antiderivative(vals[x]))
+        potential += float(F(vals[x]))
     return 0.25 * h * h * pair, 0.5 * h * mass, h * potential
 
 

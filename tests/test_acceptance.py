@@ -319,7 +319,7 @@ def test_criterion_09_front_profile(kq8, ref_f):
     j1 = marginal_j1(kq8)
     phi = front_profile(j1, ref_f, tol=1e-13)
     mono = float(np.min(np.diff(phi.values)))
-    ends = max(abs(phi.left_value - 0.0), abs(phi.right_value - 1.0))
+    ends = max(abs(phi.values[0] - 0.0), abs(phi.values[-1] - 1.0))
     xs, u = oracles.parabolic_front(j1, ref_f, 200.0 * j1.radius, tol=1e-11)
     pin_oracle = int(np.searchsorted(u, ref_f.theta))
     shift = pin_oracle - phi.pin_index

@@ -211,6 +211,37 @@ def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     assert proc.stderr.startswith("precondition rejected:")
 
 
+def test_negative_seed_exits_two_without_traceback(tmp_path):
+    # np.random.default_rng rejects a negative seed with a ValueError
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlrd.cli", "--config", _cfg(tmp_path, COUNTEREXAMPLE_INI),
+         "--out", str(tmp_path / "o"), "--seed", "-1", "verify", "comparison"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("precondition rejected:") and "--seed" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["file", "below_file", "empty"])
+def test_out_naming_a_file_exits_two_without_traceback(tmp_path, where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"file": taken, "below_file": taken / "o", "empty": ""}[where]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlrd.cli", "--config", _cfg(tmp_path, COUNTEREXAMPLE_INI),
+         "--out", str(out), *COUNTEREXAMPLE],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("precondition rejected:") and str(out) in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_liouville_honours_probe_deltas(tmp_path):
     cfg = _cfg(tmp_path, LIOUVILLE_SMALL_INI + "probe_deltas = 0.2\n")
     out = tmp_path / "out"

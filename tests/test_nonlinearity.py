@@ -4,8 +4,9 @@ import pytest
 import oracles
 from nlrd import (
     Bistable,
+    ExtendedNonlinearity,
     PreconditionError,
-    extend,
+    even_potential,
     make_bistable,
 )
 
@@ -90,32 +91,29 @@ def test_antiderivative_at_one(ref_f):
 
 @pytest.mark.parametrize("mode", ["odd", "zero-left"])
 def test_extension_is_identity_on_unit_interval(ref_f, mode):
-    ext = extend(ref_f, mode)
+    # the odd extension enters only through its antiderivative, the even
+    # potential, and the zero-left one only through f
     s = np.linspace(0.0, 1.0, 1001)
-    assert float(np.max(np.abs(ext.f(s) - ref_f.f(s)))) == 0.0
+    if mode == "odd":
+        got, base = even_potential(ref_f, s), ref_f.antiderivative(s)
+    else:
+        got, base = ExtendedNonlinearity(ref_f).f(s), ref_f.f(s)
+    assert float(np.max(np.abs(got - base))) == 0.0
 
 
 def test_extension_tails(ref_f):
-    odd = extend(ref_f, "odd")
-    # -f(0.2) = -(0.2 * (-0.1) * 0.8) = 0.016
-    assert float(odd.f(-0.2)) == pytest.approx(0.016, abs=1e-15)
-    zl = extend(ref_f, "zero-left")
+    zl = ExtendedNonlinearity(ref_f)
     assert float(zl.f(-5.0)) == 0.0
-    for mode in ("odd", "zero-left"):
-        ext = extend(ref_f, mode)
-        assert float(ext.f(1.5)) == pytest.approx(float(ref_f.fprime(1.0)) * 0.5, abs=1e-14)
-
-
-def test_odd_extension_odd_symmetry(ref_f):
-    odd = extend(ref_f, "odd")
-    s = np.linspace(0.0, 1.0, 157)
-    assert np.max(np.abs(odd.f(-s) + odd.f(s))) == 0.0
+    assert float(zl.f(1.5)) == pytest.approx(float(ref_f.fprime(1.0)) * 0.5, abs=1e-14)
+    # past 1 the potential is int_0^1 f + f'(1)(|t| - 1)^2 / 2, on either side
+    tail = 1 / 30 + 0.5 * float(ref_f.fprime(1.0)) * 0.25
+    for t in (1.5, -1.5):
+        assert even_potential(ref_f, t) == pytest.approx(tail, abs=1e-15)
 
 
 def test_odd_extension_even_antiderivative(ref_f):
-    odd = extend(ref_f, "odd")
     t = np.linspace(-2.0, 2.0, 401)
-    assert np.max(np.abs(odd.antiderivative(t) - odd.antiderivative(np.abs(t)))) == 0.0
+    assert np.max(np.abs(even_potential(ref_f, t) - even_potential(ref_f, np.abs(t)))) == 0.0
 
 
 def test_g_strictly_increasing(ref_f):
@@ -126,9 +124,8 @@ def test_g_strictly_increasing(ref_f):
     assert np.all(g1 > g0)
 
 
-@pytest.mark.parametrize("mode", ["odd", "zero-left"])
-def test_in_range_shortcut_matches_general_path(ref_f, mode):
-    ext = extend(ref_f, mode)
+def test_in_range_shortcut_matches_general_path(ref_f):
+    ext = ExtendedNonlinearity(ref_f)
     rng = np.random.default_rng(11)
     s = np.concatenate([[0.0, -0.0, ref_f.theta, 1.0], rng.uniform(0.0, 1.0, 500)])
     fast = ext.f(s)
@@ -139,10 +136,7 @@ def test_in_range_shortcut_matches_general_path(ref_f, mode):
     # and that entry still gets the tail value, on either side
     assert general[-1] == float(ref_f.fprime(1.0)) * 0.5
     low = ext.f(np.append(s, -0.5))
-    assert low[-1] == ext.f(-0.5) and low[-1] == {
-        "odd": -float(ref_f.f(0.5)),
-        "zero-left": 0.0,
-    }[mode]
+    assert low[-1] == ext.f(-0.5) and low[-1] == 0.0
     # 0-d inputs keep returning a Python float
     for x in (0.5, np.float64(0.5), np.array(1.0), -0.5, 1.5):
         assert type(ext.f(x)) is float

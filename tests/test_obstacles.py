@@ -13,7 +13,6 @@ from nlrd import (
     deformation_family,
     jmass,
     make_grid,
-    thicken,
 )
 from nlrd.config import build_grid, build_obstacle_cfg, load_config
 from nlrd.obstacles import FAMILY_KEYS, convex_hull_mask
@@ -126,38 +125,6 @@ def test_nonconvex_polygon_rejected(g8):
 def test_margin_rejection(g4):
     with pytest.raises(PreconditionError, match="margin"):
         build_obstacle("ball", {"radius": 3.2}, g4, margin=1.5)
-
-
-def test_thicken_zero_is_identity(g4):
-    K = build_obstacle("ball", {"radius": 1.0}, g4, margin=1.5)
-    K0 = thicken(K, 0.0)
-    assert np.array_equal(K.mask_K, K0.mask_K)
-
-
-def test_thicken_disk_against_distance_oracle():
-    g = make_grid([-4, -4], [4, 4], 1 / 8)
-    K = build_obstacle("ball", {"radius": 1.0}, g, margin=1.5)
-    Kd = thicken(K, 0.5)
-    oracle = oracles.brute_distance_mask(g, K.mask_K, 0.5)
-    assert np.array_equal(Kd.mask_K, oracle)
-    # contained in the radius-1.5 disk and containing it up to one shell
-    big = build_obstacle("ball", {"radius": 1.5}, g, margin=1.5)
-    assert np.all(Kd.mask_K <= big.mask_K)
-    shrunk = build_obstacle("ball", {"radius": 1.5 - g.h}, g, margin=1.5)
-    assert np.all(shrunk.mask_K <= Kd.mask_K)
-
-
-def test_thicken_annulus_closes_hole():
-    g = make_grid([-4, -4], [4, 4], 1 / 8)
-    K = build_obstacle("annulus", {"r1": 1.0, "r2": 2.0}, g, margin=1.5)
-    Kd = thicken(K, 0.6)
-    oracle = oracles.brute_distance_mask(g, K.mask_K, 0.6)
-    assert np.array_equal(Kd.mask_K, oracle)
-    X, Y = g.meshes()
-    rr = np.hypot(X, Y)
-    ring = (rr > 0.45) & (rr < 1.0)  # hole cells within 0.6 of K
-    assert np.all(Kd.mask_K[ring])
-    assert not np.all(Kd.mask_K[rr < 0.35])  # deep hole survives
 
 
 def test_deformation_family_limits_and_inclusion(g8):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from nlrd import (
+    ExtendedNonlinearity,
     Field,
     KernelProfile,
     NumericalFailure,
@@ -15,16 +16,15 @@ from nlrd import (
     build_obstacle,
     build_subsolution,
     energy,
+    even_potential,
     evolve,
     evolve_ball,
-    extend,
     front_profile,
     kernel_constants,
     make_bistable,
     make_grid,
     marginal_j1,
     maximal_solution,
-    principal_eigenvalue,
     resolvent_solve,
 )
 from nlrd.config import build_pieces, load_config
@@ -323,7 +323,7 @@ def test_descend_rejects_a_shift_below_the_threshold(ball1d, ref_f):
     # and the rise gate catches the first iterate that climbs
     _, k = ball1d
     full = ball_mask(ball_grid([0.0], 8.0, k.h), [0.0], 8.0)
-    fz = extend(ref_f, "zero-left")
+    fz = ExtendedNonlinearity(ref_f)
     with pytest.raises(NumericalFailure, match="resolvent shift too small"):
         _descend(_MirrorFold(full, k, deficit=True), fz.f, 0.5, 1e-10, "fast")
 
@@ -477,7 +477,7 @@ def test_lemma_65_growth_1d(ball1d, ref_f):
 
 
 # ---------------------------------------------------------------------------
-# energy and eigenvalue
+# energy
 
 
 def test_energy_zero_field(ball1d, ref_f):
@@ -494,7 +494,8 @@ def test_energy_random_field_against_pair_oracle(ball1d, ref_f):
     rng = np.random.default_rng(7)
     u = Field(g, np.where(bm, rng.uniform(-0.5, 1.5, g.shape), 0.0), bm)
     E = energy(k, ref_f, [0.0], 10.0, u)
-    pair, mass, potential = oracles.energy_pairs_1d(k, extend(ref_f, "odd"), bm, u.values)
+    pair, mass, potential = oracles.energy_pairs_1d(
+        k, lambda t: even_potential(ref_f, t), bm, u.values)
     assert E.pair_term > 0.0
     for got, ref in ((E.pair_term, pair), (E.mass_term, mass),
                      (E.potential_term, potential)):
@@ -520,22 +521,6 @@ def test_energy_indicator_bound_2d(ref_f):
     assert Ev.value <= E1.value < 0.0
 
 
-def test_principal_eigenvalue_against_dense_oracle(ref_f):
-    g = make_grid([-6], [6], 1 / 16)
-    k = build_kernel(KernelProfile("quartic", 0.5), g)
-    for R in (5.0, 0.5):
-        lam, vec = principal_eigenvalue(k, [0.0], R, grid=g)
-        M, sel = oracles.dense_ball_operator(k, g, 0.0, R)
-        lam_dense = float(np.max(np.linalg.eigvalsh(M))) - 1.0
-        assert abs(lam - lam_dense) < 1e-6
-        assert -1.0 < lam < 0.0
-        assert float(np.min(vec.values[vec.mask])) > 0.0
-    lam_small, _ = principal_eigenvalue(k, [0.0], 0.5, grid=g)
-    lam_big, _ = principal_eigenvalue(k, [0.0], 5.0, grid=g)
-    assert lam_small < -0.1
-    assert lam_big > lam_small
-
-
 # ---------------------------------------------------------------------------
 # fronts
 
@@ -544,8 +529,8 @@ def test_front_profile_reference(phi_ref, ref_f):
     phi = phi_ref
     assert float(np.min(np.diff(phi.values))) > -1e-12
     assert phi.residual_sup <= 1e-8
-    assert abs(phi.left_value) <= 1e-3
-    assert abs(1.0 - phi.right_value) <= 1e-3
+    assert abs(phi.values[0]) <= 1e-3
+    assert abs(1.0 - phi.values[-1]) <= 1e-3
     # theta crossing anchored at the origin up to one cell of slope
     local_slope = float(np.max(np.diff(phi.values)))
     assert abs(phi(0.0) - ref_f.theta) <= local_slope + 1e-12
@@ -579,6 +564,11 @@ def test_front_even_kernel_reflection_invariance(kq8, ref_f):
     phi1 = front_profile(j1, ref_f)
     phi2 = front_profile(j1, ref_f)
     assert np.array_equal(phi1.values, phi2.values)
+    # the direct path sums mirrored taps in pairs, so the rate of the
+    # reflected front is the reflected rate, bit for bit
+    rate = _front_rate(phi1.values, j1, ref_f)
+    mirrored = _front_rate(phi1.values[::-1], j1, ref_f)
+    assert mirrored.view(np.uint64).tolist() == rate[::-1].view(np.uint64).tolist()
 
 
 def test_front_rejects_short_line(kq8, ref_f):
