@@ -9,33 +9,22 @@ Scheme notes
   the step bound dt <= 0.9 / (max J_box + max |f'|) the update map is
   monotone in every cell value, so discrete comparison is preserved exactly;
   clipping is a no-op for order-respecting data and only guards float drift.
-* ``maximal_solution`` runs the resolvent scheme
-  L_B[v_{n+1}] - (k+1) v_{n+1} = -k v_n - f(v_n), v_0 = 1, with
-  k = ceil(4 max |f'|) / 4. Monotone descent of the iterates needs
-  s -> k s + f(s) increasing, i.e. k >= -min f' = max |f'| on [0, 1] (the
-  steep downhill side of f is the binding constraint); rounding up to a
-  quarter keeps k and k + 1 exact. The inner linear solve then contracts
-  with factor <= 1/(k+1).
-* The inner solves are inexact (Dembo, Eisenstat and Steihaug, SIAM J.
-  Numer. Anal. 19, 1982): each stops at an increment of a hundredth of
-  the previous outer decrease, floored at 1e-13, and the first makes a
-  single sweep. A sweep w -> (L_B w + k v_n + f(v_n))/(k+1) is order
-  preserving and v_n is a super-solution of it, so every partial solve
-  lands between the exact v_{n+1} and v_n: descent, the bound from below
-  by the maximal solution, and the limit are all kept. The linear gate is
-  the sweep's stop test itself: the returned iterate's linear residual
-  is L_B applied to the last increment, so its sup is at most that
-  increment. The limit is gated by the ball-equation residual (<= 1e-9).
+* ``maximal_solution`` iterates v_{n+1} = (J * (v_n 1_B) + k v_n + f(v_n))
+  / (k + 1) from v_0 = 1, one resolvent sweep per step. With
+  k = ceil(4 max |f'|) / 4 >= -min f' on [0, 1], s -> k s + f(s) increases,
+  so the map preserves order and the iterates decrease to the maximal
+  solution. They run to the rounding floor, and the limit is gated by the
+  ball-equation residual (<= 1e-9).
 * The ball's mask, the even kernel, v_0 = 1 and the pointwise f are
   mirror-symmetric along each axis on which the mask's bounding box equals
   its own mirror image, so every iterate is too. ``maximal_solution``
   therefore crops to that box and folds it along those axes (cell -1-j
   equals cell j for an even box length, cell -j equals cell j about the
-  middle cell for an odd one), and its sweeps convolve the kept cells
+  middle cell for an odd one), and its steps convolve the kept cells
   with a band of reach-many mirrored cells below each folded axis. The
   ``direct`` path sums mirrored taps in pairs, so its full-box iterates
   are symmetric to the bit and the folded run returns the same bits. On
-  the other paths a sweep convolves the deficit 1_B - w and subtracts it
+  the other paths a step convolves the deficit 1_B - v and subtracts it
   from J * 1_B, taken once on the direct path: FFT roundoff scales with the
   2-norm of the input, and the deficit is small away from the rim, so
   cells whose exact value rounds to 1 come out as 1. The limit is unfolded
@@ -309,29 +298,6 @@ def evolve_ball(
             steps += 1
 
 
-def _resolvent_sweeps(fold: _MirrorFold, path: str, kshift: float, rhs: np.ndarray,
-                      w: np.ndarray, tol: float) -> np.ndarray:
-    """The sweep loop of :func:`resolvent_solve` on ``fold``'s kept cells;
-    ``w`` is the start and is overwritten."""
-    outside = ~fold.mask
-    w[outside] = 0.0
-    denom = kshift + 1.0
-    # one sweep is (J * w - rhs) / denom, zeroed off the ball (w is zero
-    # there already); it runs in place on two work arrays, swapping w and
-    # new after each sweep
-    tmp = np.empty(w.shape)
-    new = np.empty(w.shape)
-    for _ in range(100_000):
-        np.subtract(fold.convolve(w, path), rhs, out=new)
-        new /= denom
-        new[outside] = 0.0
-        inc = float(np.max(np.abs(np.subtract(new, w, out=tmp), out=tmp)))
-        w, new = new, w
-        if inc <= tol:
-            return w
-    raise NumericalFailure("resolvent contraction did not converge")
-
-
 def resolvent_solve(
     k: Kernel,
     bmask: np.ndarray,
@@ -357,11 +323,24 @@ def resolvent_solve(
         raise PreconditionError("resolvent shift must be positive for contraction")
     w0 = np.zeros(bmask.shape) if w0 is None else w0
     fold = _MirrorFold(bmask, k, rhs, w0)
-    out = np.zeros(bmask.shape)
+    rhs, w = fold.fold(rhs), fold.fold(w0)
+    outside = ~fold.mask
+    w[outside] = 0.0
+    # one sweep is (J * w - rhs) / (kshift + 1), zeroed off the ball (w is
+    # zero there already), in place on two work arrays swapped after each
+    tmp, new = np.empty(w.shape), np.empty(w.shape)
     with fft_buffers(k):
-        w = _resolvent_sweeps(fold, path, kshift, fold.fold(rhs), fold.fold(w0), tol)
-    fold.unfold(w, out)
-    return out
+        for _ in range(100_000):
+            np.subtract(fold.convolve(w, path), rhs, out=new)
+            new /= kshift + 1.0
+            new[outside] = 0.0
+            inc = float(np.max(np.abs(np.subtract(new, w, out=tmp), out=tmp)))
+            w, new = new, w
+            if inc <= tol:
+                out = np.zeros(bmask.shape)
+                fold.unfold(w, out)
+                return out
+    raise NumericalFailure("resolvent contraction did not converge")
 
 
 @dataclass
@@ -385,33 +364,42 @@ class MaximalSolution:
         return self.field.mask
 
 
-def _descend(fold: _MirrorFold, f, kshift: float, tol: float, path: str) -> tuple:
-    """The outer loop of :func:`maximal_solution` on ``fold``'s kept cells,
-    with ``f`` the pointwise nonlinearity: returns the last iterate and the
-    (iteration, decrease, worst rise) rows."""
+def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: str) -> tuple:
+    """The loop of :func:`maximal_solution` on ``fold``'s kept cells: returns
+    the last iterate and the (iteration, decrease, worst rise) rows."""
+    if kshift < fz.base.max_abs_fprime:
+        raise PreconditionError(
+            f"resolvent shift too small: k = {kshift} < -min f' = {fz.base.max_abs_fprime:.6g}"
+        )
     bmask = fold.mask
+    outside = ~bmask
+    floor = 4.0 * np.finfo(float).eps  # four ulps of 1: see maximal_solution
     v = np.where(bmask, 1.0, 0.0)
-    inc = math.inf
+    new = np.empty(v.shape)
+    diff = np.empty(v.shape)
     history: list = []
     with fft_buffers(fold.k):
         while len(history) < 20_000:
-            rhs = np.where(bmask, -kshift * v - f(v), 0.0)
-            # inc is still inf on the first step: one sweep, hence a decrease > 0
-            new = _resolvent_sweeps(fold, path, kshift, rhs, v.copy(), max(1e-13, 0.01 * inc))
+            # T(v) = (J * v + (k v + f(v))) / (k + 1), zeroed off the ball
+            np.multiply(v, kshift, out=new)
+            new += fz.f(v)
+            new += fold.convolve(v, path)
+            new /= kshift + 1.0
+            new[outside] = 0.0
             # 1 is a super-solution, so exact iterates stay <= 1; trimming the
             # odd ulp of convolution roundoff keeps the invariant checkable
             np.minimum(new, 1.0, out=new)
-            rise = float(np.max((new - v)[bmask]))
+            np.subtract(new, v, out=diff)
+            rise = float(np.max(diff, where=bmask, initial=-math.inf))
             if rise > 1e-12:
-                raise NumericalFailure(
-                    f"monotonicity violated by {rise:.3e}; resolvent shift too small"
-                )
-            inc = float(np.max((v - new)[bmask]))
-            v = new
-            history.append((len(history) + 1, inc, rise))
-            if inc <= tol:
+                raise NumericalFailure(f"monotonicity violated by {rise:.3e}")
+            # max(v - new) over the ball; 0.0 - keeps a zero decrease at +0.0
+            dec = 0.0 - float(np.min(diff, where=bmask, initial=math.inf))
+            v, new = new, v
+            history.append((len(history) + 1, dec, rise))
+            if dec <= floor:
                 return v, history
-    raise NumericalFailure("monotone scheme did not reach its tolerance")
+    raise NumericalFailure("monotone scheme did not reach its rounding floor")
 
 
 def maximal_solution(
@@ -424,31 +412,35 @@ def maximal_solution(
     tol: float = 1e-10,
     path: str = "fast",
 ) -> MaximalSolution:
-    """Monotone resolvent iteration from v_0 = 1 on the closed ball.
+    """Monotone iteration from v_0 = 1 on the closed ball.
 
     Requires R >= d0 (existence threshold from ``kernel_constants``) and
-    ``tol`` >= 1e-13, the floor of the inner solves. ``f`` is evaluated
-    through its zero-left extension, under which every iterate stays
-    nonnegative. The resolvent shift k is max |f'| = -min f' on [0, 1],
-    the least shift that keeps each step order-preserving, rounded up to a
-    multiple of 1/4 so that k and k + 1 are exact (0.75 on the reference
-    well). Each step runs the sweeps of :func:`resolvent_solve`
-    warm-started at v_n with increment tolerance max(1e-13, 0.01 x the
-    previous decrease), so the inner accuracy follows the outer progress.
-    The sequence is checked to be non-increasing to 1e-12 at every step;
-    the loop stops once a decrease is <= ``tol`` (within 20 000 steps), and
-    the final field solves the ball equation to 1e-9 and exceeds theta
+    ``tol`` >= 1e-13. ``f`` is evaluated through its zero-left extension,
+    under which every iterate stays nonnegative. Each step is one sweep of
+    T(v) = (J * (v 1_B) + k v + f(v)) / (k + 1) on the ball, one resolvent
+    sweep warm-started at v. The shift k is max |f'| = -min f' on [0, 1],
+    the least under which T preserves order (a smaller one is refused),
+    rounded up to a multiple of 1/4 so that k and k + 1 are exact (0.75 on
+    the reference well). T(1) <= 1 and the fixed points of T solve the
+    ball equation, so the orbit of 1 decreases to the maximal solution; it
+    is checked to be non-increasing to 1e-12 at every step.
+
+    The loop runs to the rounding floor: it stops at the first decrease of
+    at most four ulps of 1, 4 eps = 8.88e-16, within 20 000 steps. The
+    orbit never reaches an exact fixed point, because each step rounds
+    J * v, k v + f(v) and the division, so near the limit some cells move
+    by a few ulps at every step (on the R = 15 disk, each of a thousand
+    further steps rises by 3.3e-16 and falls by 3.3e-16 to 8.9e-16); a
+    smaller stop could wait on that rounding for ever. At this one the
+    field is within 1e-14 of where those thousand steps take it. ``tol`` only bounds the reported
+    ``final_increment``, and the stop lies below every admissible ``tol``.
+    The final field solves the ball equation to 1e-9 and exceeds theta
     somewhere, else the run is reported as collapsed.
 
-    The ball's mask, the even kernel, v_0 and f(v) are all mirror-symmetric
-    along each axis on which the mask's bounding box equals its own mirror
-    image, so every iterate is too: the loop runs on the box folded along
-    those axes (a quarter of a centred disk's box) and the limit is unfolded
-    at the end. On the ``direct`` path each cell sums its mirrored taps in
-    pairs, and addition commutes, so the full-box iterates are symmetric to
-    the bit and the folded run returns the same bits. On the other paths
-    the sweeps convolve the deficit 1 - v (see :class:`_MirrorFold`). The
-    ball-equation residual is gated on the unfolded field with one
+    The loop runs on the ball's box folded along its mirror axes, on the
+    deficit 1 - v off the ``direct`` path (see the scheme notes and
+    :class:`_MirrorFold`); on ``direct`` it returns the full-box run's bits.
+    The ball-equation residual is gated on the unfolded field with one
     full-box convolution, independently of the fold.
     """
     ncoords = np.atleast_1d(center).size
@@ -460,19 +452,18 @@ def maximal_solution(
         raise PreconditionError(f"R = {radius} below existence threshold d0 = {d0:.6g}")
     if radius < k.radius:
         raise PreconditionError("ball smaller than the kernel support")
-    # below the inner-solve floor the decreases stall in roundoff above tol
-    # and the loop would only spend its step budget
+    # tol bounds the final decrease, which the loop drives to four ulps of 1
+    # whatever tol is; below some hundred ulps a decrease measures rounding,
+    # not progress, so a smaller bound would certify nothing more
     if not tol >= 1e-13:
-        raise PreconditionError(f"tol = {tol} below the inner-solve floor 1e-13")
+        raise PreconditionError(f"tol = {tol} below the floor 1e-13")
     grid = grid or ball_grid(center, radius, k.h)
     full = ball_mask(grid, center, radius)
     fold = _MirrorFold(full, k, deficit=True)
-    # iterates stay in [0, 1]; k must dominate the steepest descent of f
-    # there (-min f' = max |f'|) or the scheme loses its ordering. A quarter
-    # multiple is exact in binary, so k and k + 1 carry no rounding.
+    # -min f' on [0, 1] rounded up to a quarter, exact with k + 1 in binary
     kshift = math.ceil(4.0 * f.max_abs_fprime) / 4.0
     fz = ExtendedNonlinearity(f)
-    v, history = _descend(fold, fz.f, kshift, tol, path)
+    v, history = _descend(fold, fz, kshift, path)
     values = np.zeros(grid.shape)
     fold.unfold(v, values)
     del fold, v  # drop the folded work arrays before the full-box gate

@@ -285,7 +285,9 @@ def bounds_suite(
     else:
         lo = -box_radius - 1.0
         r0 = lo if fits(lo) else _bisect(fits, lo, box_radius, h)
-        rep.add("radial_lower_bound_r0", r0 <= box_radius, r0, box_radius, h)
+        rep.add("radial_lower_bound_r0", r0 <= box_radius, r0, box_radius, h,
+                note="fits at the bisection's lower end -box_radius - 1: no bisection ran"
+                if r0 == lo else "")
 
     if p.obstacle.convex and np.any(p.obstacle.mask_K):
         slack_j = 0.8 * h
@@ -311,8 +313,9 @@ def bounds_suite(
                         note="skipped: probe radius outside the box")
                 continue
             m = float(np.min(uvals[far]))
+            everywhere = "; R_delta < 0 makes this the global min u" if r_delta < 0.0 else ""
             rep.add(f"uniform_bound_delta_{delta}", m >= lvl, m, lvl, delta,
-                    note=f"R_delta = {r_delta:.4f}")
+                    note=f"R_delta = {r_delta:.4f}{everywhere}")
     return rep
 
 
@@ -440,7 +443,7 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
     n_angles = opts["angles"]
     worst = _rotation_sweep(p, w.field, center, u.values, n_angles, 0.0)
     rep.add("sweep_step3_sampled_angles", worst <= 1e-12, worst, 0.0, 1e-12,
-            note=f"{n_angles} sampled rotations (radial interpolant)")
+            note=f"{n_angles} sampled rotations (radial interpolant), not certified")
 
     # Step 4: outward lattice translations along +e0
     worst_tr = 0.0
@@ -733,7 +736,7 @@ def _sweeping_checks(rep, p, u_ref, subsol, trials) -> None:
     n = max(trials, 16)
     worst = _rotation_sweep(p, subsol.field, subsol.base.center, uv, n, -math.inf)
     rep.add("sweeping_rotation_family", worst <= 1e-12, worst, 0.0, 1e-12,
-            note=f"{n} rotation parameters")
+            note=f"{n} sampled rotation parameters, not certified")
 
 
 # ---------------------------------------------------------------------------

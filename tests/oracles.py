@@ -261,17 +261,19 @@ def max_abs_fprime_scan(f) -> float:
     return float(np.max(np.abs(f.fprime(np.linspace(0.0, 1.0, 4001)))))
 
 
-def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
-                           max_outer: int = 20_000):
-    """The monotone resolvent scheme with every inner solve tight.
+def maximal_solution_tight(kernel, f, bmask: np.ndarray, max_outer: int = 20_000):
+    """The monotone resolvent scheme with every inner solve tight, run to
+    its rounding floor.
 
     Each outer step sweeps w <- (L_B w - rhs)/(k+1) until the increment is
     <= 1e-13, then gates the linear residual of the result at 1e-11 with
-    one more convolution; the outer loop stops at a decrease <= tol and a
+    one more convolution; the outer loop stops at the first decrease of at
+    most four ulps of 1, where the iterates only move by rounding, and a
     last convolution gates the ball residual at 1e-9. Returns (values,
     number of convolutions)."""
     kshift = math.ceil(4.0 * max_abs_fprime_scan(f)) / 4.0
     denom = kshift + 1.0
+    floor = 4.0 * np.finfo(float).eps
     convs = 0
 
     def L(x):
@@ -295,68 +297,47 @@ def maximal_solution_tight(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
         w = np.minimum(w, 1.0)
         dec = float(np.max((v - w)[bmask]))
         v = w
-        if dec <= tol:
+        if dec <= floor:
             break
     else:
-        raise RuntimeError("tight monotone scheme did not reach its tolerance")
+        raise RuntimeError("tight monotone scheme did not reach its rounding floor")
     res = float(np.max(np.abs((L(v) - v + f.f(v))[bmask])))
     if res > 1e-9:
         raise RuntimeError(f"tight ball residual {res:.3e} > 1e-9")
     return v, convs
 
 
-def maximal_solution_fullbox(kernel, f, bmask: np.ndarray, tol: float = 1e-10,
-                            path: str = "fast"):
-    """The package's inexact monotone resolvent schedule, unfolded: every
-    sweep and every outer step runs on the whole box of ``bmask``.
+def maximal_solution_fullbox(kernel, f, bmask: np.ndarray, path: str = "fast"):
+    """The package's monotone scheme, unfolded: every step runs on the
+    whole box of ``bmask``.
 
     The same operations in the same order as ``maximal_solution`` before it
-    folded the box along the ball's mirror axes: each outer step sweeps
-    w <- (L_B w - rhs)/(k+1) in place, warm-started at v, until the
-    increment is <= max(1e-13, 0.01 x the previous decrease), trims at 1,
-    and stops at a decrease <= tol; a last convolution gates the ball
-    residual at 1e-9. Returns (values, history) with the package's history
-    rows (iteration, decrease, worst rise)."""
+    folded the box along the ball's mirror axes: each step is one sweep
+    v <- (J * (v 1_B) + (k v + f(v)))/(k+1) on the ball, trimmed at 1, and
+    the loop stops at the first decrease of at most four ulps of 1; a last
+    convolution gates the ball residual at 1e-9. Returns (values, history)
+    with the package's history rows (iteration, decrease, worst rise)."""
     from nlrd.convolve import convolve
 
     kshift = math.ceil(4.0 * max_abs_fprime_scan(f)) / 4.0
     denom = kshift + 1.0
-    outside = ~bmask
-
-    def resolvent(rhs, w0, inner_tol):
-        w = w0.copy()
-        w[outside] = 0.0
-        tmp = np.empty(bmask.shape)
-        new = np.empty(bmask.shape)
-        for _ in range(100_000):
-            np.multiply(w, bmask, out=tmp)
-            convolve(tmp, kernel, path, out=new)
-            new -= rhs
-            new /= denom
-            new[outside] = 0.0
-            inc = float(np.max(np.abs(np.subtract(new, w, out=tmp), out=tmp)))
-            w, new = new, w
-            if inc <= inner_tol:
-                return w
-        raise RuntimeError("full-box resolvent contraction did not converge")
-
+    floor = 4.0 * np.finfo(float).eps
     v = np.where(bmask, 1.0, 0.0)
-    inc = math.inf
     history = []
     while len(history) < 20_000:
-        rhs = np.where(bmask, -kshift * v - f.f(v), 0.0)
-        new = resolvent(rhs, v, max(1e-13, 0.01 * inc))
+        new = np.where(bmask, (convolve(v * bmask, kernel, path) + (kshift * v + f.f(v))) / denom,
+                       0.0)
         np.minimum(new, 1.0, out=new)
         rise = float(np.max((new - v)[bmask]))
         if rise > 1e-12:
             raise RuntimeError(f"full-box monotonicity violated by {rise:.3e}")
-        inc = float(np.max((v - new)[bmask]))
+        dec = float(np.max((v - new)[bmask]))
         v = new
-        history.append((len(history) + 1, inc, rise))
-        if inc <= tol:
+        history.append((len(history) + 1, dec, rise))
+        if dec <= floor:
             break
     else:
-        raise RuntimeError("full-box monotone scheme did not reach its tolerance")
+        raise RuntimeError("full-box monotone scheme did not reach its rounding floor")
     res = convolve(v * bmask, kernel, path) - v + f.f(v)
     if float(np.max(np.abs(res[bmask]))) > 1e-9:
         raise RuntimeError("full-box ball residual above 1e-9")

@@ -175,7 +175,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_k = -1"),
      ("solve",)),
     (SOLVE_ONES_INI + "log_every = -3\n", ("solve",)),
-    # below the 1e-13 inner-solve floor: it used to spend the 20 000-step budget
+    # below the 1e-13 floor of [ball] tol: a decrease that small is rounding
     (MAXIMAL_INI + "tol = 1e-16\n", ("maximal",)),
     # no profile of this kind can be sampled
     (SOLVE_ONES_INI.replace("profile = quartic", "profile = custom"), ("front",)),

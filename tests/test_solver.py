@@ -281,8 +281,8 @@ def test_maximal_inexact_matches_tight_reference(dim, ball1d, ref_f, strong_f, m
     ref, ref_convs = oracles.maximal_solution_tight(k, f, v.bmask)
     assert float(np.max(np.abs(v.values - ref))) <= 1e-10
     assert all(rise <= 1e-12 for _, _, rise in v.history)
-    # the first inner solve makes at least one sweep, so the outer loop
-    # cannot stop on a spurious zero decrease
+    # the first step moves the field, so the loop cannot stop on a spurious
+    # zero decrease
     assert v.history[0][1] > 0.0
     assert len(calls) < ref_convs
 
@@ -319,18 +319,19 @@ def test_maximal_resolvent_shift_is_dyadic_at_threshold(theta, amplitude, ball1d
 
 
 def test_descend_rejects_a_shift_below_the_threshold(ball1d, ref_f):
-    # k = 0.5 < -min f' = 0.7: a resolvent step no longer preserves order,
-    # and the rise gate catches the first iterate that climbs
+    # k = 0.5 < -min f' = 0.7: a step no longer preserves order. From 1 the
+    # orbit rises by a few ulps only, below the rise gate, so the shift is
+    # refused before the first step
     _, k = ball1d
     full = ball_mask(ball_grid([0.0], 8.0, k.h), [0.0], 8.0)
     fz = ExtendedNonlinearity(ref_f)
-    with pytest.raises(NumericalFailure, match="resolvent shift too small"):
-        _descend(_MirrorFold(full, k, deficit=True), fz.f, 0.5, 1e-10, "fast")
+    with pytest.raises(PreconditionError, match="resolvent shift too small"):
+        _descend(_MirrorFold(full, k, deficit=True), fz, 0.5, "fast")
 
 
 def test_maximal_rejects_tol_below_inner_floor(ball1d, ref_f):
-    # below the 1e-13 floor of the inner solves the outer decreases stall
-    # in roundoff, and the loop would spend its whole step budget
+    # tol bounds the final decrease, which the scheme drives to four ulps of
+    # 1 anyway; a bound below 1e-13 is refused, as it always was
     g, k = ball1d
     kc = kernel_constants(k, ref_f, [1.0])
     for tol in (1e-16, 9e-14, 0.0, -1.0, math.nan):
@@ -437,6 +438,62 @@ def test_maximal_matches_full_box_oracle(case, path, ball1d, ref_f, strong_f):
         assert v.history == history
     else:
         assert float(np.max(np.abs(v.values - ref))) <= 1e-12
+
+
+def _maximal_case(case, ball1d, ref_f, strong_f):
+    """(kernel, f, center, R, grid) of a 1-D ball and a 2-D disk folded on both axes."""
+    if case == "1d_R20":
+        g, k = ball1d
+        return k, ref_f, [0.0], 20.0, g
+    h = 1 / 8
+    k = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h))
+    return k, strong_f, [0.0, 0.0], 4.0, ball_grid([0.0, 0.0], 4.0, h)
+
+
+def _continue_descent(v, path: str, steps: int) -> np.ndarray:
+    """``steps`` further steps of the package's map from the returned field,
+    on the same fold: v <- min((J * v + (k v + f(v))) / (k + 1), 1) on the ball."""
+    fold = _MirrorFold(v.bmask, v.kernel, deficit=True)
+    fz = ExtendedNonlinearity(v.f)
+    w, bm = fold.fold(v.values), fold.mask
+    for _ in range(steps):
+        w = np.where(bm, (fold.convolve(w, path) + (v.kshift * w + fz.f(w))) / (v.kshift + 1.0),
+                     0.0)
+        w = np.minimum(w, 1.0)
+    out = np.zeros(v.values.shape)
+    fold.unfold(w, out)
+    return out
+
+
+@pytest.mark.parametrize("path", ["direct", "fast"])
+@pytest.mark.parametrize("case", ["1d_R20", "2d_corner"])
+def test_maximal_lands_on_the_limit(case, path, ball1d, ref_f, strong_f):
+    # the loop runs to the rounding floor, four ulps of 1: a thousand more
+    # steps move the field by no more than rounding
+    k, f, center, R, g = _maximal_case(case, ball1d, ref_f, strong_f)
+    v = maximal_solution(k, f, center, R, kernel_constants(k, f, [1.0]).d0, grid=g, path=path)
+    assert v.final_increment <= 4.0 * np.finfo(float).eps
+    assert all(dec > 4.0 * np.finfo(float).eps for _, dec, _ in v.history[:-1])
+    assert float(np.max(np.abs(_continue_descent(v, path, 1000) - v.values))) <= 1e-14
+
+
+@pytest.mark.parametrize("path", ["direct", "fast"])
+@pytest.mark.parametrize("case", ["1d_R20", "2d_corner"])
+def test_maximal_makes_one_convolution_per_step(case, path, ball1d, ref_f, strong_f,
+                                                 monkeypatch):
+    k, f, center, R, g = _maximal_case(case, ball1d, ref_f, strong_f)
+    calls = []
+    real = solver_mod.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "convolve", counting)
+    v = maximal_solution(k, f, center, R, kernel_constants(k, f, [1.0]).d0, grid=g, path=path)
+    # besides one per step: J * 1_B for the deficit form off direct, and
+    # the full-box residual gate
+    assert len(calls) == v.iterations + (1 if path == "direct" else 2)
 
 
 def test_maximal_fast_path_keeps_saturated_cells(ball1d, ref_f):

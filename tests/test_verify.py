@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from nlrd import (
+    Field,
     KernelProfile,
     PreconditionError,
     Problem,
@@ -118,6 +119,56 @@ def test_bounds_suite_on_converged_disk(disk_solution, disk_problem, phi_ref, kc
     assert names["uniform_bound_delta_0.1"].passed is True
 
 
+def _radial_front_field(p, phi):
+    """phi(|x| - 3) on the domain: a radial front whose minorant bisects to r0 near 3."""
+    rr = np.hypot(*p.grid.meshes())
+    return Field(p.grid, np.where(p.domain_mask, phi(rr - 3.0), 0.0), p.domain_mask)
+
+
+def test_radial_r0_note_says_when_no_bisection_ran(disk_solution, disk_problem, phi_ref,
+                                                   kc_ref):
+    p = disk_problem
+    box_radius = 8.0
+    # the converged field is 1 to 1e-8: the minorant fits at the lower end
+    rep = bounds_suite(disk_solution.u, p, phi_ref, kc_ref, alphas=())
+    c = {c.name: c for c in rep.checks}["radial_lower_bound_r0"]
+    assert c.passed is True and c.measured == -box_radius - 1.0
+    assert "lower end" in c.note
+    rep = bounds_suite(_radial_front_field(p, phi_ref), p, phi_ref, kc_ref, alphas=())
+    c = {c.name: c for c in rep.checks}["radial_lower_bound_r0"]
+    assert abs(c.measured - 3.0) <= 2 * p.grid.h and c.note == ""
+
+
+def test_uniform_bound_note_says_when_it_is_the_global_min(disk_solution, disk_problem,
+                                                           phi_ref, kc_ref):
+    p = disk_problem
+    u = disk_solution.u
+    rep = bounds_suite(u, p, phi_ref, kc_ref, alphas=())
+    for delta in (0.1, 0.01):
+        c = {c.name: c for c in rep.checks}[f"uniform_bound_delta_{delta}"]
+        assert c.passed is True and c.measured == float(np.min(u.values[u.mask]))
+        assert "R_delta = -" in c.note and "global min u" in c.note
+    rep = bounds_suite(_radial_front_field(p, phi_ref), p, phi_ref, kc_ref, alphas=(),
+                       probe_deltas=(0.1,))
+    c = {c.name: c for c in rep.checks}["uniform_bound_delta_0.1"]
+    assert c.note.startswith("R_delta = ") and float(c.note.split()[2]) > 0.0
+    assert "global min" not in c.note
+
+
+def test_sweeping_rotation_family_note_says_sampled(disk_problem):
+    from types import SimpleNamespace
+
+    p = disk_problem
+    zero = Field(p.grid, np.zeros(p.grid.shape), p.domain_mask)
+    one = Field(p.grid, np.where(p.domain_mask, 1.0, 0.0), p.domain_mask)
+    subsol = SimpleNamespace(field=zero, base=SimpleNamespace(center=(4.0, 0.0)))
+    rep = Report("sweeping")
+    verify_mod._sweeping_checks(rep, p, one, subsol, trials=4)
+    c = {c.name: c for c in rep.checks}["sweeping_rotation_family"]
+    assert c.passed is True and c.measured == -1.0
+    assert c.note == "16 sampled rotation parameters, not certified"
+
+
 def test_bounds_suite_informational_on_annulus(annulus_problem, phi_ref, ref_f):
     p = annulus_problem
     kc = kernel_constants(p.kernel, ref_f, [1.0])
@@ -188,6 +239,8 @@ def test_liouville_sweep_mode_replays_covering_argument(strong_f):
     assert names["sweep_step2_below_u"].passed is True
     assert names["sweep_step3_exact_rotations"].passed is True
     assert names["sweep_step3_sampled_angles"].passed is True
+    assert names["sweep_step3_sampled_angles"].note.endswith("sampled rotations (radial "
+                                                             "interpolant), not certified")
     assert names["sweep_step4_translations"].passed is True
     assert names["sweep_covered_radius"].measured > 6.0
 
