@@ -18,7 +18,6 @@ from .grid import (
     ball_mask,
     field_to_csv,
     holder_quotient,
-    make_field,
     make_grid,
 )
 from .kernels import Kernel, KernelConstants, KernelProfile, build_kernel, kernel_constants, marginal_j1
@@ -40,7 +39,6 @@ from .solver import (
     build_subsolution,
     energy,
     evolve,
-    evolve_ball,
     front_profile,
     maximal_solution,
     resolvent_solve,

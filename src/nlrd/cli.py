@@ -34,7 +34,7 @@ from .errors import NumericalFailure, PreconditionError
 from .grid import field_to_csv
 from .kernels import kernel_constants, marginal_j1
 from .obstacles import deformation_family
-from .solver import build_subsolution, evolve, front_profile, maximal_solution
+from .solver import DECREASE_FLOOR, build_subsolution, evolve, front_profile, maximal_solution
 from .verify import (
     PROGRESS_HEADER,
     Report,
@@ -72,7 +72,7 @@ def _ball(cfg, args):
     _, kernel, f = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     v = maximal_solution(kernel, f, cfg["ball"]["center"], cfg["ball"]["radius"],
-                         kc.d0, tol=cfg["ball"]["tol"], path=args.conv)
+                         kc.d0, path=args.conv)
     return v, kc
 
 
@@ -116,8 +116,8 @@ def cmd_maximal(cfg, args) -> Report:
     rep = Report("maximal")
     rep.add("iterations", None, float(v.iterations))
     rep.add("resolvent_shift", None, v.kshift)
-    rep.add("final_increment", v.final_increment <= cfg["ball"]["tol"],
-            v.final_increment, cfg["ball"]["tol"], None)
+    rep.add("final_increment", v.final_increment <= DECREASE_FLOOR,
+            v.final_increment, DECREASE_FLOOR, None)
     vmax = float(np.max(v.values[v.bmask]))
     rep.add("max_above_theta", vmax > f.theta, vmax, f.theta, None)
     rep.fields["maximal"] = v.field
@@ -204,7 +204,6 @@ def cmd_robustness(cfg, args) -> Report:
         residual_tol=cfg["solver"]["tol"],
         max_steps=cfg["solver"]["max_steps"],
         margin=o["margin"],
-        far_field=cfg["problem"]["far_field"],
         clamp_width=cfg["problem"]["clamp_width"],
         dt=cfg["solver"]["dt"],
         conv_path=args.conv,

@@ -103,7 +103,6 @@ _SCHEMA: dict = {
         "margin": (_nonnegative(_float), "1.5"),
     },
     "problem": {
-        "far_field": (_float, "1.0"),
         "clamp_width": (_float_or_auto, "auto"),
     },
     "solver": {
@@ -116,7 +115,6 @@ _SCHEMA: dict = {
     "ball": {
         "center": (_floats, "0,0"),
         "radius": (_float, "15.0"),
-        "tol": (_positive(_float), "1e-10"),
     },
     "subsolution": {
         "delta": (_float_or_auto, "auto"),
@@ -222,7 +220,6 @@ def build_problem(cfg: dict, conv_path: str = "fast") -> Problem:
         kernel,
         build_obstacle_cfg(cfg, grid),
         f,
-        far_field=cfg["problem"]["far_field"],
         clamp_width=cfg["problem"]["clamp_width"],
         conv_path=conv_path,
     )

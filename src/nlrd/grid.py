@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "HolderEstimate",
     "HolderTable",
     "make_grid",
-    "make_field",
     "ball_mask",
     "shift_windows",
     "holder_quotient",
@@ -156,30 +154,6 @@ class Field:
 
     def masked_in(self) -> np.ndarray:
         return self.values[self.mask]
-
-
-def make_field(grid: Grid, fn: Callable, mask: Callable | np.ndarray | None = None) -> Field:
-    """Sample ``fn`` at cell centers under an optional domain mask.
-
-    ``fn`` and ``mask`` receive the broadcast coordinate arrays (one per
-    axis). A non-finite sample at a masked-in cell is rejected with the
-    offending coordinate.
-    """
-    meshes = grid.meshes()
-    vals = np.broadcast_to(np.asarray(fn(*meshes), dtype=np.float64), grid.shape).copy()
-    if mask is None:
-        m = np.ones(grid.shape, dtype=bool)
-    elif callable(mask):
-        m = np.broadcast_to(np.asarray(mask(*meshes), dtype=bool), grid.shape).copy()
-    else:
-        m = np.asarray(mask, dtype=bool).copy()
-    bad = m & ~np.isfinite(vals)
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        raise PreconditionError(
-            f"non-finite sample at cell center {grid.cell_center(idx)}"
-        )
-    return Field(grid, vals, m)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ off-diagonal values) holds cell by cell.
 
 The condition "u -> 1 at infinity" is realized by a clamp band of width
 >= R_J along the box boundary where fields are held at the far-field
-value and residuals are not evaluated; every interior cell then sees its
+value 1 and residuals are not evaluated; every interior cell then sees its
 full kernel mass inside the box, making the truncated operator exact
 there.
 """
@@ -45,12 +45,11 @@ class Frame:
 
 @dataclass
 class Problem:
-    """Kernel + obstacle + bistable nonlinearity + far-field clamp."""
+    """Kernel + obstacle + bistable nonlinearity + far-field clamp at 1."""
 
     kernel: Kernel
     obstacle: Obstacle
     f: Bistable
-    far_field: float = 1.0
     clamp_width: float | None = None
     conv_path: str = "fast"
 
@@ -82,19 +81,19 @@ class Problem:
         self.jself = convolve(self.domain_mask.astype(np.float64), self.kernel, "direct")
 
     def hostile_datum(self) -> Field:
-        """0 in the interior, far-field value on the clamp band."""
+        """0 in the interior, 1 on the clamp band."""
         vals = np.zeros(self.grid.shape)
-        vals[self.clamp_mask] = self.far_field
+        vals[self.clamp_mask] = 1.0
         return Field(self.grid, vals, self.domain_mask)
 
     def constant_datum(self, value: float) -> Field:
         vals = np.full(self.grid.shape, float(value))
-        vals[self.clamp_mask] = self.far_field
+        vals[self.clamp_mask] = 1.0
         return Field(self.grid, vals, self.domain_mask)
 
     def clamp(self, values: np.ndarray, frame: Frame | None = None) -> np.ndarray:
         fr = self if frame is None else frame
-        values[fr.clamp_mask] = self.far_field
+        values[fr.clamp_mask] = 1.0
         values[~fr.domain_mask] = 0.0
         return values
 
@@ -115,7 +114,7 @@ class Problem:
     def check_clamped(self, u: Field) -> None:
         if u.grid != self.grid or not np.array_equal(u.mask, self.domain_mask):
             raise PreconditionError("field does not live on this problem's domain")
-        if not np.all(u.values[self.clamp_mask] == self.far_field):
+        if not np.all(u.values[self.clamp_mask] == 1.0):
             raise PreconditionError("clamp band does not hold the far-field value")
 
 

@@ -72,13 +72,13 @@ __all__ = [
     "SubSolution",
     "EnergyResult",
     "evolve",
-    "evolve_ball",
     "resolvent_solve",
     "maximal_solution",
     "energy",
     "front_profile",
     "build_subsolution",
     "ball_grid",
+    "DECREASE_FLOOR",
 ]
 
 
@@ -260,44 +260,6 @@ def ball_grid(center, radius: float, h: float, pad: float = 0.0) -> Grid:
     return make_grid(lo, hi, h)
 
 
-def evolve_ball(
-    k: Kernel,
-    f: Bistable,
-    center,
-    radius: float,
-    grid: Grid | None = None,
-    residual_tol: float = 1e-9,
-):
-    """Parabolic route to the ball equation: u' = L_B u - u + f(u) from 1.
-
-    From the constant super-solution 1 the iterates decrease monotonically
-    to the maximal solution; this is the independent oracle for
-    :func:`maximal_solution`. Explicit steps of dt = 0.9/(1 + max |f'|)
-    on the FFT path run until the residual sup is <= ``residual_tol``, or
-    for at most 500 000 steps, the last iterate then flagged unconverged.
-    The iterates overshoot 1 by roundoff, where ``f`` takes its linear
-    right tail (the zero-left extension).
-    """
-    grid = grid or ball_grid(center, radius, k.h)
-    bmask = ball_mask(grid, center, radius)
-    dt = 0.9 / (1.0 + f.max_abs_fprime)
-    fz = ExtendedNonlinearity(f)
-    u = np.where(bmask, 1.0, 0.0)
-    steps = 0
-    with fft_buffers(k):
-        while True:
-            conv = convolve(u * bmask, k, "fast")
-            r = np.where(bmask, conv - u + fz.f(u), 0.0)
-            sup = float(np.max(np.abs(r[bmask])))
-            if not math.isfinite(sup):
-                raise NumericalFailure(f"non-finite ball residual at step {steps}")
-            if sup <= residual_tol or steps >= 500_000:
-                field = Field(grid, np.where(bmask, u, 0.0), bmask)
-                return field, steps, sup <= residual_tol, sup
-            u = u + dt * r
-            steps += 1
-
-
 def resolvent_solve(
     k: Kernel,
     bmask: np.ndarray,
@@ -364,6 +326,11 @@ class MaximalSolution:
         return self.field.mask
 
 
+# four ulps of 1: the first decrease at most this stops the monotone scheme
+# (see maximal_solution), and it bounds the reported final decrease
+DECREASE_FLOOR = float(4.0 * np.finfo(float).eps)
+
+
 def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: str) -> tuple:
     """The loop of :func:`maximal_solution` on ``fold``'s kept cells: returns
     the last iterate and the (iteration, decrease, worst rise) rows."""
@@ -373,7 +340,6 @@ def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: s
         )
     bmask = fold.mask
     outside = ~bmask
-    floor = 4.0 * np.finfo(float).eps  # four ulps of 1: see maximal_solution
     v = np.where(bmask, 1.0, 0.0)
     new = np.empty(v.shape)
     diff = np.empty(v.shape)
@@ -397,7 +363,7 @@ def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: s
             dec = 0.0 - float(np.min(diff, where=bmask, initial=math.inf))
             v, new = new, v
             history.append((len(history) + 1, dec, rise))
-            if dec <= floor:
+            if dec <= DECREASE_FLOOR:
                 return v, history
     raise NumericalFailure("monotone scheme did not reach its rounding floor")
 
@@ -409,14 +375,13 @@ def maximal_solution(
     radius: float,
     d0: float,
     grid: Grid | None = None,
-    tol: float = 1e-10,
     path: str = "fast",
 ) -> MaximalSolution:
     """Monotone iteration from v_0 = 1 on the closed ball.
 
-    Requires R >= d0 (existence threshold from ``kernel_constants``) and
-    ``tol`` >= 1e-13. ``f`` is evaluated through its zero-left extension,
-    under which every iterate stays nonnegative. Each step is one sweep of
+    Requires R >= d0 (existence threshold from ``kernel_constants``). ``f``
+    is evaluated through its zero-left extension, under which every
+    iterate stays nonnegative. Each step is one sweep of
     T(v) = (J * (v 1_B) + k v + f(v)) / (k + 1) on the ball, one resolvent
     sweep warm-started at v. The shift k is max |f'| = -min f' on [0, 1],
     the least under which T preserves order (a smaller one is refused),
@@ -426,16 +391,16 @@ def maximal_solution(
     is checked to be non-increasing to 1e-12 at every step.
 
     The loop runs to the rounding floor: it stops at the first decrease of
-    at most four ulps of 1, 4 eps = 8.88e-16, within 20 000 steps. The
+    at most four ulps of 1, ``DECREASE_FLOOR`` = 4 eps = 8.88e-16, within
+    20 000 steps, and reports that decrease as ``final_increment``. The
     orbit never reaches an exact fixed point, because each step rounds
     J * v, k v + f(v) and the division, so near the limit some cells move
     by a few ulps at every step (on the R = 15 disk, each of a thousand
     further steps rises by 3.3e-16 and falls by 3.3e-16 to 8.9e-16); a
     smaller stop could wait on that rounding for ever. At this one the
-    field is within 1e-14 of where those thousand steps take it. ``tol`` only bounds the reported
-    ``final_increment``, and the stop lies below every admissible ``tol``.
-    The final field solves the ball equation to 1e-9 and exceeds theta
-    somewhere, else the run is reported as collapsed.
+    field is within 1e-14 of where those thousand steps take it. The final
+    field solves the ball equation to 1e-9 and exceeds theta somewhere,
+    else the run is reported as collapsed.
 
     The loop runs on the ball's box folded along its mirror axes, on the
     deficit 1 - v off the ``direct`` path (see the scheme notes and
@@ -452,11 +417,6 @@ def maximal_solution(
         raise PreconditionError(f"R = {radius} below existence threshold d0 = {d0:.6g}")
     if radius < k.radius:
         raise PreconditionError("ball smaller than the kernel support")
-    # tol bounds the final decrease, which the loop drives to four ulps of 1
-    # whatever tol is; below some hundred ulps a decrease measures rounding,
-    # not progress, so a smaller bound would certify nothing more
-    if not tol >= 1e-13:
-        raise PreconditionError(f"tol = {tol} below the floor 1e-13")
     grid = grid or ball_grid(center, radius, k.h)
     full = ball_mask(grid, center, radius)
     fold = _MirrorFold(full, k, deficit=True)

@@ -29,7 +29,6 @@ from .operators import Problem, ball_mask, residual
 from .reduction import _bisect
 from .solver import (
     FrontProfile,
-    SubSolution,
     build_subsolution,
     evolve,
     maximal_solution,
@@ -342,10 +341,12 @@ def liouville_experiment(
     Convex obstacles are expected to pass; the annulus geometry (when the
     kernel hypothesis of the counterexample holds) is seeded with the
     piecewise 0/1 stationary state instead, so the criterion fails by
-    design on the non-simply-connected obstacle. Mode ``sweep`` needs
-    ``sweep_opts`` with ``epsilon`` and ``angles``, and takes an optional
-    ``ball_radius``.
+    design on the non-simply-connected obstacle. Mode ``sweep`` needs a 2-D
+    grid and ``sweep_opts`` with ``epsilon`` and ``angles``, and takes an
+    optional ``ball_radius``.
     """
+    if mode == "sweep" and p.grid.dim != 2:
+        raise PreconditionError(f"sweep mode needs a 2-D grid, got {p.grid.dim}-D")
     rep = Report("liouville")
     seeded_counterexample = (
         p.obstacle.family == "annulus" and p.kernel.radius <= 0.5
@@ -441,7 +442,7 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
 
     # Step 3 continued: sampled intermediate angles via the radial profile
     n_angles = opts["angles"]
-    worst = _rotation_sweep(p, w.field, center, u.values, n_angles, 0.0)
+    worst = _rotation_sweep(p, w.field, center, u.values, n_angles)
     rep.add("sweep_step3_sampled_angles", worst <= 1e-12, worst, 0.0, 1e-12,
             note=f"{n_angles} sampled rotations (radial interpolant), not certified")
 
@@ -467,16 +468,15 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
             note=f"u >= 1 - {eps} certified on the swept annuli out to this radius")
 
 
-def _rotation_sweep(p: Problem, w: Field, center, u: np.ndarray, n: int,
-                    floor: float) -> float:
+def _rotation_sweep(p: Problem, w: Field, center, u: np.ndarray, n: int) -> float:
     """max over the domain of w_tau - u, and over ``n`` equally spaced
     angles tau, where w_tau is the radial interpolant of ``w`` about
     ``center`` with that center rotated by tau about the origin; the
-    result is at least ``floor``."""
+    result is at least 0."""
     radius = float(np.hypot(*center))
     prof_r, prof_v = _radial_profile(w, center)
     meshes = p.grid.meshes()
-    worst = floor
+    worst = 0.0
     for t in range(n):
         tau = 2.0 * math.pi * t / n
         ct = (radius * math.cos(tau), radius * math.sin(tau))
@@ -503,7 +503,7 @@ def _radial_profile(f: Field, center) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# comparison / strong / sweeping suites
+# comparison / strong suites
 
 
 def _smooth_random(p: Problem, rng) -> np.ndarray:
@@ -548,20 +548,18 @@ def comparison_suite(
     trials: int,
     seed: int,
     phi: FrontProfile | None = None,
-    u_ref: Field | None = None,
-    subsol: SubSolution | None = None,
 ) -> Report:
-    """Weak / strong / sweeping principles as exact discrete assertions.
+    """Weak and strong principles as exact discrete assertions.
 
     (a) weak: ordered random pairs stay ordered under evolution (the
         engine of every comparison argument), plus exact plane-wave
         sub-solutions rising under one explicit step;
     (b) strong: at a planted contact cell the operator detects any strict
         annulus perturbation exactly, and equality propagates through the
-        annulus chain that covers the domain;
-    (c) sweeping: a family of rotated/translated copies of a certified
-        sub-solution stays below the converged field at every sampled
-        parameter, given it starts below at one parameter.
+        annulus chain that covers the domain.
+
+    The sweeping principle is replayed by ``liouville_experiment`` in mode
+    ``sweep``.
     """
     rng = np.random.default_rng(seed)
     rep = Report("comparison")
@@ -590,7 +588,6 @@ def comparison_suite(
             p.kernel,
             build_obstacle("none", {}, p.grid),
             p.f,
-            far_field=p.far_field,
             clamp_width=p.clamp_width,
             conv_path="direct",
         )
@@ -647,10 +644,6 @@ def comparison_suite(
     rep.add("strong_chain_covers", steps_bound is not None,
             steps_bound if steps_bound is not None else "unreached",
             note="annulus-dilation BFS reaches the whole component")
-
-    # (c) sweeping against a converged field
-    if u_ref is not None and subsol is not None:
-        _sweeping_checks(rep, p, u_ref, subsol, trials)
     return rep
 
 
@@ -724,21 +717,6 @@ def _dilate(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndar
     return out
 
 
-def _sweeping_checks(rep, p, u_ref, subsol, trials) -> None:
-    wv = subsol.field.values
-    uv = u_ref.values
-    base_gap = float(np.max(np.where(p.domain_mask, wv - uv, -1.0)))
-    rep.add("sweeping_anchor_below", base_gap <= 1e-12, base_gap, 0.0, 1e-12,
-            note="w_{tau_0} <= u at the anchor parameter")
-    if p.grid.dim != 2:
-        rep.add("sweeping_family", None, note="skipped: sweeping family needs dim 2")
-        return
-    n = max(trials, 16)
-    worst = _rotation_sweep(p, subsol.field, subsol.base.center, uv, n, -math.inf)
-    rep.add("sweeping_rotation_family", worst <= 1e-12, worst, 0.0, 1e-12,
-            note=f"{n} sampled rotation parameters, not certified")
-
-
 # ---------------------------------------------------------------------------
 # robustness under Hoelder deformations
 
@@ -755,7 +733,6 @@ def robustness_experiment(
     residual_tol: float = 1e-8,
     max_steps: int = 200_000,
     margin: float = 1.5,
-    far_field: float = 1.0,
     clamp_width: float | None = None,
     dt: float | None = None,
     conv_path: str = "fast",
@@ -767,8 +744,7 @@ def robustness_experiment(
     A = 2 [J] / (inf_eps inf J_eps - max f').
 
     Each K_eps keeps ``margin`` from the box boundary, and each problem
-    takes ``far_field``, ``clamp_width`` and ``conv_path`` as
-    :class:`Problem` does. Each evolution steps at ``dt`` (``None``: that
+    takes ``clamp_width`` and ``conv_path`` as :class:`Problem` does. Each evolution steps at ``dt`` (``None``: that
     problem's comparison bound) and logs its progress every ``log_every``
     steps under the stem ``progress_eps_<eps>``."""
     eps_sorted = sorted(float(e) for e in eps_grid)
@@ -806,8 +782,7 @@ def robustness_experiment(
     A = {a: 2.0 * kc.nikolskii[float(a)] / (min_j_all - maxfp) for a in alphas}
     empirical = None
     for e in sorted(eps_sorted, reverse=True):
-        p = Problem(kernel, obstacles[e], f, far_field=far_field, clamp_width=clamp_width,
-                    conv_path=conv_path)
+        p = Problem(kernel, obstacles[e], f, clamp_width=clamp_width, conv_path=conv_path)
         res = evolve(p, p.hostile_datum(), dt=dt, residual_tol=residual_tol,
                      max_steps=max_steps, log_every=log_every)
         rep.fields[f"field_eps_{e}"] = res.u

@@ -21,7 +21,6 @@ from nlrd import (
     deformation_family,
     energy,
     evolve,
-    evolve_ball,
     kernel_constants,
     make_bistable,
     make_grid,
@@ -36,6 +35,7 @@ from nlrd.verify import (
     bounds_suite,
     comparison_suite,
     counterexample_check,
+    liouville_experiment,
     robustness_experiment,
 )
 
@@ -75,13 +75,11 @@ def liouville_runs(ref_f, phi_ref, kc_ref):
 
 
 @pytest.fixture(scope="module")
-def strong_pieces(strong_f):
+def strong_problem(strong_f):
     g = make_grid([-10.5, -10.5], [10.5, 10.5], H)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
-    kc = kernel_constants(k, strong_f, [0.5, 1.0])
     K = build_obstacle("ball", {"radius": 1.0}, g, margin=1.5)
-    p = Problem(k, K, strong_f)
-    return g, k, kc, p, strong_f
+    return Problem(k, K, strong_f)
 
 
 def test_criterion_01_counterexample(annulus_problem):
@@ -144,6 +142,8 @@ def test_criterion_03_operator_paths(ref_f):
 
 
 def test_criterion_04_monotone_scheme(ref_f):
+    import oracles
+
     details = []
     ok = True
     # 1-D, R = 20
@@ -164,7 +164,8 @@ def test_criterion_04_monotone_scheme(ref_f):
         res = convolve(v.values * bm, k, "fast") - v.values + ref_f.f(v.values)
         res_sup = float(np.max(np.abs(res[bm])))
         vmax = float(np.max(v.values[bm]))
-        ev, _, conv_ok, _ = evolve_ball(k, ref_f, center, R, grid=grid, residual_tol=1e-10)
+        ev, _, conv_ok, _ = oracles.evolve_ball(k, ref_f, center, R, grid=grid,
+                                                residual_tol=1e-10)
         agree = float(np.max(np.abs(ev.values - v.values)))
         ok &= worst_rise <= 1e-12 and res_sup <= 1e-9 and vmax > ref_f.theta
         ok &= conv_ok and agree <= 1e-6
@@ -182,10 +183,10 @@ def test_criterion_05_maximal_structure(ref_f, strong_f):
 
     # (i) nested balls, common lattice, same and different centers
     gn = make_grid([-6.5, -6.5], [6.5, 6.5], h2)
-    v4 = maximal_solution(kk, strong_f, [0.0, 0.0], 4.0, kcs.d0, grid=gn, tol=3e-11)
-    v6 = maximal_solution(kk, strong_f, [0.0, 0.0], 6.0, kcs.d0, grid=gn, tol=3e-11)
+    v4 = maximal_solution(kk, strong_f, [0.0, 0.0], 4.0, kcs.d0, grid=gn)
+    v6 = maximal_solution(kk, strong_f, [0.0, 0.0], 6.0, kcs.d0, grid=gn)
     gap_same = float(np.max((v4.values - v6.values)[v4.bmask]))
-    voff = maximal_solution(kk, strong_f, [1.0, 0.0], 4.0, kcs.d0, grid=gn, tol=3e-11)
+    voff = maximal_solution(kk, strong_f, [1.0, 0.0], 4.0, kcs.d0, grid=gn)
     gap_off = float(np.max((voff.values - v6.values)[voff.bmask]))
     ok &= gap_same <= 1e-10 and gap_off <= 1e-10
     details.append(f"nesting gaps {gap_same:.1e}/{gap_off:.1e}")
@@ -194,8 +195,8 @@ def test_criterion_05_maximal_structure(ref_f, strong_f):
     kref = build_kernel(KernelProfile("quartic", 0.5), make_grid([-4, -4], [4, 4], h2))
     kc_ref2 = kernel_constants(kref, ref_f, [1.0])
     gref = make_grid([-20.125, -20.125], [20.125, 20.125], h2)
-    v15 = maximal_solution(kref, ref_f, [0.0, 0.0], 15.0, kc_ref2.d0, grid=gref, tol=3e-11)
-    v20 = maximal_solution(kref, ref_f, [0.0, 0.0], 20.0, kc_ref2.d0, grid=gref, tol=3e-11)
+    v15 = maximal_solution(kref, ref_f, [0.0, 0.0], 15.0, kc_ref2.d0, grid=gref)
+    v20 = maximal_solution(kref, ref_f, [0.0, 0.0], 20.0, kc_ref2.d0, grid=gref)
     gap_ref = float(np.max((v15.values - v20.values)[v15.bmask]))
     ok &= gap_ref <= 1e-10
     details.append(f"reference 15-in-20 gap {gap_ref:.1e}")
@@ -216,14 +217,14 @@ def test_criterion_05_maximal_structure(ref_f, strong_f):
     k1 = build_kernel(KernelProfile("quartic", 0.5), g1)
     kc1 = kernel_constants(k1, ref_f, [1.0])
     R = 7.6
-    v2R = maximal_solution(k1, ref_f, [0.0], 2 * R, kc1.d0, grid=g1, tol=3e-11)
-    v4R = maximal_solution(k1, ref_f, [0.0], 4 * R, kc1.d0, grid=g1, tol=3e-11)
+    v2R = maximal_solution(k1, ref_f, [0.0], 2 * R, kc1.d0, grid=g1)
+    v4R = maximal_solution(k1, ref_f, [0.0], 4 * R, kc1.d0, grid=g1)
     small = ball_mask(g1, [0.0], R)
     minmax_1d = float(np.min(v4R.values[small])) - float(np.max(v2R.values[small]))
     Rs = 3.75
     g2 = make_grid([-15.5, -15.5], [15.5, 15.5], h2)
-    w2 = maximal_solution(kk, strong_f, [0.0, 0.0], 2 * Rs, kcs.d0, grid=g2, tol=3e-11)
-    w4 = maximal_solution(kk, strong_f, [0.0, 0.0], 4 * Rs, kcs.d0, grid=g2, tol=3e-11)
+    w2 = maximal_solution(kk, strong_f, [0.0, 0.0], 2 * Rs, kcs.d0, grid=g2)
+    w4 = maximal_solution(kk, strong_f, [0.0, 0.0], 4 * Rs, kcs.d0, grid=g2)
     small2 = ball_mask(g2, [0.0, 0.0], Rs)
     minmax_2d = float(np.min(w4.values[small2])) - float(np.max(w2.values[small2]))
     ok &= minmax_1d >= -1e-10 and minmax_2d >= -1e-10
@@ -293,22 +294,32 @@ def test_criterion_07_subsolution_certificate(ref_f):
           f"min {w.verify_min:.4f} >= {-2.0 * h * kc.w11:.4f}, delta {w.delta:.4f}, {wall:.0f}s")
 
 
-def test_criterion_08_suites(strong_pieces, strong_f):
-    g, k, kc, p, f = strong_pieces
-    phi = front_profile(marginal_j1(k), strong_f, tol=1e-13)
-    res = evolve(p, p.hostile_datum(), residual_tol=1e-8)
-    assert res.converged
-    cx = 4.8125
-    v = maximal_solution(k, f, [cx, 0.0], 3.75, kc.d0)
-    w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
-    rep = comparison_suite(p, trials=100, seed=0, phi=phi, u_ref=res.u, subsol=w)
+def test_criterion_08_suites(strong_problem, strong_f):
+    p = strong_problem
+    phi = front_profile(marginal_j1(p.kernel), strong_f, tol=1e-13)
+    rep = comparison_suite(p, trials=100, seed=0, phi=phi)
     by = {c.name: c for c in rep.checks}
     ok = rep.passed
+    # the sweeping rows come from the covering replay, on the geometry of
+    # configs/sweep_covering.ini: this box is too small to host its ball
+    gs = make_grid([-12, -12], [12, 12], 1 / 8)
+    ks = build_kernel(KernelProfile("quartic", 0.5), gs)
+    ps = Problem(ks, build_obstacle("ball", {"radius": 1.0}, gs, margin=1.5), strong_f)
+    sweep = liouville_experiment(
+        ps, front_profile(marginal_j1(ks), strong_f, tol=1e-13),
+        kernel_constants(ks, strong_f, [1.0]), mode="sweep",
+        sweep_opts={"epsilon": 0.25, "ball_radius": 4.0, "angles": 100},
+    )
+    sw = {c.name: c for c in sweep.checks}
+    below, rot = sw["sweep_step2_below_u"], sw["sweep_step3_sampled_angles"]
+    ok &= sweep.passed and below.passed is True and rot.passed is True
+    ok &= below.tol == 1e-12 and rot.tol == 1e-12
+    ok &= rot.note.startswith("100 sampled rotations")
     detail = (
         f"weak {by['weak_ordering_trials'].measured:.1e}, "
         f"contact {by['strong_contact_zero'].measured:.1e}, "
         f"chain {by['strong_chain_covers'].measured} steps, "
-        f"sweep rot {by['sweeping_rotation_family'].measured:.1e}"
+        f"sweep below {below.measured:.1e}, sweep rot {rot.measured:.1e}"
     )
     _line(8, "comparison/strong/sweeping suites", ok, detail)
 

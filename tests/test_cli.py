@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import nlrd.cli
+import nlrd.grid
+import nlrd.solver
 import nlrd.verify
 from nlrd.cli import main
 from nlrd.config import build_problem, load_config
@@ -142,7 +145,8 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("h = 0.0625", "h = inf"), COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI.replace("lo = -4,-4", "lo = -4,-inf"), COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[grid]\nh = 0.125\n", COUNTEREXAMPLE),
-    (COUNTEREXAMPLE_INI + "\n[ball]\ntol = -1\n", COUNTEREXAMPLE),
+    # the scheme stops at its rounding floor, so a stop bound is no key any more
+    (MAXIMAL_INI + "tol = 1e-10\n", ("maximal",)),
     (COUNTEREXAMPLE_INI + "\n[solver]\ntol = 0\n", COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[solver]\ndt = 0\n", COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[solver]\nmax_steps = -5\n", COUNTEREXAMPLE),
@@ -175,8 +179,12 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_k = -1"),
      ("solve",)),
     (SOLVE_ONES_INI + "log_every = -3\n", ("solve",)),
-    # below the 1e-13 floor of [ball] tol: a decrease that small is rounding
-    (MAXIMAL_INI + "tol = 1e-16\n", ("maximal",)),
+    # solutions tend to 1 at infinity: the clamp value is no key any more
+    (COUNTEREXAMPLE_INI + "\n[problem]\nfar_field = 1.0\n", COUNTEREXAMPLE),
+    # the covering replay rotates about the origin of a 2-D grid
+    (LIOUVILLE_SMALL_INI.replace("lo = -5,-5", "lo = -5").replace("hi = 5,5", "hi = 5")
+     .replace("family = ball", "family = ball\ncenter = 0"),
+     ("experiment", "liouville", "--mode", "sweep")),
     # no profile of this kind can be sampled
     (SOLVE_ONES_INI.replace("profile = quartic", "profile = custom"), ("front",)),
     # with no alphas the bounds suite passed without a single Hoelder row
@@ -190,14 +198,14 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_amp = -1"),
      ("solve",)),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
-        "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
+        "ball_tol_unknown_key", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
         "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
         "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps",
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
         "zero_star_points", "negative_psi_k", "negative_log_every",
-        "ball_tol_below_floor", "custom_profile", "empty_alphas", "probe_delta_above_one",
-        "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp"])
+        "far_field_unknown_key", "sweep_mode_1d", "custom_profile", "empty_alphas",
+        "probe_delta_above_one", "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -274,6 +282,23 @@ def test_perfbench_tracer_runs_liouville(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(spans.read_text())["spans"]
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps():
+    # install() looks up every traced function and method by name, and the
+    # tracer's counts read these result fields; it patches the package, so
+    # it runs in a child process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import trace_child; trace_child.install(trace_child.Tracer())"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exact" in {f.name for f in dataclasses.fields(nlrd.grid.HolderEstimate)}
+    assert "iterations" in {f.name for f in dataclasses.fields(nlrd.solver.MaximalSolution)}
 
 
 def test_tiny_spacing_exits_two_before_allocating(tmp_path, capsys):

@@ -10,11 +10,11 @@ from nlrd import (
     PreconditionError,
     field_to_csv,
     holder_quotient,
-    make_field,
     make_grid,
 )
 from nlrd.grid import MAX_CELLS, shift_windows
 from nlrd.reduction import pairwise_sum
+from oracles import make_field
 
 
 def test_grid_counts_and_centers():

@@ -18,7 +18,6 @@ from nlrd import (
     energy,
     even_potential,
     evolve,
-    evolve_ball,
     front_profile,
     kernel_constants,
     make_bistable,
@@ -225,15 +224,16 @@ def test_maximal_solution_1d_center_value(maximal_1d):
 
 def test_maximal_agrees_with_parabolic_route(maximal_1d, ref_f):
     g, k, kc, v = maximal_1d
-    ev, steps, conv, _ = evolve_ball(k, ref_f, [0.0], 20.0, grid=g, residual_tol=1e-10)
+    ev, steps, conv, _ = oracles.evolve_ball(k, ref_f, [0.0], 20.0, grid=g,
+                                             residual_tol=1e-10)
     assert conv
     assert float(np.max(np.abs(ev.values - v.values))) <= 1e-6
 
 
 def test_maximal_nested_balls_1d(maximal_1d, ref_f):
     g, k, kc, v20 = maximal_1d
-    v15 = maximal_solution(k, ref_f, [0.0], 15.0, kc.d0, grid=g, tol=3e-11)
-    v20t = maximal_solution(k, ref_f, [0.0], 20.0, kc.d0, grid=g, tol=3e-11)
+    v15 = maximal_solution(k, ref_f, [0.0], 15.0, kc.d0, grid=g)
+    v20t = maximal_solution(k, ref_f, [0.0], 20.0, kc.d0, grid=g)
     inside = v15.bmask
     assert float(np.max((v15.values - v20t.values)[inside])) <= 1e-10
 
@@ -257,7 +257,7 @@ def test_maximal_collapses_below_existence_radius():
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d_R20", "2d_R4"])
-def test_maximal_inexact_matches_tight_reference(dim, ball1d, ref_f, strong_f, monkeypatch):
+def test_maximal_matches_tight_reference(dim, ball1d, ref_f, strong_f, monkeypatch):
     import nlrd.solver
 
     if dim == 1:
@@ -327,16 +327,6 @@ def test_descend_rejects_a_shift_below_the_threshold(ball1d, ref_f):
     fz = ExtendedNonlinearity(ref_f)
     with pytest.raises(PreconditionError, match="resolvent shift too small"):
         _descend(_MirrorFold(full, k, deficit=True), fz, 0.5, "fast")
-
-
-def test_maximal_rejects_tol_below_inner_floor(ball1d, ref_f):
-    # tol bounds the final decrease, which the scheme drives to four ulps of
-    # 1 anyway; a bound below 1e-13 is refused, as it always was
-    g, k = ball1d
-    kc = kernel_constants(k, ref_f, [1.0])
-    for tol in (1e-16, 9e-14, 0.0, -1.0, math.nan):
-        with pytest.raises(PreconditionError, match="floor"):
-            maximal_solution(k, ref_f, [0.0], 20.0, kc.d0, grid=g, tol=tol)
 
 
 def test_maximal_rejects_ball_off_grid(ball1d, ref_f):
@@ -515,8 +505,8 @@ def test_lemma_64iii_minmax_1d(ball1d, ref_f):
     kc = kernel_constants(k, ref_f, [1.0])
     R = 7.6  # just above the 1-D threshold d0 = 7.5
     g = make_grid([-31], [31], 1 / 16)
-    v2 = maximal_solution(k, ref_f, [0.0], 2 * R, kc.d0, grid=g, tol=3e-11)
-    v4 = maximal_solution(k, ref_f, [0.0], 4 * R, kc.d0, grid=g, tol=3e-11)
+    v2 = maximal_solution(k, ref_f, [0.0], 2 * R, kc.d0, grid=g)
+    v4 = maximal_solution(k, ref_f, [0.0], 4 * R, kc.d0, grid=g)
     small = ball_mask(g, [0.0], R)
     assert float(np.min(v4.values[small])) >= float(np.max(v2.values[small])) - 1e-10
 

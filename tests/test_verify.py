@@ -155,20 +155,6 @@ def test_uniform_bound_note_says_when_it_is_the_global_min(disk_solution, disk_p
     assert "global min" not in c.note
 
 
-def test_sweeping_rotation_family_note_says_sampled(disk_problem):
-    from types import SimpleNamespace
-
-    p = disk_problem
-    zero = Field(p.grid, np.zeros(p.grid.shape), p.domain_mask)
-    one = Field(p.grid, np.where(p.domain_mask, 1.0, 0.0), p.domain_mask)
-    subsol = SimpleNamespace(field=zero, base=SimpleNamespace(center=(4.0, 0.0)))
-    rep = Report("sweeping")
-    verify_mod._sweeping_checks(rep, p, one, subsol, trials=4)
-    c = {c.name: c for c in rep.checks}["sweeping_rotation_family"]
-    assert c.passed is True and c.measured == -1.0
-    assert c.note == "16 sampled rotation parameters, not certified"
-
-
 def test_bounds_suite_informational_on_annulus(annulus_problem, phi_ref, ref_f):
     p = annulus_problem
     kc = kernel_constants(p.kernel, ref_f, [1.0])
