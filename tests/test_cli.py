@@ -145,8 +145,9 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("h = 0.0625", "h = inf"), COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI.replace("lo = -4,-4", "lo = -4,-inf"), COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[grid]\nh = 0.125\n", COUNTEREXAMPLE),
-    # the scheme stops at its rounding floor, so a stop bound is no key any more
-    (MAXIMAL_INI + "tol = 1e-10\n", ("maximal",)),
+    # the scheme stops at its rounding floor, so [ball] tol is no key any more:
+    # any value of it, the old floor's rejects too, exits 2 as an unknown key
+    (COUNTEREXAMPLE_INI + "\n[ball]\ntol = -1\n", COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[solver]\ntol = 0\n", COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[solver]\ndt = 0\n", COUNTEREXAMPLE),
     (COUNTEREXAMPLE_INI + "\n[solver]\nmax_steps = -5\n", COUNTEREXAMPLE),
@@ -185,6 +186,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (LIOUVILLE_SMALL_INI.replace("lo = -5,-5", "lo = -5").replace("hi = 5,5", "hi = 5")
      .replace("family = ball", "family = ball\ncenter = 0"),
      ("experiment", "liouville", "--mode", "sweep")),
+    (MAXIMAL_INI + "tol = 1e-16\n", ("maximal",)),
     # no profile of this kind can be sampled
     (SOLVE_ONES_INI.replace("profile = quartic", "profile = custom"), ("front",)),
     # with no alphas the bounds suite passed without a single Hoelder row
@@ -198,13 +200,14 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_amp = -1"),
      ("solve",)),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
-        "ball_tol_unknown_key", "zero_solver_tol", "zero_dt", "negative_max_steps",
+        "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
         "short_obstacle_center", "negative_obstacle_radius", "negative_ellipse_axis",
         "negative_margin", "short_ball_center", "garbage_psi", "negative_pass_eps",
         "robustness_margin", "robustness_clamp_width", "maximal_odd_extension",
         "zero_star_points", "negative_psi_k", "negative_log_every",
-        "far_field_unknown_key", "sweep_mode_1d", "custom_profile", "empty_alphas",
+        "far_field_unknown_key", "sweep_mode_1d", "ball_tol_below_floor",
+        "custom_profile", "empty_alphas",
         "probe_delta_above_one", "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
