@@ -2,19 +2,23 @@
 
 Two interchangeable paths:
 
-* ``direct`` — the input is zero-padded once by the kernel reach and laid
-  out flat, so an offset is one contiguous window. The table is even
-  (``Kernel`` checks it bit for bit), so the path folds mirrored taps: for
-  each quarter tap ``(a, b)`` (``Kernel.quarter_taps``: offsets >= 0,
-  row-major order) every cell adds ``c * ((x(+a,+b) + x(-a,+b)) +
-  (x(+a,-b) + x(-a,-b)))``, with one image for a zero component; the row
-  fold is built once per row offset. That is one multiply per quarter tap
-  instead of one per tap. Every cell sums the same terms in the same fixed
-  order, whatever its position in the box (an out-of-box cell adds an
-  exact zero), so the path is translation-equivariant to the bit, monotone
-  for nonnegative weights, and a lone value ``v`` among zeros gives
-  exactly ``(c * v) * h^dim``. :func:`convolve_at` evaluates one cell with
-  the same operations in the same order and returns the same bits.
+* ``direct`` — one tap loop, :func:`_conv_inner`, gives J * x on the inner
+  window of x's box, the cells at least the kernel reach from every edge.
+  It reads x in place, laid out flat, so an offset is one contiguous
+  window. The full-box convolution is that loop on the input zero-padded
+  by the reach. The table is even (``Kernel`` checks it bit for bit), so
+  the loop folds mirrored taps: for each quarter tap ``(a, b)``
+  (``Kernel.quarter_taps``: offsets >= 0, row-major order) every cell adds
+  ``c * ((x(+a,+b) + x(-a,+b)) + (x(+a,-b) + x(-a,-b)))``, with one image
+  for a zero component; the row fold is built once per row offset. That
+  is one multiply per quarter tap instead of one per tap. Every cell sums
+  the same terms in the same fixed order, whatever its position in the
+  box (an out-of-box cell adds an exact zero), so the path is
+  translation-equivariant to the bit, monotone for nonnegative weights,
+  a lone value ``v`` among zeros gives exactly ``(c * v) * h^dim``, and a
+  window cell gets the same bits from the window loop as from the
+  full-box convolution. :func:`convolve_at` evaluates one cell with the
+  same operations in the same order and returns the same bits.
 * ``fast``   — FFT on a box zero-padded past the kernel support and rounded
   up to a 5-smooth length, so the transform is an exact linear convolution
   (no wrap-around). The kernel spectrum is cached per padded shape. The
@@ -33,7 +37,6 @@ sup norm, returning the direct result.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -66,40 +69,46 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def _conv_direct(arr: np.ndarray, k: Kernel) -> np.ndarray:
-    # The box, zero-padded by the reach, is laid out flat in a buffer with
-    # room past its end; offset d then reads one contiguous window shifted
-    # by d's flat offset. Output rows keep the padded row length, and the
-    # extra columns (read across the row seam) are dropped at the end. The
-    # row fold x(+a) + x(-a) is a strip m cells longer than the box at
-    # either end, so that its column shifts by -m..m stay inside it.
+def _conv_inner(x: np.ndarray, k: Kernel) -> np.ndarray:
+    """J * x on the inner window of x's box, the cells at least ``k.reach``
+    from every edge, read from x in place."""
+    # x is laid out flat, so offset d reads one contiguous window shifted by
+    # d's flat offset. Output rows keep x's row length, and the extra
+    # columns (read across the row seam) are dropped at the end. The row
+    # fold x(+a) + x(-a) is a strip m cells longer than the window's flat
+    # span at either end, so that its column shifts by -m..m stay inside x.
     m = k.reach
-    shape = arr.shape
-    padded = tuple(n + 2 * m for n in shape)
-    row = padded[1] if arr.ndim == 2 else 0  # flat stride of a row offset
-    size = shape[0] * math.prod(padded[1:])
+    inner = tuple(n - 2 * m for n in x.shape)
+    flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    row = x.shape[1] if x.ndim == 2 else 0  # flat stride of a row offset
+    size = flat.size - 2 * m * (row + 1)  # first to last window cell
     span = size + 2 * m
-    lo = m * row  # strip start: the first cell's flat index minus m
-    buf = np.zeros(2 * lo + span)
-    box = buf[: math.prod(padded)].reshape(padded)
-    box[tuple(slice(m, m + n) for n in shape)] = arr
-    out = np.zeros(size)
+    lo = m * row  # strip start: the first window cell's flat index minus m
+    out = np.zeros(inner[0] * row if row else size)
+    acc = out[:size]
     tmp = np.empty(size)
     strip = np.empty(span)
-    fold, last = buf[lo : lo + span], 0
+    fold, last = flat[lo : lo + span], 0
     for d, c in k.quarter_taps:
-        a, b = d if arr.ndim == 2 else (0, d[0])
+        a, b = d if x.ndim == 2 else (0, d[0])
         if a != last:
             up, down = lo + a * row, lo - a * row
-            fold, last = np.add(buf[up : up + span], buf[down : down + span], out=strip), a
+            fold, last = np.add(flat[up : up + span], flat[down : down + span], out=strip), a
         if b:
             np.add(fold[m + b : m + b + size], fold[m - b : m - b + size], out=tmp)
             np.multiply(tmp, c, out=tmp)
         else:
             np.multiply(fold[m : m + size], c, out=tmp)
-        out += tmp
-    out = out.reshape((shape[0],) + padded[1:])[tuple(map(slice, shape))]
+        acc += tmp
+    if row:
+        out = out.reshape(inner[0], row)[:, : inner[1]]
     return out * k.h**k.dim
+
+
+def _conv_direct(arr: np.ndarray, k: Kernel) -> np.ndarray:
+    """J * arr on the whole box: the inner window of arr zero-padded by the
+    reach."""
+    return _conv_inner(np.pad(arr, k.reach), k)
 
 
 def convolve_at(arr: np.ndarray, k: Kernel, idx) -> float:

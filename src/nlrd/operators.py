@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convolve import convolve
+from .convolve import _conv_inner, convolve
 from .errors import PreconditionError
 from .grid import Field, ball_mask
 from .kernels import Kernel
@@ -33,9 +33,12 @@ __all__ = ["Frame", "Problem", "apply_L", "residual", "ball_mask"]
 class Frame:
     """The cells :meth:`Problem.step` updates, and what it reads there: the
     domain and clamp masks, the diagonal mass ``jself``, and ``convolve(x,
-    path)``, which gives J * x on these cells for x given on them. A
-    :class:`Problem` is the full-box frame; a mirror fold of its box is
-    another (see ``solver.evolve``)."""
+    path)``, which gives J * x on these cells for x given on them. A mirror
+    fold of a problem's box is a frame (see ``solver.evolve``). The
+    :class:`Problem` itself is the full-box frame, whose ``convolve`` gives
+    J * x on the inner window only, the cells at least ``kernel.reach``
+    from every box edge: every cell outside it is in the clamp band, so
+    its rate is 0 and the clamp sets its next value."""
 
     domain_mask: np.ndarray
     clamp_mask: np.ndarray
@@ -79,6 +82,10 @@ class Problem:
             raise PreconditionError("clamp band leaves no interior cells")
         # diagonal mass seen from each cell, restricted to the box
         self.jself = convolve(self.domain_mask.astype(np.float64), self.kernel, "direct")
+        # the inner window: a cell i < reach from an edge has its centre
+        # (i + 1/2) h < reach h <= radius <= clamp_width from it, in the band
+        m = self.kernel.reach
+        self.window = tuple(slice(m, n - m) for n in grid.shape)
 
     def hostile_datum(self) -> Field:
         """0 in the interior, 1 on the clamp band."""
@@ -98,18 +105,31 @@ class Problem:
         return values
 
     def convolve(self, x: np.ndarray, path: str) -> np.ndarray:
-        """J * x on the full box: the convolution of the full-box frame."""
-        return convolve(x, self.kernel, path)
+        """J * x on the inner window of the full box, for x given on the
+        box: the convolution of the full-box frame. The direct path reads
+        x in place; its bits equal ``convolve(x, kernel, path)`` there."""
+        if path == "direct":
+            return _conv_inner(x, self.kernel)
+        return convolve(x, self.kernel, path)[self.window]
 
     def step(self, u: np.ndarray, dt: float, path: str | None = None,
              frame: Frame | None = None):
         """The explicit step ``(clamp(clip(u + dt rate, 0, 1)), rate)``, with
         ``rate = J * u - jself u + f(u)`` on the raw array, unmasked
-        (:func:`residual` is the masked form), on the cells of ``frame``
-        (default: the full box). ``u`` is not modified."""
-        fr = self if frame is None else frame
-        rate = fr.convolve(u, path or self.conv_path) - fr.jself * u + self.f.f(u)
-        return self.clamp(np.clip(u + dt * rate, 0.0, 1.0), fr), rate
+        (:func:`residual` is the masked form), on the cells of ``frame``.
+        The default is the full box, whose rate is computed on its inner
+        window and is 0 outside it, on every path: those cells are all in
+        the clamp band, so the next state is the full-box update's to the
+        bit, and so is the rate on every ``interior_mask`` cell. ``u`` is
+        not modified."""
+        path = path or self.conv_path
+        if frame is not None:
+            rate = frame.convolve(u, path) - frame.jself * u + self.f.f(u)
+        else:
+            win, rate = self.window, np.zeros(u.shape)
+            x = u[win]
+            rate[win] = self.convolve(u, path) - self.jself[win] * x + self.f.f(x)
+        return self.clamp(np.clip(u + dt * rate, 0.0, 1.0), frame), rate
 
     def check_clamped(self, u: Field) -> None:
         if u.grid != self.grid or not np.array_equal(u.mask, self.domain_mask):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .convolve import convolve, convolve_at
+from .convolve import convolve_at
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, HolderTable, holder_quotient, shift_windows
 from .kernels import Kernel, KernelConstants, marginal_j1
@@ -471,12 +471,12 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
 def _rotation_sweep(p: Problem, w: Field, center, u: np.ndarray, n: int) -> float:
     """max over the domain of w_tau - u, and over ``n`` equally spaced
     angles tau, where w_tau is the radial interpolant of ``w`` about
-    ``center`` with that center rotated by tau about the origin; the
-    result is at least 0."""
+    ``center`` with that center rotated by tau about the origin; negative
+    when every w_tau lies strictly below u."""
     radius = float(np.hypot(*center))
     prof_r, prof_v = _radial_profile(w, center)
     meshes = p.grid.meshes()
-    worst = 0.0
+    worst = -math.inf
     for t in range(n):
         tau = 2.0 * math.pi * t / n
         ct = (radius * math.cos(tau), radius * math.sin(tau))
@@ -507,10 +507,14 @@ def _radial_profile(f: Field, center) -> tuple:
 
 
 def _smooth_random(p: Problem, rng) -> np.ndarray:
+    """Uniform noise averaged by J on the inner window, 1 outside it: those
+    cells are in the clamp band, which the clamp overwrites."""
     raw = rng.uniform(0.0, 1.0, p.grid.shape)
-    smooth = convolve(raw * p.domain_mask, p.kernel, "direct")
-    jj = np.where(p.jself > 0, p.jself, 1.0)
-    return np.clip(smooth / jj, 0.0, 1.0)
+    smooth = p.convolve(raw * p.domain_mask, "direct")
+    jj = p.jself[p.window]
+    out = np.ones(p.grid.shape)
+    out[p.window] = np.clip(smooth / np.where(jj > 0, jj, 1.0), 0.0, 1.0)
+    return out
 
 
 def plane_wave(p: Problem, phi: FrontProfile, axis: int, r_cells: int) -> Field:
@@ -611,11 +615,11 @@ def comparison_suite(
     worst_zero = 0.0
     worst_detect = 0.0
     n_strong = trials
+    meshes = p.grid.meshes()
     for _ in range(n_strong):
         xbar = interior_idx[int(rng.integers(0, interior_idx.shape[0]))]
         w = -rng.uniform(0.0, 1.0, p.grid.shape)
         w[~p.domain_mask] = 0.0
-        meshes = p.grid.meshes()
         d2 = sum((meshes[a] - (p.grid.lo[a] + (xbar[a] + 0.5) * p.grid.h)) ** 2
                  for a in range(p.grid.dim))
         w[d2 <= p.kernel.r2**2] = 0.0

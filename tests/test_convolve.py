@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import oracles
-from nlrd import KernelProfile, build_kernel, make_grid
-from nlrd.convolve import convolve, convolve_at, fft_buffers, next_fast_len
+from nlrd import Kernel, KernelProfile, build_kernel, make_grid
+from nlrd.convolve import _conv_inner, convolve, convolve_at, fft_buffers, next_fast_len
 
 
 def _bits(x):
@@ -154,6 +154,38 @@ def test_lone_cell_gives_weight_times_value(name, dim):
     assert np.array_equal(_bits(got), _bits(want))
     assert all(_bits(convolve_at(arr, k, idx)) == _bits(want[idx])
                for idx in [at, (0,) * dim, tuple(a + 3 for a in at)])
+
+
+def _reach1_kernel(dim):
+    """An even table of reach 1, below what ``build_kernel`` accepts (2h)."""
+    w = np.array([0.3, 1.7, 0.3])
+    if dim == 2:
+        w = np.outer(w, [0.6, 1.1, 0.6])
+    return Kernel(h=0.25, dim=dim, radius=0.25, weights=w, reach=1, r1=0.0, r2=0.25,
+                  profile=KernelProfile("tophat", 0.25))
+
+
+@pytest.mark.parametrize("reach", [1, 8])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inner_window_matches_padded_direct_path(reach, dim):
+    k = _reach1_kernel(dim) if reach == 1 else _kernel(PROFILES["quartic"], dim)
+    assert k.reach == reach
+    n = 2 * reach + 1  # the smallest box with a window: one cell
+    shapes = {1: [(n,), (n + 1,), (n + 8,), (n + 9,)],
+              2: [(n, n), (n + 1, n), (n, n + 9), (n + 8, n + 1)]}[dim]
+    for seed, shape in enumerate(shapes):
+        arr = _field(shape, seed)
+        arr[np.random.default_rng(seed).uniform(size=shape) < 0.1] = -0.0
+        arr.flat[0], arr.flat[-1] = -0.75, -0.0
+        win = tuple(slice(reach, s - reach) for s in shape)
+        got = _conv_inner(arr, k)
+        full = convolve(arr, k, "direct")
+        assert got.shape == tuple(s - 2 * reach for s in shape)
+        assert np.array_equal(_bits(got), _bits(full[win]))
+        last = tuple(s - reach - 1 for s in shape)  # the window's last cell
+        for at in {(reach,) * dim, last, tuple((reach + b) // 2 for b in last)}:
+            cell = tuple(a - reach for a in at)
+            assert _bits(convolve_at(arr, k, at)) == _bits(got[cell]), (shape, at)
 
 
 # fast path: buffered 1-D transforms against one-shot rfftn/irfftn

@@ -227,6 +227,8 @@ def test_liouville_sweep_mode_replays_covering_argument(strong_f):
     assert names["sweep_step3_sampled_angles"].passed is True
     assert names["sweep_step3_sampled_angles"].note.endswith("sampled rotations (radial "
                                                              "interpolant), not certified")
+    # the true margin: every sampled rotation lies strictly below u
+    assert names["sweep_step3_sampled_angles"].measured < 0.0
     assert names["sweep_step4_translations"].passed is True
     assert names["sweep_covered_radius"].measured > 6.0
 
@@ -252,6 +254,28 @@ def test_comparison_suite_small(small_problem, phi_ref):
     assert names["strong_annulus_detection"].passed is True
     assert names["strong_chain_covers"].passed is True
     assert names["weak_plane_wave_subsolution"].passed is True
+
+
+def test_comparison_steps_convolve_unpadded(small_problem, phi_ref, monkeypatch):
+    # the weak and plane-wave steps convolve the inner window of the field
+    # in place; the one padded 2-D direct convolution left is the jself of
+    # the obstacle-free problem the plane waves step on
+    import nlrd.convolve as conv_mod
+    import nlrd.operators as ops_mod
+
+    padded, inner = [], []
+    pad, window = conv_mod._conv_direct, conv_mod._conv_inner
+    monkeypatch.setattr(conv_mod, "_conv_direct",
+                        lambda arr, k: padded.append(arr.ndim) or pad(arr, k))
+    monkeypatch.setattr(ops_mod, "_conv_inner",
+                        lambda x, k: inner.append(x.ndim) or window(x, k))
+    for trials in (8, 20):
+        padded.clear()
+        inner.clear()
+        assert comparison_suite(small_problem, trials=trials, seed=4, phi=phi_ref).passed
+        assert padded == [2]
+        # per weak pair one smoothing and 2 x 12 steps; one per plane wave
+        assert inner == [2] * (trials // 2 * 25 + max(trials // 10, 4))
 
 
 def test_chain_window_dilation_matches_whole_box(disk_problem):
