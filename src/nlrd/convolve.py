@@ -18,7 +18,11 @@ Two interchangeable paths:
   a lone value ``v`` among zeros gives exactly ``(c * v) * h^dim``, and a
   window cell gets the same bits from the window loop as from the
   full-box convolution. :func:`convolve_at` evaluates one cell with the
-  same operations in the same order and returns the same bits.
+  same operations in the same order and returns the same bits. The loop's
+  three work arrays (accumulator, term, fold strip) start on 64-byte cache
+  lines, so no store straddles two lines; ``malloc`` gives only 16-byte
+  alignment, and the offset it picks would otherwise set the loop's time.
+  The bits do not depend on where any array lands, the input included.
 * ``fast``   — FFT on a box zero-padded past the kernel support and rounded
   up to a 5-smooth length, so the transform is an exact linear convolution
   (no wrap-around). The kernel spectrum is cached per padded shape. The
@@ -69,6 +73,18 @@ def next_fast_len(n: int) -> int:
     return best
 
 
+_LINE = 64  # bytes in a cache line
+
+
+def _line_aligned(n: int) -> np.ndarray:
+    """An uninitialised float64 array of n cells whose data starts on a
+    64-byte line: an over-allocation by 7 cells, sliced at the first line
+    boundary."""
+    buf = np.empty(n + _LINE // 8 - 1)
+    skip = -buf.ctypes.data % _LINE // 8
+    return buf[skip : skip + n]
+
+
 def _conv_inner(x: np.ndarray, k: Kernel) -> np.ndarray:
     """J * x on the inner window of x's box, the cells at least ``k.reach``
     from every edge, read from x in place."""
@@ -84,10 +100,11 @@ def _conv_inner(x: np.ndarray, k: Kernel) -> np.ndarray:
     size = flat.size - 2 * m * (row + 1)  # first to last window cell
     span = size + 2 * m
     lo = m * row  # strip start: the first window cell's flat index minus m
-    out = np.zeros(inner[0] * row if row else size)
+    out = _line_aligned(inner[0] * row if row else size)
+    out.fill(0.0)  # +0.0, as np.zeros gave: a cell of -0.0 terms sums to +0.0
     acc = out[:size]
-    tmp = np.empty(size)
-    strip = np.empty(span)
+    tmp = _line_aligned(size)
+    strip = _line_aligned(span)
     fold, last = flat[lo : lo + span], 0
     for d, c in k.quarter_taps:
         a, b = d if x.ndim == 2 else (0, d[0])

@@ -20,6 +20,7 @@ import pytest
 
 import oracles
 from nlrd import Kernel, KernelProfile, build_kernel, make_grid
+from nlrd import convolve as convolve_mod
 from nlrd.convolve import _conv_inner, convolve, convolve_at, fft_buffers, next_fast_len
 
 
@@ -186,6 +187,116 @@ def test_inner_window_matches_padded_direct_path(reach, dim):
         for at in {(reach,) * dim, last, tuple((reach + b) // 2 for b in last)}:
             cell = tuple(a - reach for a in at)
             assert _bits(convolve_at(arr, k, at)) == _bits(got[cell]), (shape, at)
+
+
+# the window loop's work arrays start on 64-byte lines, and its bits do
+# not depend on where any array lands
+
+BOX = (256, 256)  # the box of configs/liouville_disk.ini (h = 1/16)
+
+
+def _spy_aligned(monkeypatch, fill=None):
+    """Record the arrays ``_conv_inner`` takes from ``_line_aligned``;
+    with ``fill`` each one is handed over filled with that value."""
+    taken, real = [], convolve_mod._line_aligned
+
+    def spy(n):
+        arr = real(n)
+        if fill is not None:
+            arr.fill(fill)
+        taken.append(arr)
+        return arr
+
+    monkeypatch.setattr(convolve_mod, "_line_aligned", spy)
+    return taken
+
+
+def _on_line(arr):
+    return arr.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_window_loop_takes_its_work_arrays_on_lines(monkeypatch, dim):
+    k = _kernel(PROFILES["quartic"], dim)
+    m = k.reach
+    shape = BOX[:dim]
+    arr = _field(shape, 21)
+    want = _conv_inner(arr, k)
+    # NaN-filled work arrays: the loop writes every cell it reads
+    taken = _spy_aligned(monkeypatch, fill=np.nan)
+    got = _conv_inner(arr, k)
+    assert got.tobytes() == want.tobytes()
+    row = shape[1] if dim == 2 else 0
+    size = arr.size - 2 * m * (row + 1)
+    out = (shape[0] - 2 * m) * row if row else size
+    assert [a.size for a in taken] == [out, size, size + 2 * m]  # out, tmp, strip
+    assert all(_on_line(a) for a in taken)
+    assert not any(np.shares_memory(got, a) for a in taken)
+
+
+def test_line_aligned_arrays(monkeypatch):
+    taken = _spy_aligned(monkeypatch)
+    _conv_inner(_field(BOX, 22), _kernel(PROFILES["quartic"], 2))
+    monkeypatch.undo()
+    for n in [*range(1, 301), *(a.size for a in taken)]:
+        # all 100 kept alive, so that each lands at a new address
+        arrs = [convolve_mod._line_aligned(n) for _ in range(100)]
+        for arr in arrs:
+            assert arr.shape == (n,) and arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            assert _on_line(arr), (n, arr.ctypes.data % 64)
+
+
+def _at_offset(field, cells):
+    """A copy of ``field`` whose data starts ``cells`` float64 cells past a
+    64-byte line, as a slice of a larger buffer."""
+    buf = convolve_mod._line_aligned(field.size + 7)
+    x = buf[cells : cells + field.size].reshape(field.shape)
+    x[...] = field
+    assert x.ctypes.data % 64 == 8 * cells and x.flags.c_contiguous
+    return x
+
+
+@pytest.mark.parametrize("reach", [1, 8])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_window_loop_bits_do_not_depend_on_layout(reach, dim):
+    k = _reach1_kernel(dim) if reach == 1 else _kernel(PROFILES["quartic"], dim)
+    assert k.reach == reach
+    shape = ((4 * reach + 9,), (4 * reach + 5, 4 * reach + 9))[dim - 1]
+    field = _field(shape, 30 + reach)
+    field[np.random.default_rng(reach).uniform(size=shape) < 0.1] = -0.0
+    # a block of -0.0 wider than the support: its window cells sum -0.0
+    # terms only, and read +0.0 from the +0.0 start of the accumulator
+    field[tuple(slice(0, 2 * reach + 2) for _ in shape)] = -0.0
+    win = tuple(slice(reach, n - reach) for n in shape)
+    padded = convolve(field, k, "direct")[win].tobytes()
+    on_line = _conv_inner(_at_offset(field, 0), k)
+    assert on_line.tobytes() == padded
+    assert on_line.flat[0] == 0.0 and not np.signbit(on_line.flat[0])
+    last = tuple(n - reach - 1 for n in shape)
+    cells = {(reach,) * dim, last, tuple((reach + b) // 2 for b in last)}
+    for off in range(8):
+        x = _at_offset(field, off)
+        got = _conv_inner(x, k)
+        assert got.tobytes() == padded, off
+        assert got.tobytes() == on_line.tobytes(), off
+        for at in cells:
+            one = convolve_at(x, k, at)
+            assert np.float64(one).tobytes() == got[tuple(a - reach for a in at)].tobytes()
+
+
+def test_window_loop_holds_no_work_buffer():
+    k = _kernel(PROFILES["quartic"], 2)
+    arr = _field(BOX, 23)
+    _conv_inner(arr, k)  # the kernel's cached taps are built here
+    tracemalloc.start()
+    try:
+        got = _conv_inner(arr, k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == tuple(n - 2 * k.reach for n in BOX)
+    assert held <= got.nbytes + 4096, (held, got.nbytes)
 
 
 # fast path: buffered 1-D transforms against one-shot rfftn/irfftn
