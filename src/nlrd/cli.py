@@ -68,9 +68,10 @@ def _phi_and_constants(cfg, kernel, f):
 
 
 def _ball(cfg, args):
-    """The maximal ball solution of ``[ball]``, and the kernel constants."""
+    """The maximal ball solution of ``[ball]``, and the kernel constants
+    (d0, delta0 and W1,1 only: no Nikol'skii seminorm is read)."""
     _, kernel, f = build_pieces(cfg)
-    kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
+    kc = kernel_constants(kernel, f, ())
     v = maximal_solution(kernel, f, cfg["ball"]["center"], cfg["ball"]["radius"],
                          kc.d0, path=args.conv)
     return v, kc
@@ -154,7 +155,7 @@ def cmd_subsolution(cfg, args) -> Report:
 
 def cmd_comparison(cfg, args) -> Report:
     p = build_problem(cfg, args.conv)
-    phi, _ = _phi_and_constants(cfg, p.kernel, p.f)
+    phi = _front(cfg, p.kernel, p.f)
     return comparison_suite(p, cfg["experiment"]["trials"], args.seed, phi=phi)
 
 

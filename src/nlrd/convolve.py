@@ -23,9 +23,15 @@ Two interchangeable paths:
   lines, so no store straddles two lines; ``malloc`` gives only 16-byte
   alignment, and the offset it picks would otherwise set the loop's time.
   The bits do not depend on where any array lands, the input included.
-* ``fast``   — FFT on a box zero-padded past the kernel support and rounded
-  up to a 5-smooth length, so the transform is an exact linear convolution
-  (no wrap-around). The kernel spectrum is cached per padded shape. The
+* ``fast``   — FFT on a box zero-padded by one kernel reach and rounded up
+  to a 5-smooth length L >= n + m per axis (n the box length, m the
+  reach). That is enough for an exact linear convolution on the box: the
+  flipped kernel sits on [0, 2m] and the output is read on [m, m + n), so
+  every circular index j - e lies in [-m, n - 1 + m], and with L >= n + m
+  it wraps only into [n, L), where the input is zero. When L < 2m + 1 the
+  transform crops the kernel to [0, L); a cropped tap e >= L >= n + m
+  reaches only j - e <= -1, outside the input, so it would add nothing to
+  a kept cell anyway. The kernel spectrum is cached per padded shape. The
   path runs the 1-D transforms of ``rfftn``/``irfftn`` one axis at a time
   (``rfft`` on the last axis, ``fft`` on axis 0, and back) through two
   buffers, the half-spectrum and the real padded box; its bits equal the
@@ -42,6 +48,7 @@ sup norm, returning the direct result.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +60,7 @@ __all__ = ["convolve", "convolve_at", "fft_buffers", "next_fast_len"]
 PATHS = ("direct", "fast", "both")
 
 
+@lru_cache(maxsize=256)
 def next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n."""
     if n <= 2:
@@ -194,7 +202,7 @@ def _fft_scratch(k: Kernel, shape_full: tuple) -> tuple:
 
 def _conv_fft(arr: np.ndarray, k: Kernel, out: np.ndarray | None = None) -> np.ndarray:
     m = k.reach
-    shape_full = tuple(next_fast_len(n + 2 * m) for n in arr.shape)
+    shape_full = tuple(next_fast_len(n + m) for n in arr.shape)
     spec = _kernel_spectrum(k, shape_full)
     cbuf, rbuf = _fft_scratch(k, shape_full)
     n0, nlast = arr.shape[0], shape_full[-1]

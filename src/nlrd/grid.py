@@ -301,17 +301,28 @@ def holder_quotient(u: Field, alpha: float, table: HolderTable | None = None) ->
 def field_to_csv(f: Field, path) -> None:
     """Write ``x0[,x1],value,mask`` rows, 17 significant digits, C-order.
 
-    Each axis coordinate is formatted once, and the values and the mask are
-    converted to Python objects one row (the last axis) at a time, so the
-    writer holds no full-box copy beyond the field itself.
+    Each axis coordinate is formatted once. A row (the last axis) is one
+    ``%`` template, the row's coordinates and mask flags around a ``%s``
+    per value, filled with the row's formatted values; a row whose values
+    equal their own reverse bit for bit formats only its first half and
+    mirrors the strings. The writer holds no full-box copy beyond the field
+    itself.
     """
     grid = f.grid
     axes = [[f"{c:.17g}," for c in grid.axis_centers(a).tolist()] for a in range(grid.dim)]
-    prefixes, last = (axes[0] if grid.dim == 2 else [""]), axes[-1]
-    rows = zip(prefixes, f.values.reshape(len(prefixes), -1), f.mask.reshape(len(prefixes), -1))
-    flags = ("0\n", "1\n")
+    prefixes = axes[0] if grid.dim == 2 else [""]
+    # each column's text with the value left open, for mask flag 0 and 1
+    cells = [np.array([f"{x1}%s,{flag}" for x1 in axes[-1]]) for flag in ("0\n", "1\n")]
+    n = len(axes[-1])
+    rows = zip(prefixes, f.values.reshape(len(prefixes), n), f.mask.reshape(len(prefixes), n))
     with open(path, "w") as fh:
         fh.write(",".join([f"x{a}" for a in range(grid.dim)] + ["value", "mask"]) + "\n")
         for x0, vals, mask in rows:
-            fh.write("".join([f"{x0}{x1}{v:.17g},{flags[m]}"
-                              for x1, v, m in zip(last, vals.tolist(), mask.tolist())]))
+            template = x0 + x0.join(np.where(mask, cells[1], cells[0]).tolist())
+            bits = vals.view(np.uint64)
+            if np.array_equal(bits, bits[::-1]):
+                half = [f"{v:.17g}" for v in vals[: (n + 1) // 2].tolist()]
+                strs = half + half[: n // 2][::-1]
+            else:
+                strs = [f"{v:.17g}" for v in vals.tolist()]
+            fh.write(template % tuple(strs))

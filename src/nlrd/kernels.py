@@ -263,13 +263,17 @@ def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:
     The Nikol'skii seminorm for a compactly supported kernel is attained at
     bounded shifts, so probing lattice shifts with |s| <= R_J plus one
     plateau probe at 2 R_J along an axis is exhaustive for alpha <= 1.
+    With no ``alphas`` the Nikol'skii table is empty and no shift is probed.
     """
     w11 = k.profile.grad_l1(k.dim)
     w11_disc = _central_diff_grad_l1(k) if w11 is not None else None
     note = "" if w11 is not None else "W1,1 unavailable for this profile"
     delta0 = (f.gamma / w11) if w11 is not None else None
 
-    nik: dict = {}
+    alphas = list(alphas)
+    for alpha in alphas:
+        if not (0.0 < alpha <= 1.0):
+            raise PreconditionError(f"alpha must lie in (0, 1], got {alpha}")
     m = k.reach
     shifts = []
     if k.dim == 1:
@@ -284,13 +288,14 @@ def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:
                 if math.hypot(i, j) * k.h <= k.radius + 1e-12:
                     shifts.append((i, j))
         shifts.append((2 * m, 0))
+    # (||J(. + s) - J||_1, |s|) per shift, computed once for every alpha
+    probes = [(_shifted_l1(k, s), math.hypot(*s) * k.h if len(s) == 2 else abs(s[0]) * k.h)
+              for s in shifts] if alphas else []
+    nik: dict = {}
     for alpha in alphas:
-        if not (0.0 < alpha <= 1.0):
-            raise PreconditionError(f"alpha must lie in (0, 1], got {alpha}")
         best = 0.0
-        for s in shifts:
-            mag = math.hypot(*s) * k.h if len(s) == 2 else abs(s[0]) * k.h
-            best = max(best, _shifted_l1(k, s) / mag**alpha)
+        for l1, mag in probes:
+            best = max(best, l1 / mag**alpha)
         nik[float(alpha)] = best
 
     d0 = _d0_bisection(k.radius, k.dim, f.int_f)

@@ -230,12 +230,11 @@ def evolve(
             sup = float(np.max(np.abs(r[inter])))
             if not math.isfinite(sup):
                 raise NumericalFailure(f"non-finite residual at step {steps}")
-            row = (steps, sup, float(np.min(u[dom])), float(np.max(u[dom])))
-            if log_every and (steps % log_every == 0):
-                log_rows.append(row)
-            if sup <= residual_tol or steps >= max_steps:
-                if not log_rows or log_rows[-1][0] != steps:
-                    log_rows.append(row)
+            stop = sup <= residual_tol or steps >= max_steps
+            if stop or (log_every and steps % log_every == 0):
+                ud = u[dom]
+                log_rows.append((steps, sup, float(np.min(ud)), float(np.max(ud))))
+            if stop:
                 break
             u = nxt
             steps += 1
@@ -356,11 +355,14 @@ def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: s
             # odd ulp of convolution roundoff keeps the invariant checkable
             np.minimum(new, 1.0, out=new)
             np.subtract(new, v, out=diff)
-            rise = float(np.max(diff, where=bmask, initial=-math.inf))
+            # diff is +0.0 off the ball, so a nonzero extreme over the box is
+            # the ball's; only a zero needs the (slower) masked reduction
+            rise = float(np.max(diff)) or float(np.max(diff, where=bmask, initial=-math.inf))
             if rise > 1e-12:
                 raise NumericalFailure(f"monotonicity violated by {rise:.3e}")
             # max(v - new) over the ball; 0.0 - keeps a zero decrease at +0.0
-            dec = 0.0 - float(np.min(diff, where=bmask, initial=math.inf))
+            dec = 0.0 - (float(np.min(diff))
+                         or float(np.min(diff, where=bmask, initial=math.inf)))
             v, new = new, v
             history.append((len(history) + 1, dec, rise))
             if dec <= DECREASE_FLOOR:

@@ -247,7 +247,7 @@ def conv_fold_box(arr: np.ndarray, kernel) -> np.ndarray:
 
 def conv_fft_oneshot(arr: np.ndarray, kernel, s: tuple) -> np.ndarray:
     """J * arr by one ``rfftn``/``irfftn`` pair on the zero-padded box of
-    shape ``s`` (at least the array's shape plus twice the reach)."""
+    shape ``s`` (at least the array's shape plus the reach)."""
     m = kernel.reach
     axes = tuple(range(arr.ndim))
     flipped = kernel.weights[(slice(None, None, -1),) * arr.ndim]

@@ -307,14 +307,14 @@ FFT_SHAPES = {1: [(5,), (80,), (359,)], 2: [(5, 7), (40, 33), (359, 20)]}
 
 
 def _oneshot(arr, k):
-    s = tuple(next_fast_len(n + 2 * k.reach) for n in arr.shape)
+    s = tuple(next_fast_len(n + k.reach) for n in arr.shape)
     return oracles.conv_fft_oneshot(arr, k, s)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fast_path_matches_oneshot_fft(dim):
     k = _kernel(PROFILES["quartic"], dim)
-    assert next_fast_len(359 + 2 * k.reach) == 375
+    assert next_fast_len(359 + k.reach) == 375
     fields = [_field(shape, seed) for seed, shape in enumerate(FFT_SHAPES[dim])]
     wants = [_oneshot(arr, k) for arr in fields]
     for arr, want in zip(fields, wants):
@@ -326,6 +326,31 @@ def test_fast_path_matches_oneshot_fft(dim):
             for arr, want in zip(fields, wants):
                 assert np.array_equal(_bits(convolve(arr, k, "fast")), _bits(want))
     assert all(key[0] == "rfft" for key in k._fft_cache)
+
+
+# the fast path pads each axis to L = next_fast_len(n + reach) only; for
+# reach 8, L < 2 * reach + 1 crops the kernel on (5,) and (5, 7), and
+# n + reach is already 5-smooth, so L leaves no slack past it, on (16,),
+# (72,), (16, 40) and (72, 7); (81,) and (33, 72) round up
+WRAP_SHAPES = {1: [(5,), (16,), (72,), (81,)], 2: [(5, 7), (16, 40), (72, 7), (33, 72)]}
+
+
+@pytest.mark.parametrize("name", ["quartic", "ring"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fast_path_does_not_wrap(name, dim):
+    k = _kernel(PROFILES[name], dim)
+    m = k.reach
+    assert any(next_fast_len(n + m) < 2 * m + 1 for shape in WRAP_SHAPES[dim] for n in shape)
+    assert any(next_fast_len(n + m) == n + m for shape in WRAP_SHAPES[dim] for n in shape)
+    for seed, shape in enumerate(WRAP_SHAPES[dim]):
+        arr = _field(shape, 40 + seed)
+        # heavy values on every edge row and column: any tap that wraps
+        # around the padded box lands them on the far side of the output
+        for a, n in enumerate(shape):
+            for i in (0, n - 1):
+                arr[(slice(None),) * a + (i,)] = 100.0 * (1 + a + i % 2)
+        fast, direct = convolve(arr, k, "fast"), convolve(arr, k, "direct")
+        assert np.max(np.abs(fast - direct)) <= 1e-10, shape
 
 
 @pytest.mark.parametrize("path", ["direct", "fast", "both"])
@@ -362,7 +387,7 @@ def test_buffered_fast_path_allocates_no_box():
     k = _kernel(PROFILES["quartic"], 2)
     arr = _field((480, 480), 6)
     out = np.empty(arr.shape)
-    padded = [next_fast_len(n + 2 * k.reach) for n in arr.shape]
+    padded = [next_fast_len(n + k.reach) for n in arr.shape]
     box_bytes = 8 * padded[0] * padded[1]
     with fft_buffers(k):
         convolve(arr, k, "fast", out=out)  # spectrum and buffers built here

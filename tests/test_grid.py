@@ -323,13 +323,32 @@ def _csv_case(name):
         special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, -1e300, 0.1]
         vals = np.resize(np.array(special), g.ncells).reshape(g.shape)
         return Field(g, vals, np.ones(g.shape, dtype=bool))
+    if name.startswith("mirrored"):
+        # rows equal to their own reverse bit for bit (the writer formats
+        # half of each), rows equal to it only by value (0.0 against -0.0)
+        # and rows that are not; the mask is not symmetric
+        dim = 1 if name == "mirrored_1d" else 2
+        half = 1.125 if name == "mirrored_odd" else 1.0  # 9 or 8 cells a row
+        g = make_grid([-1.0] * (dim - 1) + [-half], [1.0] * (dim - 1) + [half], 0.25)
+        rng = np.random.default_rng(8)
+        vals = rng.normal(size=g.shape)
+        vals += np.flip(vals, -1)
+        vals[..., [1, -2]] = -0.0
+        if dim == 1:
+            vals[[2, -3]] = math.nan
+        else:
+            vals[::3, [2, -3]] = math.nan
+            vals[1, 0], vals[1, -1] = 0.0, -0.0
+            vals[2, 0] += 1.0
+        return Field(g, vals, rng.uniform(size=g.shape) < 0.6)
     g = make_grid([-1.0, -0.5], [1.0, 0.5], 0.125)
     vals = np.random.default_rng(7).normal(size=g.shape)
     return Field(g, vals, np.full(g.shape, name == "all_in"))
 
 
 @pytest.mark.parametrize("name", ["non_square", "specials_2d", "specials_1d",
-                                  "all_in", "all_out"])
+                                  "all_in", "all_out", "mirrored_even", "mirrored_odd",
+                                  "mirrored_1d"])
 def test_field_csv_matches_row_writer_edge_cases(tmp_path, name):
     import oracles
 
