@@ -97,10 +97,8 @@ def cmd_solve(cfg, args) -> Report:
     rep = Report("solve")
     rep.meta["dt"] = res.dt
     rep.meta["steps"] = res.steps
-    rep.add("converged", res.converged, res.residual_sup, cfg["solver"]["tol"], None,
-            note=f"{res.steps} steps")
-    min_u = float(np.min(res.u.values[p.domain_mask]))
-    rep.add("min_u", None, min_u)
+    rep.add("converged", res.residual_sup, "<=", cfg["solver"]["tol"], note=f"{res.steps} steps")
+    rep.add("min_u", float(np.min(res.u.values[p.domain_mask])))
     k = p.kernel
     rep.fields["field"] = res.u
     rep.tables["progress"] = (PROGRESS_HEADER, res.log_rows)
@@ -113,14 +111,11 @@ def cmd_solve(cfg, args) -> Report:
 
 def cmd_maximal(cfg, args) -> Report:
     v, _ = _ball(cfg, args)
-    f = v.f
     rep = Report("maximal")
-    rep.add("iterations", None, float(v.iterations))
-    rep.add("resolvent_shift", None, v.kshift)
-    rep.add("final_increment", v.final_increment <= DECREASE_FLOOR,
-            v.final_increment, DECREASE_FLOOR, None)
-    vmax = float(np.max(v.values[v.bmask]))
-    rep.add("max_above_theta", vmax > f.theta, vmax, f.theta, None)
+    rep.add("iterations", float(v.iterations))
+    rep.add("resolvent_shift", v.kshift)
+    rep.add("final_increment", v.final_increment, "<=", DECREASE_FLOOR)
+    rep.add("max_above_theta", float(np.max(v.values[v.bmask])), ">", v.f.theta)
     rep.fields["maximal"] = v.field
     rep.tables["iterations"] = (("iteration", "decrease", "worst_rise"), v.history)
     return rep
@@ -129,11 +124,10 @@ def cmd_maximal(cfg, args) -> Report:
 def cmd_front(cfg, args) -> Report:
     _, kernel, f = build_pieces(cfg)
     phi = _front(cfg, kernel, f)
-    left, right = float(phi.values[0]), float(phi.values[-1])
     rep = Report("front")
-    rep.add("residual_off_bands", phi.residual_sup <= 1e-8, phi.residual_sup, 0.0, 1e-8)
-    rep.add("left_limit", abs(left) <= 1e-3, left, 0.0, 1e-3)
-    rep.add("right_limit", abs(right - 1.0) <= 1e-3, right, 1.0, 1e-3)
+    rep.add("residual_off_bands", phi.residual_sup, "<=", 0.0, 1e-8)
+    rep.add("left_limit", float(phi.values[0]), "|-|<=", 0.0, 1e-3)
+    rep.add("right_limit", float(phi.values[-1]), "|-|<=", 1.0, 1e-3)
     rep.tables["front"] = (("x", "phi"), list(zip(phi.coords(), phi.values)))
     return rep
 
@@ -147,8 +141,7 @@ def cmd_subsolution(cfg, args) -> Report:
         raise PreconditionError("delta0 undefined for this kernel; set subsolution.delta")
     w = build_subsolution(v, delta, kc, path=args.conv)
     rep = Report("subsolution")
-    rep.add("certificate_min", w.verify_min >= -w.tol_geom, w.verify_min,
-            -w.tol_geom, w.tol_geom, note=f"delta = {delta!r}")
+    rep.add("certificate_min", w.verify_min, ">=", 0.0, w.tol_geom, note=f"delta = {delta!r}")
     rep.fields["subsolution"] = w.field
     return rep
 

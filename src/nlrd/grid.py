@@ -59,10 +59,6 @@ class Grid:
     def shape(self) -> tuple:
         return self.counts
 
-    @property
-    def ncells(self) -> int:
-        return int(np.prod(self.counts))
-
     def axis_centers(self, a: int) -> np.ndarray:
         n = self.counts[a]
         return self.lo[a] + (np.arange(n) + 0.5) * self.h
@@ -148,9 +144,6 @@ class Field:
         v[~m] = 0.0
         object.__setattr__(self, "values", _freeze(v))
         object.__setattr__(self, "mask", _freeze(m))
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values, self.mask)
 
     def masked_in(self) -> np.ndarray:
         return self.values[self.mask]

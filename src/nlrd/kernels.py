@@ -139,9 +139,6 @@ class Kernel:
         rng = np.arange(-self.reach, self.reach + 1)
         return tuple(np.meshgrid(*[rng] * self.dim, indexing="ij"))
 
-    def discrete_mass(self) -> float:
-        return pairwise_sum(self.weights) * self.h**self.dim
-
 
 def build_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     """Sample a radial profile at offset centers and renormalize.

@@ -64,9 +64,6 @@ class Obstacle:
     def domain_mask(self) -> np.ndarray:
         return ~self.mask_K
 
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.mask_K))
-
 
 def _boundary_distance(grid: Grid, mask: np.ndarray) -> float:
     """Distance from the nearest masked cell center to the box boundary."""

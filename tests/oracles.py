@@ -30,6 +30,11 @@ def radial_integral_2d(fn, r_hi: float, n: int = 4000) -> float:
     return simpson(lambda r: fn(r) * 2.0 * math.pi * r, 0.0, r_hi, n)
 
 
+def kernel_mass(kernel) -> float:
+    """sum J h^N over the weight table, by ``math.fsum`` (correctly rounded)."""
+    return math.fsum(kernel.weights.ravel()) * kernel.h**kernel.dim
+
+
 def conv_at(arr: np.ndarray, kernel, idx) -> float:
     """(J * arr)(idx) by a plain Python accumulation over the offset table."""
     m = kernel.reach
@@ -159,6 +164,52 @@ def holder_quotient_pairs(u, alpha: float) -> float:
         q = np.abs(vals[p + 1:] - vals[p]) / np.sqrt(d2) ** alpha
         best = max(best, float(np.max(q)))
     return best
+
+
+def holder_quotient_offsets(u, alpha: float) -> float:
+    """max |u(x)-u(y)| / |x-y|^alpha over all masked-in pairs, one lattice
+    offset at a time: for every offset d of the half-space (first nonzero
+    component positive), the max of |u(x + d) - u(x)| over the window where
+    both cells are masked in, by plain slicing, divided by that offset's own
+    sqrt((d0 h)^2 + (d1 h)^2) ** alpha. No offset is cut or pruned."""
+    shape = u.values.shape
+    grids = np.meshgrid(*[np.arange(-(n - 1), n) for n in shape], indexing="ij")
+    offs = np.stack([g.ravel() for g in grids], axis=1)
+    first = offs[np.arange(len(offs)), np.argmax(offs != 0, axis=1)]  # 0 for d = 0
+    offs = offs[first > 0]
+    h = u.grid.h
+    den = np.sqrt(sum((offs[:, a] * h) ** 2 for a in range(offs.shape[1]))) ** alpha
+    best = 0.0
+    for d, c in zip(offs, den):
+        src = tuple(slice(max(-int(di), 0), n - max(int(di), 0)) for di, n in zip(d, shape))
+        dst = tuple(slice(max(int(di), 0), n - max(-int(di), 0)) for di, n in zip(d, shape))
+        both = u.mask[src] & u.mask[dst]
+        if np.any(both):
+            best = max(best, float(np.max(np.abs(u.values[dst] - u.values[src])[both])) / c)
+    return best
+
+
+def row_verdict(row) -> str:
+    """The verdict of a check row, recomputed from the row's own cells.
+
+    ``row`` lists the cells of a ``checks.csv`` row as ``csv.reader``
+    parses them (name, measured, relation, bound, tolerance, verdict,
+    note). "info" when the row has no relation; else "pass" or "fail" by
+    the relation: ``<=`` on measured <= bound + tolerance, ``>=`` on
+    measured >= bound - tolerance, ``|-|<=`` on |measured - bound| <=
+    tolerance, and ``==``, ``<``, ``>`` on measured against bound alone. An
+    empty tolerance is 0, and a measured cell that is no number fails."""
+    _, measured, relation, bound, tol, _, _ = row
+    if not relation:
+        return "info"
+    try:
+        m = float(measured)
+    except ValueError:
+        return "fail"
+    b, t = float(bound), float(tol) if tol else 0.0
+    holds = {"<=": m <= b + t, ">=": m >= b - t, "|-|<=": abs(m - b) <= t,
+             "==": m == b, "<": m < b, ">": m > b}[relation]
+    return "pass" if holds else "fail"
 
 
 def energy_pairs_1d(kernel, F, bmask: np.ndarray, vals: np.ndarray) -> tuple:

@@ -354,12 +354,14 @@ def test_criterion_10_holder_bounds(liouville_runs, phi_ref, kc_ref):
         for alpha in (0.5, 1.0):
             c = by[f"holder_alpha_{alpha}"]
             ok &= c.passed is True
-        details.append(f"{name}: lhs {by['holder_alpha_1.0'].measured:.2e} "
-                       f"<= {by['holder_alpha_1.0'].bound:.2f}")
+        c = by["holder_alpha_1.0"]
+        details.append(f"{name}: lhs {c.measured:.2e} <= {c.bound:.2f} + {c.tol:.2f}")
     _line(10, "Hoelder transfer bound", ok, "; ".join(details))
 
 
 def test_criterion_11_robustness(kq8, grid8):
+    import oracles
+
     # the eps = 1 deformation carves notches where the mass map drops to
     # ~0.24, so the flatness hypothesis demands a flatter well than the
     # reference cubic: amplitude 0.5 gives max f' = 0.132 with margin
@@ -380,7 +382,7 @@ def test_criterion_11_robustness(kq8, grid8):
         c.passed in (True, None) for c in rep.checks if "holder" in c.name
     )
     holder_all = [c for c in rep.checks if "holder" in c.name]
-    ok &= holder_ok and all(c.measured <= c.bound for c in holder_all)
+    ok &= holder_ok and all(oracles.row_verdict(c.row()) == "pass" for c in holder_all)
     _line(11, "robustness sweep", ok,
           f"eps0 {by['empirical_eps0'].measured}, min J {rep.meta['min_j_all_eps']:.3f}, "
           f"{len(holder_all)} quotient checks")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import nlrd.cli
 import nlrd.grid
 import nlrd.solver
 import nlrd.verify
+import oracles
 from nlrd.cli import main
 from nlrd.config import build_problem, load_config
 
@@ -404,16 +406,27 @@ RERUN_FORMS = [
                          ids=[form[0] for form in RERUN_FORMS])
 def test_rerun_is_byte_identical(tmp_path, stem, ini, command, files):
     """Each command writes exactly its report, its checks and its own
-    files, the same bytes on every run."""
+    files, the same bytes on every run, on either convolution path. Each
+    verdict in its checks follows from its row; an "info" row that has a
+    relation is one recorded but not asserted."""
     cfg = _cfg(tmp_path, ini)
-    outs = [tmp_path / "out0", tmp_path / "out1"]
-    for out in outs:
-        assert main(["--config", cfg, "--out", str(out), "--seed", "3", *command]) == 0
-    names = {p.name for p in outs[0].iterdir()}
-    assert names == files | {f"{stem}.report.json", f"{stem}.checks.csv"}
-    assert {p.name for p in outs[1].iterdir()} == names
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for conv in ("direct", "fast"):
+        outs = [tmp_path / conv / "out0", tmp_path / conv / "out1"]
+        for out in outs:
+            assert main(["--config", cfg, "--out", str(out), "--conv", conv, "--seed", "3",
+                         *command]) == 0
+        names = {p.name for p in outs[0].iterdir()}
+        assert names == files | {f"{stem}.report.json", f"{stem}.checks.csv"}
+        assert {p.name for p in outs[1].iterdir()} == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        with open(outs[0] / f"{stem}.checks.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["name", "measured", "relation", "bound", "tolerance", "verdict",
+                          "note"]
+        assert rows
+        for row in rows:
+            assert row[5] == oracles.row_verdict(row) or (row[5] == "info" and row[2]), row
 
 
 def test_console_entry_point(tmp_path):

@@ -31,7 +31,7 @@ def test_grid_rejects_non_integral_extent():
 def test_grid_cell_cap():
     h = 0.5
     g = make_grid([0.0], [MAX_CELLS * h], h)
-    assert g.ncells == MAX_CELLS
+    assert math.prod(g.counts) == MAX_CELLS
     with pytest.raises(PreconditionError, match="exceeds MAX_CELLS"):
         make_grid([0.0], [(MAX_CELLS + 1) * h], h)
     with pytest.raises(PreconditionError, match="8388608 x 8388608 cells"):
@@ -108,9 +108,7 @@ def test_holder_quotient_alpha_range():
 def test_holder_quotient_deterministic():
     rng = np.random.default_rng(3)
     g = make_grid([-1, -1], [1, 1], 1 / 32)
-    f = make_field(g, lambda x, y: np.zeros_like(x)).with_values(
-        rng.uniform(0, 1, g.shape)
-    )
+    f = Field(g, rng.uniform(0, 1, g.shape), np.ones(g.shape, dtype=bool))
     a = holder_quotient(f, 0.5)
     b = holder_quotient(f, 0.5)
     assert a.value == b.value and a.pairs_used == b.pairs_used
@@ -133,7 +131,8 @@ def _holder_case(name, request):
     if name == "2d_smooth_hole":
         return make_field(g2, lambda x, y: np.tanh(3 * x) + 0.3 * y * y, mask=_hole)
     # the mid-run disk field of test_holder_midrun_field_recorded_not_asserted:
-    # 64724 masked-in cells, so the oracle walks about 2.1e9 pairs
+    # 64724 masked-in cells, about 2.1e9 pairs: too many for the per-pair
+    # oracle, so only the offset-major one runs on it
     from nlrd.solver import evolve
 
     p = request.getfixturevalue("disk_problem")
@@ -151,7 +150,9 @@ def test_holder_quotient_matches_all_pairs(name, alpha, request):
     f = _holder_case(name, request)
     est = holder_quotient(f, alpha)
     assert est.exact
-    assert est.value == oracles.holder_quotient_pairs(f, alpha)
+    assert est.value == oracles.holder_quotient_offsets(f, alpha)
+    if name != "midrun_disk":
+        assert est.value == oracles.holder_quotient_pairs(f, alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -173,7 +174,7 @@ def test_holder_quotient_mirror_pruning_is_exact(axis, alpha):
     vals = f.values.copy()
     cell = tuple(np.argwhere(f.mask)[5])
     vals[cell] = np.nextafter(vals[cell], 2.0)
-    skew = f.with_values(vals)
+    skew = Field(f.grid, vals, f.mask)
     full = holder_quotient(skew, alpha)
     assert full.value == oracles.holder_quotient_pairs(skew, alpha)
     assert full.pairs_used > 1.5 * est.pairs_used
@@ -245,7 +246,7 @@ def test_holder_table_rejects_another_field():
     f = make_field(g, lambda x, y: x + y)
     table = HolderTable(f)
     with pytest.raises(PreconditionError, match="another field"):
-        holder_quotient(f.with_values(f.values * 2.0), 0.5, table)
+        holder_quotient(Field(f.grid, f.values * 2.0, f.mask), 0.5, table)
 
 
 @pytest.mark.parametrize("shape,d", [
@@ -285,7 +286,7 @@ def test_field_csv_format(tmp_path):
     field_to_csv(f, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x0,x1,value,mask"
-    assert len(lines) == 1 + g.ncells
+    assert len(lines) == 1 + math.prod(g.counts)
     # lexicographic cell order, 17 significant digits survive round-trip
     first = lines[1].split(",")
     assert float(first[0]) == 0.125 and float(first[1]) == 0.125
@@ -321,7 +322,7 @@ def _csv_case(name):
         dim = 2 if name == "specials_2d" else 1
         g = make_grid([-1.0] * dim, [1.0] * dim, 0.25)
         special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, -1e300, 0.1]
-        vals = np.resize(np.array(special), g.ncells).reshape(g.shape)
+        vals = np.resize(np.array(special), math.prod(g.counts)).reshape(g.shape)
         return Field(g, vals, np.ones(g.shape, dtype=bool))
     if name.startswith("mirrored"):
         # rows equal to their own reverse bit for bit (the writer formats

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -64,7 +65,7 @@ def test_sliding_blocked_by_annulus_hole(annulus_problem, phi_ref):
 def test_sliding_monotone_in_u(annulus_problem, phi_ref):
     p = annulus_problem
     u = counterexample_field(p)
-    v = u.with_values(np.clip(u.values + 0.25 * p.domain_mask, 0.0, 1.0))
+    v = Field(u.grid, np.clip(u.values + 0.25 * p.domain_mask, 0.0, 1.0), u.mask)
     r_u = sliding_radius(u, (1.0, 0.0), phi_ref)
     r_v = sliding_radius(v, (1.0, 0.0), phi_ref)
     assert r_u >= r_v
@@ -113,7 +114,7 @@ def test_bounds_suite_on_converged_disk(disk_solution, disk_problem, phi_ref, kc
     for alpha in (0.5, 1.0):
         c = names[f"holder_alpha_{alpha}"]
         assert c.passed is True
-        assert c.measured <= c.bound
+        assert oracles.row_verdict(c.row()) == "pass"
     assert names["convex_mass_bound"].passed is True
     assert names["radial_lower_bound_r0"].passed is True
     assert names["uniform_bound_delta_0.1"].passed is True
@@ -136,7 +137,7 @@ def test_radial_r0_note_says_when_no_bisection_ran(disk_solution, disk_problem, 
     assert "lower end" in c.note
     rep = bounds_suite(_radial_front_field(p, phi_ref), p, phi_ref, kc_ref, alphas=())
     c = {c.name: c for c in rep.checks}["radial_lower_bound_r0"]
-    assert abs(c.measured - 3.0) <= 2 * p.grid.h and c.note == ""
+    assert abs(c.measured - 3.0) <= 2 * p.grid.h and "lower end" not in c.note
 
 
 def test_uniform_bound_note_says_when_it_is_the_global_min(disk_solution, disk_problem,
@@ -293,7 +294,7 @@ def test_chain_window_dilation_matches_whole_box(disk_problem):
         frontier = grown & ~reached
         reached |= frontier
         steps += np.any(frontier)
-    assert steps == verify_mod._chain_steps(p) == 45
+    assert steps == verify_mod._chain_steps(p, 4 * max(p.grid.counts) - 1) == 45
 
 
 def test_comparison_suite_ring_kernel_chain(ref_f):
@@ -382,8 +383,57 @@ def test_report_serialization_deterministic(tmp_path, annulus_problem):
 
 def test_report_skips_are_not_passes():
     rep = Report("demo", {}, [])
-    rep.add("a", True, 1.0)
-    rep.add("b", None, note="skipped: hypothesis unavailable")
+    rep.add("a", 1.0, "<=", 1.0)
+    rep.add("b", note="skipped: hypothesis unavailable")
     assert rep.passed
-    rep.add("c", False, 2.0)
+    rep.add("c", 2.0, "<=", 1.0)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("relation,measured,bound,tol,passed", [
+    # exactly at the limit bound + tol, bound - tol or bound
+    ("<=", 1.5, 1.0, 0.5, True),
+    ("<=", np.nextafter(1.5, 2.0), 1.0, 0.5, False),
+    (">=", 0.5, 1.0, 0.5, True),
+    (">=", np.nextafter(0.5, 0.0), 1.0, 0.5, False),
+    ("|-|<=", 0.5, 1.0, 0.5, True),
+    ("|-|<=", 1.5, 1.0, 0.5, True),
+    ("|-|<=", np.nextafter(1.5, 2.0), 1.0, 0.5, False),
+    ("<", 1.0, 1.0, 0.5, False),
+    (">", 1.0, 1.0, 0.5, False),
+    ("<", np.nextafter(1.0, 0.0), 1.0, None, True),
+    (">", np.nextafter(1.0, 2.0), 1.0, None, True),
+    ("==", 1.0, 1.0, None, True),
+    ("==", 1.25, 1.0, 0.5, False),  # == ignores the tolerance
+    ("<=", 1.0, 1.0, None, True),  # a missing tolerance is 0
+    ("<=", np.nextafter(1.0, 2.0), 1.0, None, False),
+    ("==", "-inf", -math.inf, None, True),
+    ("==", -math.inf, "-inf", None, True),
+    ("==", 3.0, -math.inf, None, False),
+    ("<=", "unreached", 1.0, 0.5, False),
+    (">=", "none", 0.0, None, False),
+    ("<=", "unbounded", 8.0, None, False),
+    ("<=", math.nan, 1.0, 0.5, False),
+])
+def test_check_verdict_follows_from_its_row(relation, measured, bound, tol, passed):
+    rep = Report("demo")
+    c = rep.add("x", measured, relation, bound, tol)
+    assert c.passed is passed
+    assert oracles.row_verdict(c.row()) == ("pass" if passed else "fail")
+    assert rep.add("y", measured, relation, bound, tol, asserted=False).passed is None
+    assert rep.passed is passed
+
+
+def test_check_row_stores_no_nonfinite_number(tmp_path):
+    rep = Report("demo")
+    rep.add("slides", -math.inf, "==", -math.inf, note="a, b")
+    c = rep.checks[0]
+    assert c.passed is True and c.measured == "-inf" and c.bound == "-inf"
+    rep.write_json(tmp_path / "r.json")
+    text = (tmp_path / "r.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    rep.write_csv(tmp_path / "c.csv")
+    with open(tmp_path / "c.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["name", "measured", "relation", "bound", "tolerance", "verdict", "note"],
+                    ["slides", "-inf", "==", "-inf", "", "pass", "a, b"]]
