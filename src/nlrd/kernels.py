@@ -9,8 +9,7 @@ exercising the r1 > 0 case).
 Derived constants:
 
 * ``w11``       — the L1 norm of the kernel gradient (closed form for the
-                  quartic; a central-difference estimate is always reported
-                  alongside). Unavailable for discontinuous profiles.
+                  quartic). Unavailable for discontinuous profiles.
 * ``nikolskii`` — shift-quotient seminorm sup_s ||J(.+s) - J||_1 / |s|^a,
                   probed at lattice shifts within the support radius and at
                   one plateau shift of twice the radius.
@@ -25,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import Grid
+from .grid import MAX_CELLS, Grid
 from .nonlinearity import Bistable
 from .reduction import _bisect, pairwise_sum
 
@@ -143,7 +142,8 @@ class Kernel:
 def build_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     """Sample a radial profile at offset centers and renormalize.
 
-    Rejections: support under 2h, negative profile values, ring annulus
+    Rejections: support under 2h, a table of more than ``grid.MAX_CELLS``
+    cells (before it is allocated), negative profile values, ring annulus
     thinner than 2h (the lattice cannot certify annulus positivity below
     that).
     """
@@ -159,6 +159,10 @@ def build_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
                 "ring annulus thinner than 2h; positivity not resolvable on the lattice"
             )
     m = int(math.floor(R / h + 1e-12))
+    if (2 * m + 1) ** dim > MAX_CELLS:
+        raise PreconditionError(
+            f"kernel radius {R} at h = {h} needs a table above MAX_CELLS = {MAX_CELLS} cells"
+        )
     rng = np.arange(-m, m + 1, dtype=np.float64)
     if dim == 1:
         r = np.abs(rng) * h
@@ -205,13 +209,9 @@ class KernelConstants:
     """Derived constants tied to one (kernel, nonlinearity) pair."""
 
     w11: float | None
-    w11_discrete: float | None
     nikolskii: dict
     delta0: float | None
     d0: float
-    gamma: float
-    int_f: float
-    note: str = ""
 
 
 def _shifted_l1(k: Kernel, shift: tuple) -> float:
@@ -220,16 +220,6 @@ def _shifted_l1(k: Kernel, shift: tuple) -> float:
     big = np.pad(k.weights, max(abs(c) for c in shift))
     moved = np.roll(big, shift, axis=tuple(range(k.dim)))
     return pairwise_sum(np.abs(moved - big)) * k.h**k.dim
-
-
-def _central_diff_grad_l1(k: Kernel) -> float:
-    """sum |grad J| h^dim with central differences; hypot from 0.0 gives
-    |g| in 1-D."""
-    big = np.pad(k.weights, 1)
-    inner = (slice(1, -1),) * k.dim
-    grads = [(np.roll(big, -1, axis=a) - np.roll(big, 1, axis=a))[inner] / (2.0 * k.h)
-             for a in range(k.dim)]
-    return pairwise_sum(reduce(np.hypot, grads, 0.0)) * k.h**k.dim
 
 
 def _d0_bisection(radius: float, dim: int, int_f: float) -> float:
@@ -263,8 +253,6 @@ def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:
     With no ``alphas`` the Nikol'skii table is empty and no shift is probed.
     """
     w11 = k.profile.grad_l1(k.dim)
-    w11_disc = _central_diff_grad_l1(k) if w11 is not None else None
-    note = "" if w11 is not None else "W1,1 unavailable for this profile"
     delta0 = (f.gamma / w11) if w11 is not None else None
 
     alphas = list(alphas)
@@ -296,13 +284,4 @@ def kernel_constants(k: Kernel, f: Bistable, alphas) -> KernelConstants:
         nik[float(alpha)] = best
 
     d0 = _d0_bisection(k.radius, k.dim, f.int_f)
-    return KernelConstants(
-        w11=w11,
-        w11_discrete=w11_disc,
-        nikolskii=nik,
-        delta0=delta0,
-        d0=d0,
-        gamma=f.gamma,
-        int_f=f.int_f,
-        note=note,
-    )
+    return KernelConstants(w11=w11, nikolskii=nik, delta0=delta0, d0=d0)

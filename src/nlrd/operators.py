@@ -10,6 +10,9 @@ The condition "u -> 1 at infinity" is realized by a clamp band of width
 value 1 and residuals are not evaluated; every interior cell then sees its
 full kernel mass inside the box, making the truncated operator exact
 there.
+
+One explicit step, :meth:`Problem.step`, updates the cells of a
+:class:`Frame`: the full box, ``Problem.frame``, or a mirror fold of it.
 """
 
 from __future__ import annotations
@@ -32,18 +35,25 @@ __all__ = ["Frame", "Problem", "apply_L", "residual", "ball_mask"]
 @dataclass(frozen=True)
 class Frame:
     """The cells :meth:`Problem.step` updates, and what it reads there: the
-    domain and clamp masks, the diagonal mass ``jself``, and ``convolve(x,
-    path)``, which gives J * x on these cells for x given on them. A mirror
-    fold of a problem's box is a frame (see ``solver.evolve``). The
-    :class:`Problem` itself is the full-box frame, whose ``convolve`` gives
-    J * x on the inner window only, the cells at least ``kernel.reach``
-    from every box edge: every cell outside it is in the clamp band, so
-    its rate is 0 and the clamp sets its next value."""
+    domain and clamp masks, the diagonal mass ``jself``, the ``window`` of
+    cells whose rate it computes, and ``convolve(x, path)``, which gives
+    J * x on that window for x given on the frame's cells. Every frame cell
+    outside the window is in the clamp band, so its rate is 0 and the
+    clamp sets its next value. ``Problem.frame`` is the full box, whose
+    window is the inner window, the cells at least ``kernel.reach`` from
+    every box edge; a mirror fold of the box is a frame whose window is all
+    its cells (see ``solver.evolve``)."""
 
     domain_mask: np.ndarray
     clamp_mask: np.ndarray
     jself: np.ndarray
+    window: tuple
     convolve: Callable
+
+    def clamp(self, values: np.ndarray) -> np.ndarray:
+        values[self.clamp_mask] = 1.0
+        values[~self.domain_mask] = 0.0
+        return values
 
 
 @dataclass
@@ -84,8 +94,17 @@ class Problem:
         self.jself = convolve(self.domain_mask.astype(np.float64), self.kernel, "direct")
         # the inner window: a cell i < reach from an edge has its centre
         # (i + 1/2) h < reach h <= radius <= clamp_width from it, in the band
-        m = self.kernel.reach
-        self.window = tuple(slice(m, n - m) for n in grid.shape)
+        k, m = self.kernel, self.kernel.reach
+        window = tuple(slice(m, n - m) for n in grid.shape)
+
+        def conv(x: np.ndarray, path: str) -> np.ndarray:
+            # the direct path reads x in place; its bits equal
+            # convolve(x, k, path) on the window
+            if path == "direct":
+                return _conv_inner(x, k)
+            return convolve(x, k, path)[window]
+
+        self.frame = Frame(self.domain_mask, self.clamp_mask, self.jself, window, conv)
 
     def hostile_datum(self) -> Field:
         """0 in the interior, 1 on the clamp band."""
@@ -98,38 +117,21 @@ class Problem:
         vals[self.clamp_mask] = 1.0
         return Field(self.grid, vals, self.domain_mask)
 
-    def clamp(self, values: np.ndarray, frame: Frame | None = None) -> np.ndarray:
-        fr = self if frame is None else frame
-        values[fr.clamp_mask] = 1.0
-        values[~fr.domain_mask] = 0.0
-        return values
-
-    def convolve(self, x: np.ndarray, path: str) -> np.ndarray:
-        """J * x on the inner window of the full box, for x given on the
-        box: the convolution of the full-box frame. The direct path reads
-        x in place; its bits equal ``convolve(x, kernel, path)`` there."""
-        if path == "direct":
-            return _conv_inner(x, self.kernel)
-        return convolve(x, self.kernel, path)[self.window]
-
     def step(self, u: np.ndarray, dt: float, path: str | None = None,
              frame: Frame | None = None):
         """The explicit step ``(clamp(clip(u + dt rate, 0, 1)), rate)``, with
         ``rate = J * u - jself u + f(u)`` on the raw array, unmasked
-        (:func:`residual` is the masked form), on the cells of ``frame``.
-        The default is the full box, whose rate is computed on its inner
-        window and is 0 outside it, on every path: those cells are all in
-        the clamp band, so the next state is the full-box update's to the
-        bit, and so is the rate on every ``interior_mask`` cell. ``u`` is
-        not modified."""
-        path = path or self.conv_path
-        if frame is not None:
-            rate = frame.convolve(u, path) - frame.jself * u + self.f.f(u)
-        else:
-            win, rate = self.window, np.zeros(u.shape)
-            x = u[win]
-            rate[win] = self.convolve(u, path) - self.jself[win] * x + self.f.f(x)
-        return self.clamp(np.clip(u + dt * rate, 0.0, 1.0), frame), rate
+        (:func:`residual` is the masked form), on the cells of ``frame``,
+        by default ``self.frame``, the full box. The rate is computed on the
+        frame's window and is 0 outside it, on every path: those cells are
+        all in the clamp band, so the next state is the frame's whole update
+        to the bit, and so is the rate on every ``interior_mask`` cell.
+        ``u`` is not modified."""
+        fr, path = frame or self.frame, path or self.conv_path
+        win, rate = fr.window, np.zeros(u.shape)
+        x = u[win]
+        rate[win] = fr.convolve(u, path) - fr.jself[win] * x + self.f.f(x)
+        return fr.clamp(np.clip(u + dt * rate, 0.0, 1.0)), rate
 
     def check_clamped(self, u: Field) -> None:
         if u.grid != self.grid or not np.array_equal(u.mask, self.domain_mask):

@@ -24,17 +24,19 @@ Scheme notes
   with a band of reach-many mirrored cells below each folded axis. The
   ``direct`` path sums mirrored taps in pairs, so its full-box iterates
   are symmetric to the bit and the folded run returns the same bits. On
-  the other paths a step convolves the deficit 1_B - v and subtracts it
-  from J * 1_B, taken once on the direct path: FFT roundoff scales with the
-  2-norm of the input, and the deficit is small away from the rim, so
-  cells whose exact value rounds to 1 come out as 1. The limit is unfolded
+  the other paths a step (``_descend``) convolves the deficit 1_B - v
+  through the fold, which is pure geometry, and subtracts it from J * 1_B,
+  taken once on the direct path: FFT roundoff scales with the 2-norm of
+  the input, and the deficit is small away from the rim, so cells whose
+  exact value rounds to 1 come out as 1. The limit is unfolded
   and its ball-equation residual is gated with one full-box convolution,
   so the certificate does not rest on the fold.
 * ``evolve`` folds the whole box by the same rule (see
   :class:`_MirrorFold`): along each axis on which the domain, ``jself``,
   the clamp band and u_0 are mirror-symmetric to the bit, the even kernel
   and the cellwise update keep every iterate symmetric, and
-  :meth:`Problem.step` runs on the kept cells through the fold's frame.
+  :meth:`Problem.step` runs on the kept cells through the fold's frame,
+  whose window is all of them: the same step as on the full box's frame.
   The plain folded convolution is used on every path (no deficit form).
   On ``direct`` the run is the full-box run to the bit. The returned
   iterate is unfolded, and ``converged`` and ``residual_sup`` come from
@@ -104,16 +106,9 @@ class _MirrorFold:
     even, so :meth:`convolve` gives J * x on the kept cells once it reads,
     below each folded axis, a band of reach-many mirrored cells; the band
     reads zeros where it reaches past the mirror axis.
-
-    With ``deficit``, for fields near 1 on the mask, the paths other than
-    ``direct`` compute J * 1_B - J * (1_B - x). The FFT's roundoff scales
-    with the 2-norm of its input, and the deficit 1_B - x of a ball iterate
-    is small away from the rim, so deep cells, whose exact value rounds to
-    1, come out as 1 rather than a few ulps below it.
     """
 
-    def __init__(self, mask: np.ndarray, k: Kernel, *fields: np.ndarray,
-                 deficit: bool = False):
+    def __init__(self, mask: np.ndarray, k: Kernel, *fields: np.ndarray):
         if not mask.any():
             raise PreconditionError("the mask to fold holds no grid cell")
         self.box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(mask))
@@ -131,8 +126,6 @@ class _MirrorFold:
         self.ext = np.zeros(tuple(n + m if a in self.axes else n
                                   for a, n in enumerate(self.mask.shape)))
         self.out = np.empty(self.ext.shape)
-        self.deficit = deficit
-        self.ones = None  # J * 1_B on the kept cells, on the direct path
 
     def fold(self, full: np.ndarray) -> np.ndarray:
         """A copy of the kept cells of ``full``, in its dtype."""
@@ -151,21 +144,14 @@ class _MirrorFold:
         """J * x on the kept cells, for x given on them; the returned view
         is overwritten by the next call."""
         ext, inner, m = self.ext, self.inner, self.k.reach
-        deficit = self.deficit and path != "direct"
-        if not deficit:
-            ext[inner] = x
-        else:
-            if self.ones is None:
-                self.ones = self.convolve(self.mask, "direct").copy()
-            np.subtract(self.mask, x, out=ext[inner])
+        ext[inner] = x
         # axis by axis: a later band copies the earlier bands' cells too,
         # which fills the corners
         for a in self.axes:
             n = self.box[a].stop - self.box[a].start
             src, span = m + n % 2, min(m, n // 2)
             ext[_along(a, slice(m - span, m))] = np.flip(ext[_along(a, slice(src, src + span))], a)
-        conv = convolve(ext, self.k, path, out=self.out)[inner]
-        return np.subtract(self.ones, conv, out=conv) if deficit else conv
+        return convolve(ext, self.k, path, out=self.out)[inner]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +205,8 @@ def evolve(
     if np.any(u0.values[p.domain_mask] < 0.0) or np.any(u0.values[p.domain_mask] > 1.0):
         raise PreconditionError("initial datum must take values in [0, 1]")
     fold = _MirrorFold(p.domain_mask, p.kernel, p.jself, p.clamp_mask, u0.values)
-    frame = Frame(fold.mask, fold.fold(p.clamp_mask), fold.fold(p.jself), fold.convolve)
+    frame = Frame(fold.mask, fold.fold(p.clamp_mask), fold.fold(p.jself),
+                  (slice(None),) * p.grid.dim, fold.convolve)
     dom, inter = frame.domain_mask, fold.fold(p.interior_mask)
     u = fold.fold(u0.values)
     log_rows: list = []
@@ -332,7 +319,13 @@ DECREASE_FLOOR = float(4.0 * np.finfo(float).eps)
 
 def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: str) -> tuple:
     """The loop of :func:`maximal_solution` on ``fold``'s kept cells: returns
-    the last iterate and the (iteration, decrease, worst rise) rows."""
+    the last iterate and the (iteration, decrease, worst rise) rows.
+
+    Off the ``direct`` path a step takes J * v as J * 1_B - J * (1_B - v),
+    with J * 1_B convolved once on ``direct``: the FFT's roundoff scales
+    with the 2-norm of its input, and the deficit 1_B - v of an iterate is
+    small away from the rim, so deep cells, whose exact value rounds to 1,
+    come out as 1 rather than a few ulps below it."""
     if kshift < fz.base.max_abs_fprime:
         raise PreconditionError(
             f"resolvent shift too small: k = {kshift} < -min f' = {fz.base.max_abs_fprime:.6g}"
@@ -342,13 +335,19 @@ def _descend(fold: _MirrorFold, fz: ExtendedNonlinearity, kshift: float, path: s
     v = np.where(bmask, 1.0, 0.0)
     new = np.empty(v.shape)
     diff = np.empty(v.shape)
+    ones = None if path == "direct" else fold.convolve(bmask, "direct").copy()
     history: list = []
     with fft_buffers(fold.k):
         while len(history) < 20_000:
+            if ones is None:
+                conv = fold.convolve(v, path)
+            else:  # diff holds the deficit until it is overwritten below
+                conv = fold.convolve(np.subtract(bmask, v, out=diff), path)
+                np.subtract(ones, conv, out=conv)
             # T(v) = (J * v + (k v + f(v))) / (k + 1), zeroed off the ball
             np.multiply(v, kshift, out=new)
             new += fz.f(v)
-            new += fold.convolve(v, path)
+            new += conv
             new /= kshift + 1.0
             new[outside] = 0.0
             # 1 is a super-solution, so exact iterates stay <= 1; trimming the
@@ -406,7 +405,7 @@ def maximal_solution(
 
     The loop runs on the ball's box folded along its mirror axes, on the
     deficit 1 - v off the ``direct`` path (see the scheme notes and
-    :class:`_MirrorFold`); on ``direct`` it returns the full-box run's bits.
+    :func:`_descend`); on ``direct`` it returns the full-box run's bits.
     The ball-equation residual is gated on the unfolded field with one
     full-box convolution, independently of the fold.
     """
@@ -421,7 +420,7 @@ def maximal_solution(
         raise PreconditionError("ball smaller than the kernel support")
     grid = grid or ball_grid(center, radius, k.h)
     full = ball_mask(grid, center, radius)
-    fold = _MirrorFold(full, k, deficit=True)
+    fold = _MirrorFold(full, k)
     # -min f' on [0, 1] rounded up to a quarter, exact with k + 1 in binary
     kshift = math.ceil(4.0 * f.max_abs_fprime) / 4.0
     fz = ExtendedNonlinearity(f)

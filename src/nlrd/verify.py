@@ -283,7 +283,12 @@ def bounds_suite(
     maxfp = p.f.max_fprime
     h = p.grid.h
 
-    assertable = min_j - maxfp > 0.0 and (p.obstacle.convex or not np.any(p.obstacle.mask_K))
+    # the transfer bound's hypotheses, each named in the note when it fails
+    failed = [why for why, bad in (
+        ("K is not convex", np.any(p.obstacle.mask_K) and not p.obstacle.convex),
+        (f"inf J - max f' = {min_j - maxfp:.4g} is not positive", not min_j - maxfp > 0.0),
+    ) if bad]
+    assertable = not failed
     table = None  # one Hoelder offset sweep for every alpha
     for alpha in alphas:
         nik = kc.nikolskii.get(float(alpha))
@@ -294,7 +299,7 @@ def bounds_suite(
             table = HolderTable(u)
         est = holder_quotient(u, alpha, table)
         note = (f"quotient {est.value:.6g} (exact)" if assertable else
-                f"informational: non-convex or inf J - max f' = {min_j - maxfp:.4g}")
+                "informational: " + " and ".join(failed))
         if alpha == 1.0:
             note += "; the slack 2 nik h^(1 - alpha) = 2 nik does not shrink with h"
         rep.add(f"holder_alpha_{alpha}", (min_j - maxfp) * est.value, "<=", 2.0 * nik,
@@ -532,10 +537,11 @@ def _smooth_random(p: Problem, rng) -> np.ndarray:
     """Uniform noise averaged by J on the inner window, 1 outside it: those
     cells are in the clamp band, which the clamp overwrites."""
     raw = rng.uniform(0.0, 1.0, p.grid.shape)
-    smooth = p.convolve(raw * p.domain_mask, "direct")
-    jj = p.jself[p.window]
+    win = p.frame.window
+    smooth = p.frame.convolve(raw * p.domain_mask, "direct")
+    jj = p.jself[win]
     out = np.ones(p.grid.shape)
-    out[p.window] = np.clip(smooth / np.where(jj > 0, jj, 1.0), 0.0, 1.0)
+    out[win] = np.clip(smooth / np.where(jj > 0, jj, 1.0), 0.0, 1.0)
     return out
 
 
@@ -597,8 +603,8 @@ def comparison_suite(
     for _ in range(n_weak):
         a = _smooth_random(p, rng)
         b = a + rng.uniform(0.0, 1.0) * (1.0 - a)
-        a = p.clamp(a.copy())
-        b = p.clamp(b.copy())
+        a = p.frame.clamp(a.copy())
+        b = p.frame.clamp(b.copy())
         for _step in range(12):
             a, _ = p.step(a, dt, "direct")
             b, _ = p.step(b, dt, "direct")

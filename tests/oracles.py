@@ -141,6 +141,15 @@ def shifted_l1_tophat_axis(kernel, cells: int) -> float:
     return float(np.sum(np.abs(moved - big))) * kernel.h**2
 
 
+def central_diff_grad_l1(kernel) -> float:
+    """sum |grad J| h^dim with central differences on the zero-padded table."""
+    big = np.pad(kernel.weights, 1)
+    inner = (slice(1, -1),) * kernel.dim
+    grads = [(np.roll(big, -1, axis=a) - np.roll(big, 1, axis=a))[inner] / (2.0 * kernel.h)
+             for a in range(kernel.dim)]
+    return float(np.sum(np.sqrt(sum(g * g for g in grads)))) * kernel.h**kernel.dim
+
+
 def dilate_box(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndarray:
     """Cells of ``domain`` one offset away from a cell of ``mask``, each
     offset applied to the whole box."""

@@ -201,6 +201,10 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     # a negative bump would carve K_eps out of K; it used to run under solve
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_amp = -1"),
      ("solve",)),
+    # the kernel table is sized before it is allocated, as a grid is
+    (LIOUVILLE_SMALL_INI.replace("radius = 0.5", "radius = 1e6"), ("front",)),
+    (LIOUVILLE_SMALL_INI.replace("radius = 0.5", "radius = 1e300"), ("solve",)),
+    (LIOUVILLE_SMALL_INI.replace("radius = 0.5", "radius = 1e6"), ("experiment", "liouville")),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
@@ -210,7 +214,8 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
         "zero_star_points", "negative_psi_k", "negative_log_every",
         "far_field_unknown_key", "sweep_mode_1d", "ball_tol_below_floor",
         "custom_profile", "empty_alphas",
-        "probe_delta_above_one", "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp"])
+        "probe_delta_above_one", "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp",
+        "huge_kernel_radius", "huge_kernel_radius_solve", "huge_kernel_radius_liouville"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(

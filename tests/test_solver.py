@@ -79,26 +79,30 @@ def test_evolve_preserves_ordering_small(path):
     def longhand(u):
         r = np.zeros(u.shape)
         r[win] = (convolve(u, k, path) - p.jself * u + f.f(u))[win]
-        return p.clamp(np.clip(u + dt * r, 0.0, 1.0)), r
+        return p.frame.clamp(np.clip(u + dt * r, 0.0, 1.0)), r
 
     dt = max_step(p)
     for _ in range(5):
-        a = p.clamp(rng.uniform(0, 1, g.shape))
-        b = p.clamp(a + rng.uniform(0, 1) * (1.0 - a))
+        a = p.frame.clamp(rng.uniform(0, 1, g.shape))
+        b = p.frame.clamp(a + rng.uniform(0, 1) * (1.0 - a))
         for _step in range(25):
             for u in (a, b):
                 before = u.copy()
                 got, want = p.step(u, dt), longhand(u)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
+                # the default frame is the full box's
+                framed = p.step(u, dt, frame=p.frame)
+                assert [x.tobytes() for x in framed] == [x.tobytes() for x in got]
                 assert u.tobytes() == before.tobytes()
                 # the clamp overwrites the band, so the rate there is moot
                 full = convolve(u, k, path) - p.jself * u + f.f(u)
-                assert p.clamp(np.clip(u + dt * full, 0.0, 1.0)).tobytes() == got[0].tobytes()
+                clamped = p.frame.clamp(np.clip(u + dt * full, 0.0, 1.0))
+                assert clamped.tobytes() == got[0].tobytes()
             a, b = longhand(a)[0], longhand(b)[0]
             assert float(np.max((a - b)[p.domain_mask])) <= 1e-12
 
-    u0 = p.clamp(rng.uniform(0, 1, g.shape))
+    u0 = p.frame.clamp(rng.uniform(0, 1, g.shape))
     res = evolve(p, Field(g, u0, p.domain_mask), dt=dt, max_steps=5, residual_tol=-1)
     want = u0
     for _step in range(5):
@@ -334,7 +338,7 @@ def test_descend_rejects_a_shift_below_the_threshold(ball1d, ref_f):
     full = ball_mask(ball_grid([0.0], 8.0, k.h), [0.0], 8.0)
     fz = ExtendedNonlinearity(ref_f)
     with pytest.raises(PreconditionError, match="resolvent shift too small"):
-        _descend(_MirrorFold(full, k, deficit=True), fz, 0.5, "fast")
+        _descend(_MirrorFold(full, k), fz, 0.5, "fast")
 
 
 def test_maximal_rejects_ball_off_grid(ball1d, ref_f):
@@ -383,12 +387,12 @@ FOLD_CASES = ["1d_even", "1d_odd", "2d_even", "2d_odd", "2d_odd_even", "2d_one_a
               "2d_asymmetric", "2d_kernel_radius", "2d_past_half"]
 
 
-@pytest.mark.parametrize("deficit", [False, True], ids=["plain", "deficit"])
+@pytest.mark.parametrize("form", ["plain", "deficit"])
 @pytest.mark.parametrize("path", ["direct", "fast"])
 @pytest.mark.parametrize("name", FOLD_CASES)
-def test_mirror_fold_convolution_matches_full_box(name, path, deficit):
+def test_mirror_fold_convolution_matches_full_box(name, path, form):
     k, mask, axes = _fold_case(name)
-    fold = _MirrorFold(mask, k, deficit=deficit)
+    fold = _MirrorFold(mask, k)
     assert fold.axes == axes
     rng = np.random.default_rng(7)
     sub = rng.uniform(0.0, 1.0, mask[fold.box].shape)
@@ -401,9 +405,14 @@ def test_mirror_fold_convolution_matches_full_box(name, path, deficit):
     back[~mask] = 0.0
     fold.unfold(kept, back)
     assert back.tobytes() == full.tobytes()
-    got = fold.convolve(kept, path)
+    if form == "plain":
+        got = fold.convolve(kept, path)
+    else:
+        # J * 1_B - J * (1_B - x) through the same fold, as _descend takes it
+        ones = fold.convolve(fold.mask, "direct").copy()
+        got = ones - fold.convolve(fold.mask - kept, path)
     want = convolve(full, k, path)[fold.box][fold.keep]
-    if path == "direct":
+    if path == "direct" and form == "plain":
         assert got.tobytes() == want.tobytes()
     else:
         assert float(np.max(np.abs(got - want))) <= 1e-12
@@ -448,15 +457,19 @@ def _maximal_case(case, ball1d, ref_f, strong_f):
     return k, strong_f, [0.0, 0.0], 4.0, ball_grid([0.0, 0.0], 4.0, h)
 
 
-def _continue_descent(v, path: str, steps: int) -> np.ndarray:
-    """``steps`` further steps of the package's map from the returned field,
-    on the same fold: v <- min((J * v + (k v + f(v))) / (k + 1), 1) on the ball."""
-    fold = _MirrorFold(v.bmask, v.kernel, deficit=True)
+def _continue_descent(v, path: str, steps: int, start=None) -> np.ndarray:
+    """``steps`` steps of the package's map from ``start``, by default the
+    returned field, on the plain fold of its box: v <- min((J * v + (k v +
+    f(v))) / (k + 1), 1) on the ball, with J * v taken off ``direct`` as
+    J * 1_B - J * (1_B - v), J * 1_B on ``direct``."""
+    fold = _MirrorFold(v.bmask, v.kernel)
     fz = ExtendedNonlinearity(v.f)
-    w, bm = fold.fold(v.values), fold.mask
+    bm = fold.mask
+    w = fold.fold(v.values if start is None else start)
+    ones = fold.convolve(bm, "direct").copy()
     for _ in range(steps):
-        w = np.where(bm, (fold.convolve(w, path) + (v.kshift * w + fz.f(w))) / (v.kshift + 1.0),
-                     0.0)
+        conv = fold.convolve(w, path) if path == "direct" else ones - fold.convolve(bm - w, path)
+        w = np.where(bm, (conv + (v.kshift * w + fz.f(w))) / (v.kshift + 1.0), 0.0)
         w = np.minimum(w, 1.0)
     out = np.zeros(v.values.shape)
     fold.unfold(w, out)
@@ -477,6 +490,17 @@ def test_maximal_lands_on_the_limit(case, path, ball1d, ref_f, strong_f):
 
 @pytest.mark.parametrize("path", ["direct", "fast"])
 @pytest.mark.parametrize("case", ["1d_R20", "2d_corner"])
+def test_descend_steps_match_the_longhand_map(case, path, ball1d, ref_f, strong_f):
+    # every step from v_0 = 1, bit for bit: on fast J * v is the deficit
+    # form through the plain fold, on direct the plain folded convolution
+    k, f, center, R, g = _maximal_case(case, ball1d, ref_f, strong_f)
+    v = maximal_solution(k, f, center, R, kernel_constants(k, f, [1.0]).d0, grid=g, path=path)
+    start = np.where(v.bmask, 1.0, 0.0)
+    assert _continue_descent(v, path, v.iterations, start).tobytes() == v.values.tobytes()
+
+
+@pytest.mark.parametrize("path", ["direct", "fast"])
+@pytest.mark.parametrize("case", ["1d_R20", "2d_corner"])
 def test_maximal_makes_one_convolution_per_step(case, path, ball1d, ref_f, strong_f,
                                                  monkeypatch):
     k, f, center, R, g = _maximal_case(case, ball1d, ref_f, strong_f)
@@ -489,8 +513,8 @@ def test_maximal_makes_one_convolution_per_step(case, path, ball1d, ref_f, stron
 
     monkeypatch.setattr(solver_mod, "convolve", counting)
     v = maximal_solution(k, f, center, R, kernel_constants(k, f, [1.0]).d0, grid=g, path=path)
-    # besides one per step: J * 1_B for the deficit form off direct, and
-    # the full-box residual gate
+    # besides one per step: J * 1_B for the deficit form off direct (none
+    # on direct), and the full-box residual gate
     assert len(calls) == v.iterations + (1 if path == "direct" else 2)
 
 

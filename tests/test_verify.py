@@ -166,6 +166,23 @@ def test_bounds_suite_informational_on_annulus(annulus_problem, phi_ref, ref_f):
     assert names["convex_mass_bound"].passed is None
     # the jump sits across the annulus, one unit apart: quotient about 1
     assert names["holder_alpha_1.0"].measured is not None
+    # inf J - max f' is positive here: the note blames convexity alone
+    assert names["convex_mass_bound"].measured - ref_f.max_fprime > 0.0
+    assert names["holder_alpha_1.0"].note.split(";")[0] == "informational: K is not convex"
+
+
+def test_bounds_suite_names_a_non_positive_margin(disk_problem, phi_ref, strong_f):
+    # on the convex disk the steep well's max f' exceeds inf J: only the
+    # margin hypothesis fails, and the note names it with its value
+    p = Problem(disk_problem.kernel, disk_problem.obstacle, strong_f)
+    kc = kernel_constants(p.kernel, strong_f, [1.0])
+    rep = bounds_suite(p.constant_datum(1.0), p, phi_ref, kc, alphas=(1.0,))
+    names = {c.name: c for c in rep.checks}
+    margin = names["convex_mass_bound"].measured - strong_f.max_fprime
+    assert margin <= 0.0
+    c = names["holder_alpha_1.0"]
+    assert c.passed is None
+    assert c.note.split(";")[0] == f"informational: inf J - max f' = {margin:.4g} is not positive"
 
 
 def test_holder_midrun_field_recorded_not_asserted(disk_problem, phi_ref, kc_ref):
