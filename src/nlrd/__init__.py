@@ -22,14 +22,7 @@ from .grid import (
 )
 from .kernels import Kernel, KernelConstants, KernelProfile, build_kernel, kernel_constants, marginal_j1
 from .nonlinearity import Bistable, ExtendedNonlinearity, even_potential, make_bistable
-from .obstacles import (
-    DeformationFamily,
-    Obstacle,
-    PsiSpec,
-    build_obstacle,
-    deformation_family,
-    jmass,
-)
+from .obstacles import Obstacle, build_obstacle, jmass
 from .operators import Problem, apply_L, residual
 from .solver import (
     EvolveResult,

@@ -33,7 +33,6 @@ from .config import build_pieces, build_problem, load_config, resolve
 from .errors import NumericalFailure, PreconditionError
 from .grid import field_to_csv
 from .kernels import kernel_constants, marginal_j1
-from .obstacles import deformation_family
 from .solver import DECREASE_FLOOR, build_subsolution, evolve, front_profile, maximal_solution
 from .verify import (
     PROGRESS_HEADER,
@@ -134,14 +133,9 @@ def cmd_front(cfg, args) -> Report:
 
 def cmd_subsolution(cfg, args) -> Report:
     v, kc = _ball(cfg, args)
-    delta = cfg["subsolution"]["delta"]
-    if delta is None:
-        delta = kc.delta0 / 2.0 if kc.delta0 is not None else None
-    if delta is None:
-        raise PreconditionError("delta0 undefined for this kernel; set subsolution.delta")
-    w = build_subsolution(v, delta, kc, path=args.conv)
+    w = build_subsolution(v, cfg["subsolution"]["delta"], kc, path=args.conv)
     rep = Report("subsolution")
-    rep.add("certificate_min", w.verify_min, ">=", 0.0, w.tol_geom, note=f"delta = {delta!r}")
+    rep.add("certificate_min", w.verify_min, ">=", 0.0, w.tol_geom, note=f"delta = {w.delta!r}")
     rep.fields["subsolution"] = w.field
     return rep
 
@@ -188,16 +182,13 @@ def cmd_liouville(cfg, args) -> Report:
 def cmd_robustness(cfg, args) -> Report:
     grid, kernel, f = build_pieces(cfg)
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
-    o = cfg["obstacle"]
-    fam = deformation_family(o["radius"], o["psi_k"], o["psi_amp"])
     return robustness_experiment(
-        fam, grid, kernel, f, kc,
+        cfg["obstacle"], grid, kernel, f, kc,
         eps_grid=cfg["experiment"]["epsilons"],
         alphas=cfg["experiment"]["alphas"],
         pass_eps=cfg["experiment"]["pass_eps"],
         residual_tol=cfg["solver"]["tol"],
         max_steps=cfg["solver"]["max_steps"],
-        margin=o["margin"],
         clamp_width=cfg["problem"]["clamp_width"],
         dt=cfg["solver"]["dt"],
         conv_path=args.conv,
@@ -259,6 +250,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
+        if args.command == "experiment" and args.mode == "sweep" and args.name != "liouville":
+            raise PreconditionError(f"--mode sweep applies to experiment liouville only, "
+                                    f"not {args.name}")
         cfg = load_config(args.config)
         try:
             os.makedirs(out, exist_ok=True)

@@ -130,7 +130,8 @@ _SCHEMA: dict = {
         "trials": (_positive(int), "100"),
         "probe_deltas": (_checked(_nonempty(_floats), lambda v: all(0 < d < 1 for d in v),
                                   "entries must lie in (0, 1)"), "0.1,0.01"),
-        "sweep_epsilon": (_float, "0.25"),
+        "sweep_epsilon": (_checked(_float, lambda v: 0 < v < 1, "value must lie in (0, 1)"),
+                          "0.25"),
         "sweep_ball_radius": (_float_or_auto, "auto"),
         "sweep_angles": (_positive(int), "16"),
     },
@@ -144,8 +145,8 @@ def load_config(path: str | None) -> dict:
     non-positive solver tolerances, steps, step budgets, trial counts,
     obstacle radii, star point counts and psi frequencies, a negative
     obstacle margin or solver log interval, an empty ``alphas`` or
-    ``probe_deltas`` list and a probe delta outside (0, 1) are rejected as
-    preconditions, like unknown keys."""
+    ``probe_deltas`` list, and a probe delta or ``sweep_epsilon`` outside
+    (0, 1) are rejected as preconditions, like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:

@@ -17,11 +17,12 @@ Two interchangeable paths:
   translation-equivariant to the bit, monotone for nonnegative weights,
   a lone value ``v`` among zeros gives exactly ``(c * v) * h^dim``, and a
   window cell gets the same bits from the window loop as from the
-  full-box convolution. :func:`convolve_at` evaluates one cell with the
-  same operations in the same order and returns the same bits. The loop's
-  three work arrays (accumulator, term, fold strip) start on 64-byte cache
-  lines, so no store straddles two lines; ``malloc`` gives only 16-byte
-  alignment, and the offset it picks would otherwise set the loop's time.
+  full-box convolution. A single cell at least the reach m from every
+  edge is the loop on the ``(2m+1)^dim`` block around it, with the same
+  bits. The loop's three work arrays (accumulator, term, fold strip)
+  start on 64-byte cache lines, so no store straddles two lines;
+  ``malloc`` gives only 16-byte alignment, and the offset it picks would
+  otherwise set the loop's time.
   The bits do not depend on where any array lands, the input included.
 * ``fast``   — FFT on a box zero-padded by one kernel reach and rounded up
   to a 5-smooth length L >= n + m per axis (n the box length, m the
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .kernels import Kernel
 
-__all__ = ["convolve", "convolve_at", "fft_buffers", "next_fast_len"]
+__all__ = ["convolve", "fft_buffers", "next_fast_len"]
 
 PATHS = ("direct", "fast", "both")
 
@@ -134,28 +135,6 @@ def _conv_direct(arr: np.ndarray, k: Kernel) -> np.ndarray:
     """J * arr on the whole box: the inner window of arr zero-padded by the
     reach."""
     return _conv_inner(np.pad(arr, k.reach), k)
-
-
-def convolve_at(arr: np.ndarray, k: Kernel, idx) -> float:
-    """``convolve(arr, k, "direct")[idx]``, bit for bit, from one cell's taps."""
-    arr = np.asarray(arr, dtype=np.float64)
-    idx = tuple(int(i) for i in idx)
-
-    def x(*d):
-        y = tuple(i + di for i, di in zip(idx, d))
-        inside = all(0 <= yi < n for yi, n in zip(y, arr.shape))
-        return float(arr[y]) if inside else 0.0
-
-    def fold(a, b):  # the row fold at column offset b (1-D has no rows)
-        if arr.ndim == 1:
-            return x(b)
-        return x(a, b) + x(-a, b) if a else x(0, b)
-
-    total = 0.0
-    for d, c in k.quarter_taps:
-        a, b = d if arr.ndim == 2 else (0, d[0])
-        total += c * (fold(a, b) + fold(a, -b) if b else fold(a, 0))
-    return total * k.h**k.dim
 
 
 def _kernel_spectrum(k: Kernel, shape_full: tuple) -> np.ndarray:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_CELLS, Grid
+from .grid import MAX_CELLS, Grid, shift_windows
 from .nonlinearity import Bistable
 from .reduction import _bisect, pairwise_sum
 
@@ -218,7 +218,9 @@ def _shifted_l1(k: Kernel, shift: tuple) -> float:
     """||J(. + s) - J||_1 for an integer lattice shift s (cells)."""
     shift = tuple(int(c) for c in shift)
     big = np.pad(k.weights, max(abs(c) for c in shift))
-    moved = np.roll(big, shift, axis=tuple(range(k.dim)))
+    moved = np.zeros_like(big)
+    here, there = shift_windows(shift, big.shape)
+    moved[there] = big[here]
     return pairwise_sum(np.abs(moved - big)) * k.h**k.dim
 
 

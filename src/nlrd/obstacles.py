@@ -8,7 +8,10 @@ its points, so the two masks agree exactly for convex families).
 
 Families: ``none``, ``ball``, ``ellipse``, ``polygon`` (convex), the
 ``annulus`` counterexample, ``star`` (exploratory, nothing asserted), and
-``deformed`` (Hoelder deformations of a disk).
+``deformed`` (Hoelder deformations K_eps of a disk, one per ``epsilon`` in
+[0, 1]). :func:`build_obstacle` is the one way to make any of them: the
+robustness sweep builds each K_eps, its base K_0 (the disk, certified
+convex) included, as the ``deformed`` family at that ``epsilon``.
 """
 
 from __future__ import annotations
@@ -26,10 +29,7 @@ from .kernels import Kernel
 __all__ = [
     "FAMILY_KEYS",
     "Obstacle",
-    "PsiSpec",
-    "DeformationFamily",
     "build_obstacle",
-    "deformation_family",
     "jmass",
     "convex_hull_mask",
 ]
@@ -191,8 +191,16 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
     if family == "star":
         return rr <= float(params["r0"]) + float(params["ramp"]) * np.cos(
             int(params["points"]) * phi)
-    psi = PsiSpec(int(params["psi_k"]), float(params["psi_amp"]))  # deformed
-    return rr <= float(params["radius"]) + float(params["epsilon"]) * psi(phi)
+    # deformed: the bump psi = psi_amp * max(0, 1 + cos(psi_k phi)) is >= 0
+    # exactly when psi_amp >= 0, and then K_0 subset K_eps for eps in [0, 1]
+    amp, eps = float(params["psi_amp"]), float(params["epsilon"])
+    if not amp >= 0.0:
+        raise PreconditionError(
+            f"psi amplitude {amp} takes negative values; K would not contain K_eps")
+    if not 0.0 <= eps <= 1.0:
+        raise PreconditionError(f"epsilon must lie in [0, 1], got {eps}")
+    psi = amp * np.clip(1.0 + np.cos(int(params["psi_k"]) * phi), 0.0, None)
+    return rr <= float(params["radius"]) + eps * psi
 
 
 def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -> Obstacle:
@@ -218,50 +226,6 @@ def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -
     if convex and np.any(mask) and not _is_discrete_convex(grid, mask):
         raise PreconditionError(f"family {family!r} mask failed the hull test")
     return Obstacle(grid=grid, mask_K=mask, family=family, params=params, convex=convex)
-
-
-@dataclass(frozen=True)
-class PsiSpec:
-    """Angular bump for deformations: amp * max(0, 1 + cos(k phi)), which is
-    >= 0 exactly when amp >= 0."""
-
-    k: int
-    amp: float
-
-    def __post_init__(self):
-        if not self.amp >= 0.0:
-            raise PreconditionError(
-                f"psi amplitude {self.amp} takes negative values; K would not contain K_eps")
-
-    def __call__(self, phi):
-        phi = np.asarray(phi, dtype=np.float64)
-        return self.amp * np.clip(1.0 + np.cos(self.k * phi), 0.0, None)
-
-
-@dataclass(frozen=True)
-class DeformationFamily:
-    """K_eps = {r <= rho + eps psi(phi)} around a base disk; monotone in eps."""
-
-    base_radius: float
-    psi: PsiSpec
-
-    def obstacle(self, eps: float, grid: Grid, margin: float = 1.5) -> Obstacle:
-        if not (0.0 <= eps <= 1.0):
-            raise PreconditionError(f"epsilon must lie in [0, 1], got {eps}")
-        if eps == 0.0:
-            return build_obstacle("ball", {"radius": self.base_radius}, grid, margin)
-        return build_obstacle(
-            "deformed",
-            {"radius": self.base_radius, "epsilon": eps,
-             "psi_k": self.psi.k, "psi_amp": self.psi.amp},
-            grid,
-            margin,
-        )
-
-
-def deformation_family(base_radius: float, psi_k: int = 6,
-                       psi_amp: float = 1.0) -> DeformationFamily:
-    return DeformationFamily(float(base_radius), PsiSpec(int(psi_k), float(psi_amp)))
 
 
 def jmass(k: Kernel, K: Obstacle) -> Field:

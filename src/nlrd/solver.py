@@ -668,13 +668,14 @@ class SubSolution:
 
 def build_subsolution(
     v: MaximalSolution,
-    delta: float,
+    delta: float | None,
     kc: KernelConstants,
     grid: Grid | None = None,
     path: str = "fast",
 ) -> SubSolution:
     """w(x) = max(v(P(x)) - dist(x, B)/delta, 0): v inside the ball,
-    a cone of slope 1/delta on the shell, zero past B_{R+delta}.
+    a cone of slope 1/delta on the shell, zero past B_{R+delta}. A
+    ``delta`` of None takes the default delta0 / 2.
 
     Verifies L_{B_{R+delta}}[w] - w + f(w) >= -tol_geom at every box cell,
     with tol_geom = 2 h w11 absorbing the lattice quadrature error of the
@@ -685,6 +686,8 @@ def build_subsolution(
         raise PreconditionError(
             "delta0 undefined: kernel profile is not W^{1,1} (use the quartic bump)"
         )
+    if delta is None:
+        delta = kc.delta0 / 2.0
     if not (0.0 < delta <= kc.delta0):
         raise PreconditionError(f"delta = {delta} outside (0, delta0 = {kc.delta0:.6g}]")
     k = v.kernel

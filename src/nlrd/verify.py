@@ -28,12 +28,12 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .convolve import convolve_at
+from .convolve import _conv_inner
 from .errors import NumericalFailure, PreconditionError
 from .grid import Field, Grid, HolderTable, holder_quotient, shift_windows
 from .kernels import Kernel, KernelConstants, marginal_j1
 from .nonlinearity import Bistable
-from .obstacles import DeformationFamily, build_obstacle, jmass
+from .obstacles import build_obstacle, jmass
 from .operators import Problem, ball_mask, residual
 from .reduction import _bisect
 from .solver import (
@@ -377,11 +377,15 @@ def liouville_experiment(
     kernel hypothesis of the counterexample holds) is seeded with the
     piecewise 0/1 stationary state instead, so the criterion fails by
     design on the non-simply-connected obstacle. Mode ``sweep`` needs a 2-D
-    grid and ``sweep_opts`` with ``epsilon`` and ``angles``, and takes an
-    optional ``ball_radius``.
+    grid, a kernel with a cone slope ``kc.delta0`` (a W^{1,1} profile) and
+    ``sweep_opts`` with ``epsilon`` and ``angles``, and takes an optional
+    ``ball_radius``; both needs are checked before the evolution runs.
     """
     if mode == "sweep" and p.grid.dim != 2:
         raise PreconditionError(f"sweep mode needs a 2-D grid, got {p.grid.dim}-D")
+    if mode == "sweep" and kc.delta0 is None:
+        raise PreconditionError(
+            "sweep mode needs delta0: kernel profile is not W^{1,1} (use the quartic bump)")
     rep = Report("liouville")
     seeded_counterexample = (
         p.obstacle.family == "annulus" and p.kernel.radius <= 0.5
@@ -443,7 +447,7 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
             note=f"ball B_{R + 1:.3g} at |x*| = {cx:.3g}")
 
     v = maximal_solution(p.kernel, p.f, center, R, kc.d0, path=p.conv_path)
-    w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=p.grid, path=p.conv_path)
+    w = build_subsolution(v, None, kc, grid=p.grid, path=p.conv_path)
     rep.add("sweep_step2_certificate", w.verify_min, ">=", 0.0, w.tol_geom,
             note="sub-solution inequality margin")
     gap = float(np.max(w.field.values - u.values))
@@ -640,6 +644,7 @@ def comparison_suite(
     # (b) strong principle: contact-cell implication, exact
     interior_idx = np.argwhere(p.interior_mask)
     ann_offsets = _annulus_offsets(p.kernel)
+    m = p.kernel.reach
     worst_zero = 0.0
     worst_detect = 0.0
     n_strong = trials
@@ -651,7 +656,11 @@ def comparison_suite(
         d2 = sum((meshes[a] - (p.grid.lo[a] + (xbar[a] + 0.5) * p.grid.h)) ** 2
                  for a in range(p.grid.dim))
         w[d2 <= p.kernel.r2**2] = 0.0
-        lw = convolve_at(w, p.kernel, xbar)
+        # L w (xbar) is the tap loop on the (2m+1)^dim block around xbar: an
+        # interior cell lies at least the reach m from every edge, and the
+        # loop is translation-equivariant to the bit
+        block = tuple(slice(i - m, i + m + 1) for i in xbar)
+        lw = _conv_inner(w[block], p.kernel).item()
         worst_zero = max(worst_zero, abs(lw))
         # perturb one annulus cell; the operator must see exactly that term
         dn = ann_offsets[int(rng.integers(0, ann_offsets.shape[0]))]
@@ -661,10 +670,8 @@ def comparison_suite(
         eps_w = float(rng.uniform(0.25, 1.0))
         w2 = w.copy()
         w2[tuple(y0)] = -eps_w
-        lw2 = convolve_at(w2, p.kernel, xbar)
-        expected = -eps_w * float(
-            p.kernel.weights[tuple(dn + p.kernel.reach)]
-        ) * p.grid.h**p.grid.dim
+        lw2 = _conv_inner(w2[block], p.kernel).item()
+        expected = -eps_w * float(p.kernel.weights[tuple(dn + m)]) * p.grid.h**p.grid.dim
         worst_detect = max(worst_detect, abs(lw2 - expected))
     rep.add("strong_contact_zero", worst_zero, "==", 0.0, 0.0,
             note=f"{n_strong} planted contact balls: L w (xbar) vanishes exactly")
@@ -753,7 +760,7 @@ def _dilate(mask: np.ndarray, deltas: np.ndarray, domain: np.ndarray) -> np.ndar
 
 
 def robustness_experiment(
-    fam: DeformationFamily,
+    section: dict,
     grid: Grid,
     kernel: Kernel,
     f: Bistable,
@@ -763,7 +770,6 @@ def robustness_experiment(
     pass_eps: float = 0.1,
     residual_tol: float = 1e-8,
     max_steps: int = 200_000,
-    margin: float = 1.5,
     clamp_width: float | None = None,
     dt: float | None = None,
     conv_path: str = "fast",
@@ -774,20 +780,24 @@ def robustness_experiment(
     every Hoelder quotient against the eps-independent constant
     A = 2 [J] / (inf_eps inf J_eps - max f').
 
-    Each K_eps keeps ``margin`` from the box boundary, and each problem
-    takes ``clamp_width`` and ``conv_path`` as :class:`Problem` does. Each evolution steps at ``dt`` (``None``: that
-    problem's comparison bound) and logs its progress every ``log_every``
-    steps under the stem ``progress_eps_<eps>``."""
+    ``section`` is the ``[obstacle]`` section: every K_eps, the base K_0
+    included, is ``build_obstacle("deformed", ...)`` on its ``radius``,
+    ``psi_k`` and ``psi_amp`` at ``epsilon = eps``, and keeps its
+    ``margin`` from the box boundary. Each problem takes ``clamp_width``
+    and ``conv_path`` as :class:`Problem` does. Each evolution steps at
+    ``dt`` (``None``: that problem's comparison bound) and logs its
+    progress every ``log_every`` steps under the stem
+    ``progress_eps_<eps>``."""
     eps_sorted = sorted(float(e) for e in eps_grid)
     if not any(e <= pass_eps + 1e-12 for e in eps_sorted):
         raise PreconditionError(
             f"no epsilon in the grid is <= pass_eps = {pass_eps}; nothing to certify"
         )
     rep = Report("robustness")
-    obstacles = {e: fam.obstacle(e, grid, margin) for e in eps_sorted}
-    base = fam.obstacle(0.0, grid, margin)
+    obstacles = {e: build_obstacle("deformed", {**section, "epsilon": e}, grid,
+                                   section["margin"]) for e in [0.0] + eps_sorted}
 
-    prev = base.mask_K
+    prev = obstacles[0.0].mask_K
     nested = True
     for e in eps_sorted:
         nested &= bool(np.all(prev <= obstacles[e].mask_K))

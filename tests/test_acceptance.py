@@ -18,7 +18,6 @@ from nlrd import (
     build_kernel,
     build_obstacle,
     build_subsolution,
-    deformation_family,
     energy,
     evolve,
     kernel_constants,
@@ -367,9 +366,9 @@ def test_criterion_11_robustness(kq8, grid8):
     # reference cubic: amplitude 0.5 gives max f' = 0.132 with margin
     f_rob = make_bistable(0.3, 0.5)
     kc_rob = kernel_constants(kq8, f_rob, [0.5, 1.0])
-    fam = deformation_family(1.0)
+    disk = {"radius": 1.0, "psi_k": 6, "psi_amp": 1.0, "margin": 1.5}
     rep = robustness_experiment(
-        fam, grid8, kq8, f_rob, kc_rob,
+        disk, grid8, kq8, f_rob, kc_rob,
         eps_grid=(1.0, 0.5, 0.2, 0.1, 0.05), alphas=(0.5, 1.0),
         pass_eps=0.1,
     )

@@ -90,6 +90,10 @@ center = 0,0
 radius = 4.0
 """
 
+SWEEP_INI = (Path(__file__).resolve().parents[1] / "configs" / "sweep_covering.ini").read_text()
+# the covering replay on a kernel with no cone slope delta0
+SWEEP_TOPHAT_INI = SWEEP_INI.replace("profile = quartic", "profile = tophat")
+
 
 def _cfg(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -205,6 +209,21 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     (LIOUVILLE_SMALL_INI.replace("radius = 0.5", "radius = 1e6"), ("front",)),
     (LIOUVILLE_SMALL_INI.replace("radius = 0.5", "radius = 1e300"), ("solve",)),
     (LIOUVILLE_SMALL_INI.replace("radius = 0.5", "radius = 1e6"), ("experiment", "liouville")),
+    # the deformed family checks its own epsilon, so solve rejects what robustness
+    # does (the step budget only keeps the run short where it is not rejected)
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\nepsilon = 1.2\npsi_amp = 0.5")
+     + "\n[solver]\nmax_steps = 5\n", ("solve",)),
+    (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\nepsilon = -0.5")
+     + "\n[solver]\nmax_steps = 5\n", ("solve",)),
+    # a sweep level 1 - sweep_epsilon outside (0, 1) fails the replay or
+    # passes it vacuously
+    (COUNTEREXAMPLE_INI + "\n[experiment]\nsweep_epsilon = -0.5\n", COUNTEREXAMPLE),
+    (COUNTEREXAMPLE_INI + "\n[experiment]\nsweep_epsilon = 5\n", COUNTEREXAMPLE),
+    # only the Liouville experiment has a sweep mode
+    (COUNTEREXAMPLE_INI, (*COUNTEREXAMPLE, "--mode", "sweep")),
+    (LIOUVILLE_SMALL_INI + "epsilons = 0.1\n[solver]\nmax_steps = 5\n",
+     ("experiment", "robustness", "--mode", "sweep")),
+    (SWEEP_TOPHAT_INI, ("experiment", "liouville", "--mode", "sweep")),
 ], ids=["nan_radius", "inf_spacing", "inf_in_list", "duplicate_section",
         "negative_ball_tol", "zero_solver_tol", "zero_dt", "negative_max_steps",
         "negative_trials", "negative_sweep_angles", "negative_front_tol",
@@ -215,7 +234,10 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
         "far_field_unknown_key", "sweep_mode_1d", "ball_tol_below_floor",
         "custom_profile", "empty_alphas",
         "probe_delta_above_one", "negative_probe_delta", "empty_probe_deltas", "negative_psi_amp",
-        "huge_kernel_radius", "huge_kernel_radius_solve", "huge_kernel_radius_liouville"])
+        "huge_kernel_radius", "huge_kernel_radius_solve", "huge_kernel_radius_liouville",
+        "deformed_epsilon_above_one", "negative_deformed_epsilon",
+        "negative_sweep_epsilon", "sweep_epsilon_above_one",
+        "counterexample_sweep_mode", "robustness_sweep_mode", "sweep_mode_tophat"])
 def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     cfg = _cfg(tmp_path, bad)
     proc = subprocess.run(
@@ -227,6 +249,32 @@ def test_malformed_config_exits_two_without_traceback(tmp_path, bad, command):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("precondition rejected:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_sweep_mode_refuses_kernel_without_delta0_before_evolving(tmp_path, monkeypatch,
+                                                                   capsys):
+    def evolve(*args, **kwargs):
+        raise AssertionError("the evolution ran")
+
+    monkeypatch.setattr(nlrd.verify, "evolve", evolve)
+    cfg = _cfg(tmp_path, SWEEP_TOPHAT_INI)
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "experiment", "liouville", "--mode", "sweep"])
+    assert code == 2
+    assert "W^{1,1}" in capsys.readouterr().err
+
+
+def test_subsolution_on_tophat_gives_one_message_with_or_without_delta(tmp_path, capsys):
+    ini = MAXIMAL_INI.replace("profile = quartic", "profile = tophat")
+    errs = []
+    for text in (ini, ini + "\n[subsolution]\ndelta = 0.05\n"):
+        code = main(["--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                     "subsolution"])
+        assert code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("precondition rejected: delta0 undefined") and "W^{1,1}" in errs[0]
 
 
 def test_negative_seed_exits_two_without_traceback(tmp_path):

@@ -10,12 +10,13 @@ from nlrd import (
     PreconditionError,
     build_kernel,
     build_obstacle,
-    deformation_family,
     jmass,
     make_grid,
 )
 from nlrd.config import build_grid, build_obstacle_cfg, load_config
 from nlrd.obstacles import FAMILY_KEYS, convex_hull_mask
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -127,13 +128,32 @@ def test_margin_rejection(g4):
         build_obstacle("ball", {"radius": 3.2}, g4, margin=1.5)
 
 
+DISK = {"radius": 1.0, "psi_k": 6, "psi_amp": 1.0}  # the [obstacle] defaults
+
+
+def _deformed(eps, grid, section=DISK):
+    return build_obstacle("deformed", {**section, "epsilon": eps}, grid)
+
+
+@pytest.mark.parametrize("radius", [0.7, 1.0, 1.3, 2.0])
+@pytest.mark.parametrize("grid", ["g4", "g8", "robustness"])
+def test_deformed_at_zero_epsilon_is_the_ball(request, grid, radius):
+    # K_0 of the robustness sweep is the deformed family at eps = 0: the
+    # same cells as the disk, and certified convex like it
+    g = (build_grid(load_config(str(CONFIGS / "robustness.ini"))) if grid == "robustness"
+         else request.getfixturevalue(grid))
+    K0 = _deformed(0.0, g, {**DISK, "radius": radius})
+    ball = build_obstacle("ball", {"radius": radius}, g)
+    assert K0.convex
+    assert np.array_equal(K0.mask_K, ball.mask_K)
+
+
 def test_deformation_family_limits_and_inclusion(g8):
-    fam = deformation_family(1.0)
-    K0 = fam.obstacle(0.0, g8)
+    K0 = _deformed(0.0, g8)
     base = build_obstacle("ball", {"radius": 1.0}, g8, margin=1.5)
     assert np.array_equal(K0.mask_K, base.mask_K)
-    K1 = fam.obstacle(0.05, g8)
-    K2 = fam.obstacle(0.1, g8)
+    K1 = _deformed(0.05, g8)
+    K2 = _deformed(0.1, g8)
     outer = build_obstacle("ball", {"radius": 1.1}, g8, margin=1.5)
     assert np.all(base.mask_K <= K1.mask_K)
     assert np.all(K1.mask_K <= K2.mask_K)
@@ -141,13 +161,12 @@ def test_deformation_family_limits_and_inclusion(g8):
 
 
 def test_deformation_hausdorff_monotone(g8):
-    fam = deformation_family(1.0)
-    base = fam.obstacle(0.0, g8).mask_K
+    base = _deformed(0.0, g8).mask_K
     meshes = g8.meshes()
     pts_base = np.stack([m[base] for m in meshes], axis=1)
 
     def hausdorff(eps):
-        mask = fam.obstacle(eps, g8).mask_K & ~base
+        mask = _deformed(eps, g8).mask_K & ~base
         if not np.any(mask):
             return 0.0
         pts = np.stack([m[mask] for m in meshes], axis=1)
@@ -161,9 +180,15 @@ def test_deformation_hausdorff_monotone(g8):
     assert ds[0] <= 0.05 * 2 + 2 * g8.h  # shrinks with eps
 
 
-def test_psi_negative_rejected():
+def test_psi_negative_rejected(g8):
     with pytest.raises(PreconditionError, match="negative"):
-        deformation_family(1.0, psi_amp=-1.0)
+        _deformed(0.1, g8, {**DISK, "psi_amp": -1.0})
+
+
+@pytest.mark.parametrize("eps", [-0.5, 1.2])
+def test_deformed_epsilon_outside_unit_interval_rejected(g8, eps):
+    with pytest.raises(PreconditionError, match=r"epsilon must lie in \[0, 1\]"):
+        _deformed(eps, g8)
 
 
 def test_star_family_builds_but_claims_nothing(g8):

@@ -13,7 +13,6 @@ from nlrd import (
     Problem,
     build_kernel,
     build_obstacle,
-    deformation_family,
     kernel_constants,
     make_bistable,
     make_grid,
@@ -352,10 +351,13 @@ def test_tophat_annulus_is_open(ref_f, monkeypatch):
 # robustness
 
 
+# the [obstacle] keys the robustness sweep reads, at their config defaults
+DISK = {"radius": 1.0, "psi_k": 6, "psi_amp": 1.0, "margin": 1.5}
+
+
 def test_robustness_quick(ref_f, kq8, grid8, kc_ref):
-    fam = deformation_family(1.0)
     rep = robustness_experiment(
-        fam, grid8, kq8, ref_f, kc_ref,
+        DISK, grid8, kq8, ref_f, kc_ref,
         eps_grid=(0.2, 0.05), alphas=(1.0,), pass_eps=0.1,
     )
     assert rep.passed
@@ -372,9 +374,8 @@ def test_robustness_flatness_rejection(grid8):
     steep = make_bistable(0.25, 2.2)
     k = build_kernel(KernelProfile("quartic", 0.5), grid8)
     kc = kernel_constants(k, steep, [1.0])
-    fam = deformation_family(1.0)
     with pytest.raises(PreconditionError, match="flatness"):
-        robustness_experiment(fam, grid8, k, steep, kc, eps_grid=(0.1,), alphas=(1.0,))
+        robustness_experiment(DISK, grid8, k, steep, kc, eps_grid=(0.1,), alphas=(1.0,))
 
 
 # ---------------------------------------------------------------------------
