@@ -33,7 +33,8 @@ from .config import build_pieces, build_problem, load_config, resolve
 from .errors import NumericalFailure, PreconditionError
 from .grid import field_to_csv
 from .kernels import kernel_constants, marginal_j1
-from .solver import DECREASE_FLOOR, build_subsolution, evolve, front_profile, maximal_solution
+from .solver import (DECREASE_FLOOR, build_subsolution, cone_slope, evolve, front_profile,
+                     maximal_solution)
 from .verify import (
     PROGRESS_HEADER,
     Report,
@@ -66,11 +67,13 @@ def _phi_and_constants(cfg, kernel, f):
     return _front(cfg, kernel, f), kc
 
 
-def _ball(cfg, args):
+def _ball(cfg, args, check=lambda kc: None):
     """The maximal ball solution of ``[ball]``, and the kernel constants
-    (d0, delta0 and W1,1 only: no Nikol'skii seminorm is read)."""
+    (d0, delta0 and W1,1 only: no Nikol'skii seminorm is read), which
+    ``check`` sees before the ball is solved."""
     _, kernel, f = build_pieces(cfg)
     kc = kernel_constants(kernel, f, ())
+    check(kc)
     v = maximal_solution(kernel, f, cfg["ball"]["center"], cfg["ball"]["radius"],
                          kc.d0, path=args.conv)
     return v, kc
@@ -132,10 +135,12 @@ def cmd_front(cfg, args) -> Report:
 
 
 def cmd_subsolution(cfg, args) -> Report:
-    v, kc = _ball(cfg, args)
-    w = build_subsolution(v, cfg["subsolution"]["delta"], kc, path=args.conv)
+    delta = cfg["subsolution"]["delta"]
+    v, kc = _ball(cfg, args, lambda kc: cone_slope(delta, kc))
+    w = build_subsolution(v, delta, kc, path=args.conv)
     rep = Report("subsolution")
-    rep.add("certificate_min", w.verify_min, ">=", 0.0, w.tol_geom, note=f"delta = {w.delta!r}")
+    rep.add("certificate_min", w.verify_min, ">=", 0.0, 1e-12,
+            note=f"delta = {w.delta!r}, {w.shell_cells} positive shell cells")
     rep.fields["subsolution"] = w.field
     return rep
 

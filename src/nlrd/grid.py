@@ -68,10 +68,6 @@ class Grid:
         axes = [self.axis_centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def cell_center(self, idx) -> tuple:
-        idx = np.atleast_1d(idx)
-        return tuple(self.lo[a] + (int(idx[a]) + 0.5) * self.h for a in range(self.dim))
-
 
 MAX_CELLS = 1 << 22
 """Largest cell count :func:`make_grid` accepts: 2048² = 4 194 304.

@@ -53,7 +53,6 @@ Scheme notes
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -79,6 +78,7 @@ __all__ = [
     "energy",
     "front_profile",
     "build_subsolution",
+    "cone_slope",
     "ball_grid",
     "DECREASE_FLOOR",
 ]
@@ -659,11 +659,32 @@ def front_profile(
 
 @dataclass
 class SubSolution:
+    """A compactly supported sub-solution w around the maximal ball solution
+    ``base``: ``verify_min`` is the measured minimum of
+    L_{B_{R+delta}}[w] - w + f(w) over every box cell, which the caller
+    gates, and ``shell_cells`` counts the cells off the ball where w > 0
+    (0 when the lattice does not resolve the cone, and then w = v 1_B)."""
+
     base: MaximalSolution
     delta: float
     field: Field
     verify_min: float
-    tol_geom: float
+    shell_cells: int
+
+
+def cone_slope(delta: float | None, kc: KernelConstants) -> float:
+    """The sub-solution cone slope: ``delta`` checked to lie in
+    (0, delta0], where delta0 = gamma / w11 needs a W^{1,1} kernel
+    profile; None takes delta0 / 2."""
+    if kc.delta0 is None:
+        raise PreconditionError(
+            "delta0 undefined: kernel profile is not W^{1,1} (use the quartic bump)"
+        )
+    if delta is None:
+        return kc.delta0 / 2.0
+    if not (0.0 < delta <= kc.delta0):
+        raise PreconditionError(f"delta = {delta} outside (0, delta0 = {kc.delta0:.6g}]")
+    return delta
 
 
 def build_subsolution(
@@ -673,26 +694,20 @@ def build_subsolution(
     grid: Grid | None = None,
     path: str = "fast",
 ) -> SubSolution:
-    """w(x) = max(v(P(x)) - dist(x, B)/delta, 0): v inside the ball,
-    a cone of slope 1/delta on the shell, zero past B_{R+delta}. A
-    ``delta`` of None takes the default delta0 / 2.
+    """w = v on the ball B = B_R and, off it, the lattice sup-envelope
+    w(x) = max over ball cells y of (v(y) - |x - y| / delta)^+, which is
+    zero past B_{R+delta}. As v <= 1, only lattice offsets s with
+    |s| h < delta contribute, each as one shifted maximum over the box.
+    ``delta`` passes :func:`cone_slope` (None takes delta0 / 2).
 
-    Verifies L_{B_{R+delta}}[w] - w + f(w) >= -tol_geom at every box cell,
-    with tol_geom = 2 h w11 absorbing the lattice quadrature error of the
-    projection (P lands between cell centers). Requires delta <= delta0 =
-    gamma / w11, hence a W^{1,1} kernel profile.
+    Returns the minimum of L_{B_{R+delta}}[w] - w + f(w) over every box
+    cell as measured; the rows that report it gate it at 1e-12. Where the
+    lattice does not resolve the cone (h / delta above the values of v near
+    the rim), ``shell_cells`` is 0 and w = v 1_B.
     """
-    if kc.delta0 is None:
-        raise PreconditionError(
-            "delta0 undefined: kernel profile is not W^{1,1} (use the quartic bump)"
-        )
-    if delta is None:
-        delta = kc.delta0 / 2.0
-    if not (0.0 < delta <= kc.delta0):
-        raise PreconditionError(f"delta = {delta} outside (0, delta0 = {kc.delta0:.6g}]")
+    delta = cone_slope(delta, kc)
     k = v.kernel
     h = k.h
-    c = np.asarray(v.center)
     R = v.radius
     if grid is None:
         grid = ball_grid(v.center, R + delta + k.radius, h, pad=2 * h)
@@ -703,12 +718,7 @@ def build_subsolution(
     if any(abs(o - i) > 1e-9 for o, i in zip(off, ioff)):
         raise PreconditionError("target grid is not lattice-aligned with the ball grid")
 
-    meshes = grid.meshes()
-    dist = np.sqrt(sum((m - c[a]) ** 2 for a, m in enumerate(meshes)))
-    tau = np.clip(dist - R, 0.0, None)
-    inside = dist <= R
-
-    w = np.zeros(grid.shape)
+    vb = np.zeros(grid.shape)
     src_grid = v.field.grid
     # copy v on the overlap of the two index boxes
     src_slices, dst_slices = [], []
@@ -718,59 +728,27 @@ def build_subsolution(
         span = min(src_grid.counts[a] - s0, grid.counts[a] - d0)
         src_slices.append(slice(s0, s0 + span))
         dst_slices.append(slice(d0, d0 + span))
-    w[tuple(dst_slices)] = v.values[tuple(src_slices)]
-    w[~inside] = 0.0
+    vb[tuple(dst_slices)] = v.values[tuple(src_slices)]
+    inside = ball_mask(grid, v.center, R)
+    vb[~inside] = 0.0
 
-    shell = (~inside) & (tau <= delta)
-    if np.any(shell):
-        pts = np.stack([m[shell] for m in meshes], axis=1)
-        d = dist[shell][:, None]
-        proj = c[None, :] + R * (pts - c[None, :]) / d
-        fi = (proj - np.asarray(src_grid.lo)[None, :]) / h - 0.5
-        idx = np.rint(fi).astype(np.int64)
-        for a in range(grid.dim):
-            np.clip(idx[:, a], 0, src_grid.counts[a] - 1, out=idx[:, a])
-        vmask = v.bmask
-        vvals = v.values
-        picked = np.empty(idx.shape[0])
-        for row in range(idx.shape[0]):
-            ii = tuple(idx[row])
-            if vmask[ii]:
-                picked[row] = vvals[ii]
-                continue
-            # nearest cell center fell just off the discrete ball: take the
-            # closest masked neighbor in the 3x3 box around the projection
-            best = None
-            bestd = math.inf
-            ranges = [range(max(0, ii[a] - 1), min(src_grid.counts[a], ii[a] + 2))
-                      for a in range(grid.dim)]
-            for nb in itertools.product(*ranges):
-                if not vmask[nb]:
-                    continue
-                ctr = src_grid.cell_center(nb)
-                dd = sum((ctr[a] - proj[row, a]) ** 2 for a in range(grid.dim))
-                if dd < bestd:
-                    bestd = dd
-                    best = nb
-            if best is None:
-                raise NumericalFailure("projection found no ball cell nearby")
-            picked[row] = vvals[best]
-        w[shell] = np.clip(picked - tau[shell] / delta, 0.0, None)
+    cone = np.zeros(grid.shape)
+    reach = int(delta / h)
+    for s in np.ndindex(*(2 * reach + 1,) * grid.dim):
+        s = [si - reach for si in s]
+        drop = math.sqrt(sum(si * si for si in s)) * h
+        if 0.0 < drop < delta:
+            here, there = shift_windows(s, grid.shape)
+            np.maximum(cone[there], vb[here] - drop / delta, out=cone[there])
+    w = np.where(inside, vb, cone)
 
-    rprime = R + delta
-    big = ball_mask(grid, v.center, rprime)
+    big = ball_mask(grid, v.center, R + delta)
     Lw = convolve(w * big, k, path)
     certificate = Lw - w + v.f.f(w)
-    verify_min = float(np.min(certificate))
-    tol_geom = 2.0 * h * kc.w11
-    if verify_min < -tol_geom:
-        raise NumericalFailure(
-            f"sub-solution certificate {verify_min:.3e} below -{tol_geom:.3e}"
-        )
     return SubSolution(
         base=v,
         delta=float(delta),
         field=Field(grid, w, np.ones(grid.shape, dtype=bool)),
-        verify_min=verify_min,
-        tol_geom=tol_geom,
+        verify_min=float(np.min(certificate)),
+        shell_cells=int(np.count_nonzero(cone[~inside])),
     )

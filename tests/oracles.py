@@ -56,6 +56,20 @@ def conv_at(arr: np.ndarray, kernel, idx) -> float:
     return total * kernel.h**2
 
 
+def sup_envelope(vb: np.ndarray, inside: np.ndarray, h: float, delta: float) -> np.ndarray:
+    """The cone envelope of a ball field by brute force: ``vb`` on the ball
+    cells ``inside`` and, at every other cell x, the maximum over every ball
+    cell y of (v(y) - |x - y| / delta)^+, where |x - y| is h times the
+    length of the index offset y - x."""
+    ball = np.argwhere(inside)
+    vals = vb[inside]
+    out = np.array(vb, dtype=np.float64)
+    for x in np.argwhere(~inside):
+        n = np.sum((ball - x) ** 2, axis=1).astype(np.float64)
+        out[tuple(x)] = max(0.0, float(np.max(vals - np.sqrt(n) * h / delta)))
+    return out
+
+
 def parabolic_front(j1, f, line_length: float, tol: float = 1e-11, dt=None,
                     max_steps: int = 400_000):
     """Independent explicit-Euler march of the clamped 1-D problem.
@@ -465,10 +479,9 @@ def make_field(grid, fn, mask=None):
         m = np.asarray(mask, dtype=bool).copy()
     bad = m & ~np.isfinite(vals)
     if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        raise PreconditionError(
-            f"non-finite sample at cell center {grid.cell_center(idx)}"
-        )
+        idx = tuple(np.argwhere(bad)[0])
+        center = tuple(float(mesh[idx]) for mesh in meshes)
+        raise PreconditionError(f"non-finite sample at cell center {center}")
     return Field(grid, vals, m)
 
 

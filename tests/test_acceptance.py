@@ -288,9 +288,10 @@ def test_criterion_07_subsolution_certificate(ref_f):
     v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
     w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
     wall = time.monotonic() - t0
-    ok = w.verify_min >= -2.0 * h * kc.w11 and wall < 60.0
+    ok = w.verify_min >= -1e-12 and wall < 60.0
     _line(7, "sub-solution certificate", ok,
-          f"min {w.verify_min:.4f} >= {-2.0 * h * kc.w11:.4f}, delta {w.delta:.4f}, {wall:.0f}s")
+          f"min {w.verify_min:.3e} >= -1e-12, delta {w.delta:.4f}, "
+          f"{w.shell_cells} positive shell cells, {wall:.0f}s")
 
 
 def test_criterion_08_suites(strong_problem, strong_f):

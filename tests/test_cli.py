@@ -277,6 +277,32 @@ def test_subsolution_on_tophat_gives_one_message_with_or_without_delta(tmp_path,
     assert errs[0].startswith("precondition rejected: delta0 undefined") and "W^{1,1}" in errs[0]
 
 
+@pytest.mark.parametrize("ini", [
+    MAXIMAL_INI.replace("profile = quartic", "profile = tophat"),
+    MAXIMAL_INI + "\n[subsolution]\ndelta = -1\n",
+], ids=["tophat", "negative_delta"])
+def test_subsolution_checks_delta_before_solving_the_ball(tmp_path, monkeypatch, ini):
+    def maximal_solution(*args, **kwargs):
+        raise AssertionError("the ball was solved")
+
+    monkeypatch.setattr(nlrd.cli, "maximal_solution", maximal_solution)
+    assert main(["--config", _cfg(tmp_path, ini), "--out", str(tmp_path / "o"),
+                 "subsolution"]) == 2
+
+
+def test_subsolution_row_fails_on_a_negative_certificate(tmp_path, monkeypatch):
+    # the certificate the nearest-cell projection read on the R = 15 ball
+    real = nlrd.cli.build_subsolution
+    monkeypatch.setattr(nlrd.cli, "build_subsolution", lambda *a, **kw: dataclasses.replace(
+        real(*a, **kw), verify_min=-0.0788))
+    out = tmp_path / "o"
+    assert main(["--config", _cfg(tmp_path, MAXIMAL_INI), "--out", str(out),
+                 "subsolution"]) == 1
+    with open(out / "subsolution.checks.csv") as fh:
+        rows = {r["name"]: r for r in csv.DictReader(fh)}
+    assert rows["certificate_min"]["verdict"] == "fail"
+
+
 def test_negative_seed_exits_two_without_traceback(tmp_path):
     # np.random.default_rng rejects a negative seed with a ValueError
     proc = subprocess.run(

@@ -756,18 +756,63 @@ def test_subsolution_vanishes_past_cone(subsolution_2d):
 
 def test_subsolution_certificate(subsolution_2d, ref_f):
     g, k, kc, v, w = subsolution_2d
-    assert w.verify_min >= -w.tol_geom
-    # independent pointwise oracle at sampled cells
-    rng = np.random.default_rng(9)
+    assert w.verify_min >= -1e-12
+    # independent pointwise oracle at every cell that the cone or the
+    # kernel reaches past the ball
     big = ball_mask(g, [0.0, 0.0], v.radius + w.delta)
     wv = w.field.values * big
-    cells = np.argwhere(np.ones(g.shape, dtype=bool))
-    for i in rng.choice(cells.shape[0], 5, replace=False):
-        idx = tuple(cells[i])
+    r = np.hypot(*g.meshes())
+    cells = np.argwhere((r > v.radius) & (r <= v.radius + w.delta + k.radius))
+    assert len(cells) > 4000
+    for idx in map(tuple, cells):
         lhs = oracles.conv_at(wv, k, idx) - w.field.values[idx] + float(
             ref_f.f(w.field.values[idx])
         )
-        assert lhs >= -w.tol_geom - 1e-12
+        assert lhs >= -1e-12
+
+
+@pytest.fixture(scope="module")
+def resolved_cone_ball(strong_f):
+    # the steep well at h = 1/64: delta0 = 0.0293 spans more than a cell,
+    # so the cone reaches past the discrete ball
+    h = 1 / 64
+    R = 4.0
+    g = ball_grid([0.0, 0.0], R + 0.6, h)
+    k = build_kernel(KernelProfile("quartic", 0.5), g)
+    kc = kernel_constants(k, strong_f, [1.0])
+    return kc, maximal_solution(k, strong_f, [0.0, 0.0], R, kc.d0, grid=g)
+
+
+def test_subsolution_resolved_cone_certificate(resolved_cone_ball):
+    kc, v = resolved_cone_ball
+    w = build_subsolution(v, kc.delta0, kc, path="fast")
+    assert w.shell_cells > 0
+    assert w.verify_min >= -1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_subsolution_is_the_brute_force_envelope(dim, strong_f, resolved_cone_ball):
+    if dim == 1:
+        g = ball_grid([0.0], 4.6, 1 / 256)
+        k = build_kernel(KernelProfile("quartic", 0.5), g)
+        kc = kernel_constants(k, strong_f, [1.0])
+        v = maximal_solution(k, strong_f, [0.0], 4.0, kc.d0, grid=g)
+        box = (slice(None),)
+    else:
+        # a 48 x 48 window across the rim on the positive x0 axis
+        kc, v = resolved_cone_ball
+        g = v.field.grid
+        i0 = int(round((v.radius - g.lo[0]) / g.h))
+        box = (slice(i0 - 24, i0 + 24), slice(g.counts[1] // 2 - 24, g.counts[1] // 2 + 24))
+    lo = [g.lo[a] + (b.start or 0) * g.h for a, b in enumerate(box)]
+    vb = v.values[box]
+    window = make_grid(lo, [l + n * g.h for l, n in zip(lo, vb.shape)], g.h)
+    inside = ball_mask(window, v.center, v.radius)
+    assert np.any(inside) and not np.all(inside)
+    w = build_subsolution(v, kc.delta0, kc, grid=window)
+    assert w.shell_cells > 0
+    ref = oracles.sup_envelope(np.where(inside, vb, 0.0), inside, g.h, w.delta)
+    assert np.array_equal(w.field.values, ref)
 
 
 def test_subsolution_delta_validation(subsolution_2d):
