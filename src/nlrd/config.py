@@ -94,9 +94,6 @@ _SCHEMA: dict = {
         "vertices": (_vertices, "-1,-1;1,-1;1,1;-1,1"),
         "r1": (_float, "1.0"),
         "r2": (_float, "2.0"),
-        "r0": (_float, "1.0"),
-        "ramp": (_float, "0.4"),
-        "points": (_positive(int), "5"),
         "epsilon": (_float, "0.1"),
         "psi_k": (_positive(int), "6"),
         "psi_amp": (_float, "1.0"),
@@ -143,10 +140,10 @@ def load_config(path: str | None) -> dict:
 
     Malformed INI syntax (a duplicate section, say), non-finite numbers,
     non-positive solver tolerances, steps, step budgets, trial counts,
-    obstacle radii, star point counts and psi frequencies, a negative
-    obstacle margin or solver log interval, an empty ``alphas`` or
-    ``probe_deltas`` list, and a probe delta or ``sweep_epsilon`` outside
-    (0, 1) are rejected as preconditions, like unknown keys."""
+    obstacle radii and psi frequencies, a negative obstacle margin or
+    solver log interval, an empty ``alphas`` or ``probe_deltas`` list, and
+    a probe delta or ``sweep_epsilon`` outside (0, 1) are rejected as
+    preconditions, like unknown keys."""
     try:
         return _load(path)
     except configparser.Error as exc:

@@ -7,11 +7,11 @@ convex hull of its cell centers (a convex set contains the hull of any of
 its points, so the two masks agree exactly for convex families).
 
 Families: ``none``, ``ball``, ``ellipse``, ``polygon`` (convex), the
-``annulus`` counterexample, ``star`` (exploratory, nothing asserted), and
-``deformed`` (Hoelder deformations K_eps of a disk, one per ``epsilon`` in
-[0, 1]). :func:`build_obstacle` is the one way to make any of them: the
-robustness sweep builds each K_eps, its base K_0 (the disk, certified
-convex) included, as the ``deformed`` family at that ``epsilon``.
+``annulus`` counterexample, and ``deformed`` (Hoelder deformations K_eps
+of a disk, one per ``epsilon`` in [0, 1]). :func:`build_obstacle` is the
+one way to make any of them: the robustness sweep builds each K_eps, its
+base K_0 (the disk, certified convex) included, as the ``deformed``
+family at that ``epsilon``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ FAMILY_KEYS = {
     "ellipse": ("center", "a", "b"),
     "polygon": ("vertices",),
     "annulus": ("r1", "r2"),
-    "star": ("r0", "ramp", "points"),
     "deformed": ("radius", "epsilon", "psi_k", "psi_amp"),
 }
 CONVEX_FAMILIES = {"none", "ball", "ellipse", "polygon"}
@@ -187,10 +186,6 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
         if not (0.0 < r1 < r2):
             raise PreconditionError("annulus needs 0 < r1 < r2")
         return (rr >= r1) & (rr <= r2)
-    phi = np.arctan2(Y, X)
-    if family == "star":
-        return rr <= float(params["r0"]) + float(params["ramp"]) * np.cos(
-            int(params["points"]) * phi)
     # deformed: the bump psi = psi_amp * max(0, 1 + cos(psi_k phi)) is >= 0
     # exactly when psi_amp >= 0, and then K_0 subset K_eps for eps in [0, 1]
     amp, eps = float(params["psi_amp"]), float(params["epsilon"])
@@ -199,6 +194,7 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
             f"psi amplitude {amp} takes negative values; K would not contain K_eps")
     if not 0.0 <= eps <= 1.0:
         raise PreconditionError(f"epsilon must lie in [0, 1], got {eps}")
+    phi = np.arctan2(Y, X)
     psi = amp * np.clip(1.0 + np.cos(int(params["psi_k"]) * phi), 0.0, None)
     return rr <= float(params["radius"]) + eps * psi
 

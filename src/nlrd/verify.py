@@ -209,43 +209,31 @@ def sliding_radius(u: Field, e, phi: FrontProfile) -> float:
 
 
 def counterexample_field(p: Problem) -> Field:
-    """The piecewise 0/1 stationary state: 0 in the hole, 1 outside."""
-    if p.obstacle.family != "annulus":
-        raise PreconditionError("counterexample field needs the annulus obstacle")
-    r2 = float(p.obstacle.params["r2"])
-    meshes = p.grid.meshes()
-    rr = np.hypot(*meshes)
-    vals = np.where(rr > r2, 1.0, 0.0)
-    return Field(p.grid, vals, p.domain_mask)
+    """The 0/1 stationary state: 1 on the domain cells that a chain of
+    kernel taps (offsets with J > 0) reaches from the clamp band through
+    the domain, 0 on the rest. No tap links a reached cell to an unreached
+    one, and f(0) = f(1) = 0, so the field is stationary to the bit on
+    ``direct``. Raises :class:`PreconditionError` when every domain cell
+    is reached: then no such state exists."""
+    reached, _ = _bfs(p.domain_mask, p.clamp_mask, _support_offsets(p.kernel))
+    if np.array_equal(reached, p.domain_mask):
+        raise PreconditionError(
+            "the kernel's taps reach every domain cell from the clamp band: "
+            "no 0/1 stationary state")
+    return Field(p.grid, reached.astype(np.float64), p.domain_mask)
 
 
 def counterexample_check(p: Problem) -> Report:
     """Exactness of the non-simply-connected counterexample.
 
-    Hypothesis: kernel radius <= 0.5 and at least one empty cell shell
-    between the reach of each domain component and the far side of the
-    obstacle, so the hole and the exterior never exchange mass.
+    The hypothesis is computed, not assumed of a family: some domain cell
+    is out of the kernel's reach from the clamp band (see
+    :func:`counterexample_field`, which raises otherwise), so the cells
+    it cuts off and the exterior never exchange mass. The count of those
+    cells is ``meta["unreached_cells"]``.
     """
-    if p.obstacle.family != "annulus":
-        raise PreconditionError("counterexample requires the annulus obstacle")
-    r1 = float(p.obstacle.params["r1"])
-    r2 = float(p.obstacle.params["r2"])
-    RJ = p.kernel.radius
-    h = p.grid.h
-    if RJ > 0.5:
-        raise PreconditionError(f"kernel radius {RJ} > 0.5 violates the hypothesis")
-    meshes = p.grid.meshes()
-    rr = np.hypot(*meshes)
-    hole = p.domain_mask & (rr < r1)
-    if not np.any(hole):
-        raise PreconditionError("annulus hole contains no cells")
-    hole_reach = float(np.max(rr[hole])) + RJ
-    if hole_reach > r2 - h:
-        raise PreconditionError(
-            f"hole reach {hole_reach:.4f} leaves no empty shell before r2 = {r2}"
-        )
-    rep = Report("counterexample")
     u = counterexample_field(p)
+    rep = Report("counterexample")
     _, sup = residual(p, u)
     rep.add("residual_sup", sup, "<=", 0.0, 1e-12)
     spread = float(np.max(u.values[p.domain_mask]) - np.min(u.values[p.domain_mask]))
@@ -253,7 +241,8 @@ def counterexample_check(p: Problem) -> Report:
     step = evolve(p, u, max_steps=1, residual_tol=-1.0, log_every=0)
     drift = float(np.max(np.abs(step.u.values - u.values)))
     rep.add("evolve_fixed_point_drift", drift, "<=", 0.0, 1e-12)
-    rep.meta["kernel_radius"] = RJ
+    rep.meta["kernel_radius"] = p.kernel.radius
+    rep.meta["unreached_cells"] = int(np.count_nonzero(p.domain_mask & (u.values == 0.0)))
     return rep
 
 
@@ -374,28 +363,24 @@ def liouville_experiment(
     """Evolve from the hostile datum and certify min u >= 1 - 1e-6, then
     run :func:`bounds_suite` at ``alphas`` and ``probe_deltas``.
 
-    Convex obstacles are expected to pass; the annulus geometry (when the
-    kernel hypothesis of the counterexample holds) is seeded with the
-    piecewise 0/1 stationary state instead, so the criterion fails by
-    design on the non-simply-connected obstacle. Mode ``sweep`` needs a 2-D
-    grid, a kernel with a cone slope ``kc.delta0`` (a W^{1,1} profile) and
-    ``sweep_opts`` with ``epsilon`` and ``angles``, and takes an optional
-    ``ball_radius``; both needs are checked before the evolution runs.
+    Every obstacle runs this one path from the least admissible datum.
+    Convex obstacles are expected to pass; around the annulus the orbit
+    comes to rest at the 0/1 state of :func:`counterexample_field`, so the
+    criterion fails by design on the non-simply-connected obstacle. Mode
+    ``sweep`` needs a 2-D grid, a kernel with a cone slope ``kc.delta0`` (a
+    W^{1,1} profile) and ``sweep_opts`` with ``epsilon`` and ``angles``,
+    and takes an optional ``ball_radius``; both needs are checked before
+    the evolution runs.
     """
     if mode == "sweep" and p.grid.dim != 2:
         raise PreconditionError(f"sweep mode needs a 2-D grid, got {p.grid.dim}-D")
     if mode == "sweep":
         cone_slope(None, kc)
     rep = Report("liouville")
-    seeded_counterexample = (
-        p.obstacle.family == "annulus" and p.kernel.radius <= 0.5
-    )
-    u0 = counterexample_field(p) if seeded_counterexample else p.hostile_datum()
-    res = evolve(p, u0, dt=dt, residual_tol=residual_tol, max_steps=max_steps,
-                 log_every=log_every)
+    res = evolve(p, p.hostile_datum(), dt=dt, residual_tol=residual_tol,
+                 max_steps=max_steps, log_every=log_every)
     rep.meta["steps"] = res.steps
     rep.meta["dt"] = res.dt
-    rep.meta["seeded_counterexample"] = seeded_counterexample
     rep.tables["progress"] = (PROGRESS_HEADER, res.log_rows)
     rep.add("converged", res.residual_sup, "<=", residual_tol,
             note="" if res.converged else "inconclusive: evolution budget exhausted")
@@ -695,15 +680,20 @@ def _annulus_offsets(k: Kernel) -> np.ndarray:
     return np.argwhere(ann) - k.reach
 
 
+def _support_offsets(k: Kernel) -> np.ndarray:
+    """Offsets z != 0 with J(z) > 0, one row per offset, in table order."""
+    full = k.weights > 0
+    full[(k.reach,) * k.dim] = False
+    return np.argwhere(full) - k.reach
+
+
 def _chain_steps(p: Problem, cap: int) -> int | None:
     """Annulus dilations needed to cover the component of the domain that
     holds a deep interior cell (full-support adjacency); None if ``cap``
     of them do not cover it."""
     # the first interior cell in row-major order, without listing them all
     start = np.unravel_index(np.argmax(p.interior_mask), p.interior_mask.shape)
-    full = p.kernel.weights > 0
-    full[(p.kernel.reach,) * p.kernel.dim] = False
-    offsets = np.argwhere(full) - p.kernel.reach
+    offsets = _support_offsets(p.kernel)
     annulus = _annulus_offsets(p.kernel)
     comp, steps = _bfs(p.domain_mask, start, offsets)
     # the annulus offsets are full-support offsets, so ``reached`` never
@@ -717,11 +707,11 @@ def _chain_steps(p: Problem, cap: int) -> int | None:
     return steps
 
 
-def _bfs(domain: np.ndarray, start: tuple, deltas: np.ndarray, max_steps=None) -> tuple:
-    """Frontier BFS from ``start`` inside ``domain`` by the offsets
-    ``deltas``, for at most ``max_steps`` steps (None: until no cell is
-    new). Returns the reached cells and the number of steps that reached
-    a new cell."""
+def _bfs(domain: np.ndarray, start, deltas: np.ndarray, max_steps=None) -> tuple:
+    """Frontier BFS from ``start``, a cell index or a boolean mask of
+    cells, inside ``domain`` by the offsets ``deltas``, for at most
+    ``max_steps`` steps (None: until no cell is new). Returns the reached
+    cells and the number of steps that reached a new cell."""
     reached = np.zeros_like(domain)
     reached[start] = True
     frontier = reached.copy()

@@ -461,6 +461,13 @@ def evolve_fullbox(p, u0, dt=None, max_steps: int = 200_000, residual_tol: float
             steps += 1
 
 
+def annulus_counterexample(p) -> np.ndarray:
+    """The 0/1 state around the annulus obstacle of ``p`` by its outer
+    radius: 1 at cell centres past ``r2``, 0 on the rest (the hole and K)."""
+    rr = np.hypot(*p.grid.meshes())
+    return np.where(rr > float(p.obstacle.params["r2"]), 1.0, 0.0)
+
+
 def make_field(grid, fn, mask=None):
     """Sample ``fn`` at cell centers under an optional domain mask.
 

@@ -181,6 +181,7 @@ COUNTEREXAMPLE = ("experiment", "counterexample")
     # the extension is each solver's own choice, not a config key
     (MAXIMAL_INI.replace("amplitude = 3.0", "amplitude = 3.0\nextension = odd"),
      ("maximal",)),
+    # the star family and its keys are gone: points is an unknown key
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = star\npoints = 0"),
      ("solve",)),
     (COUNTEREXAMPLE_INI.replace("family = annulus", "family = deformed\npsi_k = -1"),
@@ -457,11 +458,41 @@ def test_with_timing_records_wall_time(tmp_path):
     assert "wall_time_s" not in report
 
 
-def test_wide_kernel_precondition_exits_two(tmp_path):
-    bad = COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = 0.6")
-    cfg = _cfg(tmp_path, bad)
-    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "experiment", "counterexample"])
-    assert code == 2
+# kernels whose taps bridge the annulus: no cell is cut off from the clamp
+# band, so there is no 0/1 state to check or to start from
+BRIDGED = {"tophat_1.2": COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = 1.2"),
+           "r2_1.3": COUNTEREXAMPLE_INI.replace("r2 = 2.0", "r2 = 1.3")}
+
+
+def _bridged_exits_two(tmp_path, capsys, ini, command):
+    cfg = _cfg(tmp_path, ini + "\n[solver]\nu0 = counterexample\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition rejected: ") and "every domain cell" in err
+    assert err.count("\n") == 1
+
+
+def test_wide_kernel_precondition_exits_two(tmp_path, capsys):
+    _bridged_exits_two(tmp_path, capsys, BRIDGED["tophat_1.2"], COUNTEREXAMPLE)
+
+
+@pytest.mark.parametrize("bridged,command", [
+    ("r2_1.3", COUNTEREXAMPLE), ("tophat_1.2", ("solve",)), ("r2_1.3", ("solve",)),
+])
+def test_bridged_annulus_exits_two(tmp_path, capsys, bridged, command):
+    _bridged_exits_two(tmp_path, capsys, BRIDGED[bridged], command)
+
+
+def test_counterexample_past_half_radius_is_exact(tmp_path):
+    # a kernel radius above 1/2 still leaves the hole cut off from the clamp
+    # band, and the residual is exactly 0 on the direct path
+    cfg = _cfg(tmp_path, COUNTEREXAMPLE_INI.replace("radius = 0.5", "radius = 0.6"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--conv", "direct",
+                 "experiment", "counterexample"]) == 0
+    report = json.loads((out / "counterexample.report.json").read_text())
+    assert {c["name"]: c["measured"] for c in report["checks"]}["residual_sup"] == 0.0
+    assert report["meta"]["unreached_cells"] == 812
 
 
 TINY_INI = LIOUVILLE_SMALL_INI + "epsilons = 0.1\ntrials = 6\n"

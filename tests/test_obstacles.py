@@ -86,7 +86,7 @@ def test_unknown_family_rejected(g4):
 
 
 @pytest.mark.parametrize("family,params,missing", [
-    ("star", {"r0": 1.0, "r1": 0.4, "points": 5}, "ramp"),  # r1 is the annulus key
+    ("annulus", {"r1": 1.0, "radius": 2.0}, "r2"),  # radius is the ball key
     ("ball", {"centre": (0.0, 0.0)}, "radius"),
     ("ellipse", {"a": 2.0}, "b"),
     ("deformed", {"radius": 1.0, "epsilon": 0.1, "psi_k": 6}, "psi_amp"),
@@ -189,15 +189,6 @@ def test_psi_negative_rejected(g8):
 def test_deformed_epsilon_outside_unit_interval_rejected(g8, eps):
     with pytest.raises(PreconditionError, match=r"epsilon must lie in \[0, 1\]"):
         _deformed(eps, g8)
-
-
-def test_star_family_builds_but_claims_nothing(g8):
-    # exploratory geometry: exposed, never certified convex
-    K = build_obstacle("star", {"r0": 1.0, "ramp": 0.4, "points": 5}, g8, margin=1.5)
-    assert not K.convex
-    assert np.count_nonzero(K.mask_K) > 0
-    hull = convex_hull_mask(g8, K.mask_K)
-    assert hull.sum() > K.mask_K.sum()  # genuinely non-convex
 
 
 def test_jmass_empty_and_far(g4):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from nlrd import (
     Field,
     KernelProfile,
+    Obstacle,
     PreconditionError,
     Problem,
     build_kernel,
@@ -19,7 +21,8 @@ from nlrd import (
     marginal_j1,
 )
 import nlrd.verify as verify_mod
-from nlrd.solver import front_profile
+from nlrd.config import build_problem, load_config
+from nlrd.solver import evolve, front_profile
 from nlrd.verify import (
     Report,
     bounds_suite,
@@ -30,6 +33,8 @@ from nlrd.verify import (
     robustness_experiment,
     sliding_radius,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +100,57 @@ def test_counterexample_smaller_kernel_still_exact(grid4, ref_f):
 
 
 def test_counterexample_rejects_wide_kernel(ref_f):
+    # a kernel whose taps bridge the annulus reaches the hole from the
+    # clamp band: no cell is cut off, so there is no 0/1 state
     g = make_grid([-4, -4], [4, 4], 1 / 16)
-    k = build_kernel(KernelProfile("tophat", 0.6), g)
+    k = build_kernel(KernelProfile("tophat", 1.2), g)
     K = build_obstacle("annulus", {"r1": 1.0, "r2": 2.0}, g, margin=1.5)
-    with pytest.raises(PreconditionError, match="0.5"):
+    with pytest.raises(PreconditionError, match="reach every domain cell"):
         counterexample_check(Problem(k, K, ref_f))
+
+
+@pytest.mark.parametrize("radius", [0.4, 0.5, 0.6])
+@pytest.mark.parametrize("path", ["direct", "fast"])
+def test_counterexample_field_is_the_annulus_state(radius, path):
+    # on configs/counterexample.ini (tophat 0.5), and at tophat 0.4 and 0.6,
+    # the computed field equals the 0/1 state read off the outer radius
+    cfg = load_config(str(CONFIGS / "counterexample.ini"))
+    cfg["kernel"]["radius"] = radius
+    p = build_problem(cfg, path)
+    expected = oracles.annulus_counterexample(p)
+    assert np.array_equal(counterexample_field(p).values, expected)
+    rep = counterexample_check(p)
+    assert rep.passed
+    assert rep.meta["unreached_cells"] == np.count_nonzero(p.domain_mask & (expected == 0.0))
+    if path == "direct":
+        assert {c.name: c for c in rep.checks}["residual_sup"].measured == 0.0
+
+
+def _ring(grid, center, r1, r2):
+    rr = np.hypot(*(m - c for m, c in zip(grid.meshes(), center)))
+    return (rr >= r1) & (rr <= r2)
+
+
+def test_counterexample_field_follows_the_computed_reach(ref_f):
+    # two rings cut off two holes; a slit through a ring joins its hole to
+    # the exterior, and the field keeps 0 on the holes still cut off
+    g = make_grid([-6, -3], [6, 3], 1 / 16)
+    k = build_kernel(KernelProfile("tophat", 0.5), g)
+    X, Y = g.meshes()
+    rings = _ring(g, (-2.5, 0.0), 0.75, 1.5) | _ring(g, (2.5, 0.0), 0.75, 1.5)
+    left, right = np.hypot(X + 2.5, Y) < 0.75, np.hypot(X - 2.5, Y) < 0.75
+    for slit_x, holes in ((math.inf, left | right), (2.5, left), (-math.inf, None)):
+        K = rings & ~((np.abs(Y) < g.h) & (X > slit_x))
+        p = Problem(k, Obstacle(g, K, "rings", {}, False), ref_f, conv_path="direct")
+        if holes is None:
+            with pytest.raises(PreconditionError, match="reach every domain cell"):
+                counterexample_check(p)
+            continue
+        assert np.array_equal(counterexample_field(p).values,
+                              np.where(holes | K, 0.0, 1.0))
+        rep = counterexample_check(p)
+        assert rep.passed and rep.meta["unreached_cells"] == np.count_nonzero(holes)
+        assert {c.name: c for c in rep.checks}["residual_sup"].measured == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +239,6 @@ def test_holder_midrun_field_recorded_not_asserted(disk_problem, phi_ref, kc_ref
     # a mid-run field is out of contract for the transfer bound; the suite
     # still runs on it, so make sure the stationary-field requirement is on
     # the caller (this measures and records only)
-    from nlrd.solver import evolve
-
     p = disk_problem
     res = evolve(p, p.hostile_datum(), max_steps=30, residual_tol=1e-30)
     assert not res.converged
@@ -220,7 +269,20 @@ def test_liouville_annulus_fails_by_design(annulus_problem, phi_ref, ref_f):
     names = {c.name: c for c in rep.checks}
     assert names["liouville_min_u"].passed is False
     assert names["liouville_min_u"].measured == 0.0
-    assert rep.meta["seeded_counterexample"] is True
+
+
+def test_annulus_orbit_comes_to_rest_at_the_counterexample(annulus_problem):
+    # the orbit of the least datum, unseeded, ends at the 0/1 state: exactly
+    # 0 on every cell cut off from the clamp band, on the direct path
+    a = annulus_problem
+    p = Problem(a.kernel, a.obstacle, a.f, conv_path="direct")
+    res = evolve(p, p.hostile_datum())
+    assert res.converged
+    u = counterexample_field(p).values
+    assert float(np.max(np.abs(res.u.values - u))) <= 1e-8
+    unreached = p.domain_mask & (u == 0.0)
+    assert np.count_nonzero(unreached) > 0
+    assert np.all(res.u.values[unreached] == 0.0)
 
 
 def test_liouville_sweep_mode_replays_covering_argument(strong_f):
