@@ -33,8 +33,8 @@ from .config import build_pieces, build_problem, load_config, resolve
 from .errors import NumericalFailure, PreconditionError
 from .grid import field_to_csv
 from .kernels import kernel_constants, marginal_j1
-from .solver import (DECREASE_FLOOR, build_subsolution, cone_slope, evolve, front_profile,
-                     maximal_solution)
+from .solver import (DECREASE_FLOOR, ball_grid, build_subsolution, cone_slope, evolve,
+                     front_profile, maximal_solution)
 from .verify import (
     PROGRESS_HEADER,
     Report,
@@ -65,18 +65,6 @@ def _front(cfg, kernel, f):
 def _phi_and_constants(cfg, kernel, f):
     kc = kernel_constants(kernel, f, cfg["experiment"]["alphas"])
     return _front(cfg, kernel, f), kc
-
-
-def _ball(cfg, args, check=lambda kc: None):
-    """The maximal ball solution of ``[ball]``, and the kernel constants
-    (d0, delta0 and W1,1 only: no Nikol'skii seminorm is read), which
-    ``check`` sees before the ball is solved."""
-    _, kernel, f = build_pieces(cfg)
-    kc = kernel_constants(kernel, f, ())
-    check(kc)
-    v = maximal_solution(kernel, f, cfg["ball"]["center"], cfg["ball"]["radius"],
-                         kc.d0, path=args.conv)
-    return v, kc
 
 
 def cmd_solve(cfg, args) -> Report:
@@ -112,7 +100,10 @@ def cmd_solve(cfg, args) -> Report:
 
 
 def cmd_maximal(cfg, args) -> Report:
-    v, _ = _ball(cfg, args)
+    _, kernel, f = build_pieces(cfg)
+    kc = kernel_constants(kernel, f, ())  # d0 only: no Nikol'skii seminorm is read
+    v = maximal_solution(kernel, f, cfg["ball"]["center"], cfg["ball"]["radius"],
+                         kc.d0, path=args.conv)
     rep = Report("maximal")
     rep.add("iterations", float(v.iterations))
     rep.add("resolvent_shift", v.kshift)
@@ -135,8 +126,13 @@ def cmd_front(cfg, args) -> Report:
 
 
 def cmd_subsolution(cfg, args) -> Report:
-    delta = cfg["subsolution"]["delta"]
-    v, kc = _ball(cfg, args, lambda kc: cone_slope(delta, kc))
+    _, kernel, f = build_pieces(cfg)
+    kc = kernel_constants(kernel, f, ())
+    delta = cone_slope(cfg["subsolution"]["delta"], kc)  # checked before the ball is solved
+    center, R = cfg["ball"]["center"], cfg["ball"]["radius"]
+    # the ball's box holds B_{R+delta+R_J}, where w and J * w live
+    grid = ball_grid(center, R + delta + kernel.radius + 2 * kernel.h, kernel.h)
+    v = maximal_solution(kernel, f, center, R, kc.d0, grid=grid, path=args.conv)
     w = build_subsolution(v, delta, kc, path=args.conv)
     rep = Report("subsolution")
     rep.add("certificate_min", w.verify_min, ">=", 0.0, 1e-12,

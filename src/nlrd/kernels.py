@@ -95,8 +95,6 @@ class Kernel:
     radius: float
     weights: np.ndarray  # shape (2m+1,)*dim, centered
     reach: int  # m = floor(radius / h)
-    r1: float
-    r2: float
     profile: KernelProfile
     _fft_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
@@ -109,6 +107,16 @@ class Kernel:
                 raise PreconditionError(f"kernel table is not even along axis {a}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @property
+    def r1(self) -> float:
+        """Inner radius of the profile's annulus (0 but for the ring)."""
+        return self.profile.annulus[0]
+
+    @property
+    def r2(self) -> float:
+        """Outer radius of the profile's annulus."""
+        return self.profile.annulus[1]
 
     @property
     def center_weight(self) -> float:
@@ -182,7 +190,7 @@ def build_kernel(profile: KernelProfile, grid: Grid) -> Kernel:
     inside = (r > r1) & (r < r2)
     if np.any(w[inside] <= 0.0):
         raise PreconditionError("kernel not positive on its annulus")
-    return Kernel(h=h, dim=dim, radius=R, weights=w, reach=m, r1=r1, r2=r2, profile=profile)
+    return Kernel(h=h, dim=dim, radius=R, weights=w, reach=m, profile=profile)
 
 
 def marginal_j1(k: Kernel) -> Kernel:
@@ -195,13 +203,8 @@ def marginal_j1(k: Kernel) -> Kernel:
     if k.dim == 1:
         return k
     w1 = np.array([pairwise_sum(k.weights[i, :]) * k.h for i in range(k.weights.shape[0])])
-    pos = np.flatnonzero(w1 > 0.0)
-    rng = np.abs(np.arange(-k.reach, k.reach + 1, dtype=np.float64)) * k.h
-    r2 = float(rng[pos].max() + k.h) if pos.size else k.radius
-    r1 = 0.0 if w1[k.reach] > 0.0 else float(rng[pos].min())
     prof = KernelProfile(kind="marginal", radius=k.radius)
-    return Kernel(h=k.h, dim=1, radius=k.radius, weights=w1, reach=k.reach,
-                  r1=r1, r2=min(r2, k.radius), profile=prof)
+    return Kernel(h=k.h, dim=1, radius=k.radius, weights=w1, reach=k.reach, profile=prof)
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,22 @@
 
 Set membership is decided at cell centers, so the discrete problem is an
 exact instance of the continuum framework with piecewise-constant
-geometry. Convexity of a mask is certified by idempotence under the
-convex hull of its cell centers (a convex set contains the hull of any of
-its points, so the two masks agree exactly for convex families).
+geometry. Convexity of a mask is computed, for every family, as
+idempotence under the convex hull of its cell centers (a convex set
+contains the hull of any of its points, so the two masks agree exactly
+for a lattice-convex mask).
 
 Families: ``none``, ``ball``, ``ellipse``, ``polygon`` (convex), the
 ``annulus`` counterexample, and ``deformed`` (Hoelder deformations K_eps
 of a disk, one per ``epsilon`` in [0, 1]). :func:`build_obstacle` is the
-one way to make any of them: the robustness sweep builds each K_eps, its
-base K_0 (the disk, certified convex) included, as the ``deformed``
-family at that ``epsilon``.
+one way to make any of them: the robustness sweep builds each K_eps as
+the ``deformed`` family at that ``epsilon``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ FAMILY_KEYS = {
     "annulus": ("r1", "r2"),
     "deformed": ("radius", "epsilon", "psi_k", "psi_amp"),
 }
-CONVEX_FAMILIES = {"none", "ball", "ellipse", "polygon"}
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,15 @@ class Obstacle:
     mask_K: np.ndarray
     family: str
     params: dict
-    convex: bool
+    # lattice-convex: the mask equals the cells of the convex hull of its
+    # cell centers (the empty mask is convex); tested for every family
+    convex: bool = dc_field(init=False)
 
     def __post_init__(self):
         m = np.array(self.mask_K, dtype=bool, copy=True)
         m.setflags(write=False)
         object.__setattr__(self, "mask_K", m)
+        object.__setattr__(self, "convex", bool(np.array_equal(m, convex_hull_mask(self.grid, m))))
 
     @property
     def domain_mask(self) -> np.ndarray:
@@ -135,10 +137,6 @@ def convex_hull_mask(grid: Grid, mask: np.ndarray) -> np.ndarray:
     return inside.reshape(grid.shape)
 
 
-def _is_discrete_convex(grid: Grid, mask: np.ndarray) -> bool:
-    return bool(np.array_equal(mask, convex_hull_mask(grid, mask)))
-
-
 # ---------------------------------------------------------------------------
 # shape indicator functions
 
@@ -200,8 +198,8 @@ def _shape_mask(family: str, params: dict, grid: Grid) -> np.ndarray:
 
 
 def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -> Obstacle:
-    """Mask a shape at cell centers; convexity is asserted for convex
-    families via the hull fixed-point test. Only the keys that
+    """Mask a shape at cell centers (:class:`Obstacle` tests its
+    convexity). Only the keys that
     ``FAMILY_KEYS[family]`` lists are read from ``params`` and kept; each
     is required, except ``center``, which defaults to the origin."""
     if family not in FAMILY_KEYS:
@@ -216,12 +214,7 @@ def build_obstacle(family: str, params: dict, grid: Grid, margin: float = 1.5) -
     if family != "none" and not np.any(mask):
         raise PreconditionError(f"obstacle {family!r} contains no cell centers")
     _check_margin(grid, mask, margin, f"obstacle {family!r}")
-    convex = family in CONVEX_FAMILIES
-    if family == "deformed" and float(params["epsilon"]) == 0.0:
-        convex = True  # the eps -> 0 limit is the base disk
-    if convex and np.any(mask) and not _is_discrete_convex(grid, mask):
-        raise PreconditionError(f"family {family!r} mask failed the hull test")
-    return Obstacle(grid=grid, mask_K=mask, family=family, params=params, convex=convex)
+    return Obstacle(grid=grid, mask_K=mask, family=family, params=params)
 
 
 def jmass(k: Kernel, K: Obstacle) -> Field:

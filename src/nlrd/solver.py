@@ -154,6 +154,17 @@ class _MirrorFold:
         return convolve(ext, self.k, path, out=self.out)[inner]
 
 
+def _rate(x: np.ndarray, k: Kernel, f: Bistable | ExtendedNonlinearity,
+          path: str) -> np.ndarray:
+    """J * x - x + f(x), in place on the convolution's output: the ball
+    equation's residual, the sub-solution's certificate and the front's
+    sweep rate."""
+    out = convolve(x, k, path)
+    out -= x
+    out += f.f(x)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parabolic relaxation on the obstacle domain
 
@@ -236,11 +247,14 @@ def evolve(
 # ball problems
 
 
-def ball_grid(center, radius: float, h: float, pad: float = 0.0) -> Grid:
-    """Tight box around a ball, aligned so cell centers sit at
-    center + (i + 1/2 - n) h; translated balls then share one lattice."""
+def ball_grid(center, radius: float, h: float) -> Grid:
+    """Tight box around the ball B_radius(center): n = ceil(radius / h)
+    cells on each side of the center, so cell centers sit at
+    center + (i + 1/2 - n) h and translated balls share one lattice. A
+    caller that needs room past a ball, such as the sub-solution's
+    B_{R+delta+R_J}, asks for the larger radius."""
     c = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    n = int(math.ceil((radius + pad) / h - 1e-12))
+    n = int(math.ceil(radius / h - 1e-12))
     lo = [ci - n * h for ci in c]
     hi = [ci + n * h for ci in c]
     return make_grid(lo, hi, h)
@@ -428,9 +442,7 @@ def maximal_solution(
     values = np.zeros(grid.shape)
     fold.unfold(v, values)
     del fold, v  # drop the folded work arrays before the full-box gate
-    res = convolve(values, k, path)
-    res -= values
-    res += fz.f(values)
+    res = _rate(values, k, fz, path)
     res_sup = float(np.max(np.abs(res[full])))
     if res_sup > 1e-9:
         raise NumericalFailure(f"ball-equation residual {res_sup:.3e} > 1e-9")
@@ -542,12 +554,6 @@ class FrontProfile:
         return out if out.ndim else float(out)
 
 
-def _front_rate(phi: np.ndarray, j1: Kernel, f: Bistable) -> np.ndarray:
-    """J_1 * phi - phi + f(phi) on the direct path: the front sweep's rate
-    and the clamped-line residual."""
-    return convolve(phi, j1, "direct") - phi + f.f(phi)
-
-
 def _front_step(j1: Kernel, f: Bistable) -> float:
     """0.99 times the largest order-preserving step of the front sweep,
     1/(1 - J_1(0) h + max |f'|)."""
@@ -617,7 +623,7 @@ def front_profile(
 
     sweeps = 0
     while True:
-        r = _front_rate(phi, j1, f)
+        r = _rate(phi, j1, f, "direct")
         inc = tau * float(np.max(np.abs(r[interior])))
         if not math.isfinite(inc):
             raise NumericalFailure(f"front iteration lost finiteness at sweep {sweeps}")
@@ -636,7 +642,7 @@ def front_profile(
 
     wide = np.zeros(n, dtype=bool)
     wide[2 * band : -2 * band] = True
-    r = _front_rate(phi, j1, f)
+    r = _rate(phi, j1, f, "direct")
     res_sup = float(np.max(np.abs(r[wide])))
     if res_sup > 1e-8:
         raise NumericalFailure(f"front residual {res_sup:.3e} > 1e-08")
@@ -691,7 +697,6 @@ def build_subsolution(
     v: MaximalSolution,
     delta: float | None,
     kc: KernelConstants,
-    grid: Grid | None = None,
     path: str = "fast",
 ) -> SubSolution:
     """w = v on the ball B = B_R and, off it, the lattice sup-envelope
@@ -700,38 +705,32 @@ def build_subsolution(
     |s| h < delta contribute, each as one shifted maximum over the box.
     ``delta`` passes :func:`cone_slope` (None takes delta0 / 2).
 
-    Returns the minimum of L_{B_{R+delta}}[w] - w + f(w) over every box
-    cell as measured; the rows that report it gate it at 1e-12. Where the
-    lattice does not resolve the cone (h / delta above the values of v near
-    the rim), ``shell_cells`` is 0 and w = v 1_B.
+    w lives on ``v``'s own grid, which must hold B_{R+delta+R_J}: past it
+    both w and J * w vanish, so the certificate over the box is the one
+    over R^N. A ball solved on its default tight box does not hold it
+    (``PreconditionError``); solve it on
+    ``ball_grid(center, R + delta + R_J + 2h, h)``, or on any box of the
+    same lattice that holds B_{R+delta+R_J}.
+
+    Returns the minimum of L_{B_{R+delta}}[w] - w + f(w) = J * w - w + f(w)
+    (w vanishes past B_{R+delta}) over every box cell as measured; the rows
+    that report it gate it at 1e-12. Where the lattice does not resolve the
+    cone (h / delta above the values of v near the rim), ``shell_cells`` is
+    0 and w = v 1_B.
     """
     delta = cone_slope(delta, kc)
     k = v.kernel
-    h = k.h
-    R = v.radius
-    if grid is None:
-        grid = ball_grid(v.center, R + delta + k.radius, h, pad=2 * h)
-    # both grids are h-lattices with box corners on multiples of h; the
-    # integer cell offset lets ball values be copied over exactly
-    off = [(grid.lo[a] - v.field.grid.lo[a]) / h for a in range(grid.dim)]
-    ioff = [int(round(o)) for o in off]
-    if any(abs(o - i) > 1e-9 for o, i in zip(off, ioff)):
-        raise PreconditionError("target grid is not lattice-aligned with the ball grid")
+    grid = v.field.grid
+    h = grid.h
+    room = v.radius + delta + k.radius
+    slack = 1e-12 * h  # as ball_grid rounds its cell count
+    for a, c in enumerate(v.center):
+        if grid.lo[a] > c - room + slack or grid.hi[a] < c + room - slack:
+            raise PreconditionError(
+                f"the ball's grid does not hold B_(R + delta + R_J) = B_{room:.6g} "
+                f"along axis {a}; solve the ball on a box that does")
 
-    vb = np.zeros(grid.shape)
-    src_grid = v.field.grid
-    # copy v on the overlap of the two index boxes
-    src_slices, dst_slices = [], []
-    for a in range(grid.dim):
-        s0 = max(0, ioff[a])
-        d0 = max(0, -ioff[a])
-        span = min(src_grid.counts[a] - s0, grid.counts[a] - d0)
-        src_slices.append(slice(s0, s0 + span))
-        dst_slices.append(slice(d0, d0 + span))
-    vb[tuple(dst_slices)] = v.values[tuple(src_slices)]
-    inside = ball_mask(grid, v.center, R)
-    vb[~inside] = 0.0
-
+    inside = v.bmask
     cone = np.zeros(grid.shape)
     reach = int(delta / h)
     for s in np.ndindex(*(2 * reach + 1,) * grid.dim):
@@ -739,16 +738,12 @@ def build_subsolution(
         drop = math.sqrt(sum(si * si for si in s)) * h
         if 0.0 < drop < delta:
             here, there = shift_windows(s, grid.shape)
-            np.maximum(cone[there], vb[here] - drop / delta, out=cone[there])
-    w = np.where(inside, vb, cone)
-
-    big = ball_mask(grid, v.center, R + delta)
-    Lw = convolve(w * big, k, path)
-    certificate = Lw - w + v.f.f(w)
+            np.maximum(cone[there], v.values[here] - drop / delta, out=cone[there])
+    w = np.where(inside, v.values, cone)
     return SubSolution(
         base=v,
         delta=float(delta),
         field=Field(grid, w, np.ones(grid.shape, dtype=bool)),
-        verify_min=float(np.min(certificate)),
+        verify_min=float(np.min(_rate(w, k, v.f, path))),
         shell_cells=int(np.count_nonzero(cone[~inside])),
     )

@@ -431,8 +431,8 @@ def _sweep_replay(rep: Report, p: Problem, u: Field, kc: KernelConstants, opts: 
     rep.add("sweep_step1_ball_level", min_big, ">=", 1.0, eps,
             note=f"ball B_{R + 1:.3g} at |x*| = {cx:.3g}")
 
-    v = maximal_solution(p.kernel, p.f, center, R, kc.d0, path=p.conv_path)
-    w = build_subsolution(v, None, kc, grid=p.grid, path=p.conv_path)
+    v = maximal_solution(p.kernel, p.f, center, R, kc.d0, grid=p.grid, path=p.conv_path)
+    w = build_subsolution(v, None, kc, path=p.conv_path)
     rep.add("sweep_step2_certificate", w.verify_min, ">=", 0.0, 1e-12,
             note=f"sub-solution inequality margin, {w.shell_cells} positive shell cells")
     gap = float(np.max(w.field.values - u.values))
@@ -770,10 +770,12 @@ def robustness_experiment(
     every Hoelder quotient against the eps-independent constant
     A = 2 [J] / (inf_eps inf J_eps - max f').
 
-    ``section`` is the ``[obstacle]`` section: every K_eps, the base K_0
-    included, is ``build_obstacle("deformed", ...)`` on its ``radius``,
-    ``psi_k`` and ``psi_amp`` at ``epsilon = eps``, and keeps its
-    ``margin`` from the box boundary. Each problem takes ``clamp_width``
+    ``section`` is the ``[obstacle]`` section: every K_eps is
+    ``build_obstacle("deformed", ...)`` on its ``radius``, ``psi_k`` and
+    ``psi_amp`` at ``epsilon = eps``, and keeps its ``margin`` from the box
+    boundary. The masks are nested in eps by construction (psi >= 0 is
+    enforced, so the cell test r <= radius + eps psi is monotone in eps),
+    and no row checks it. Each problem takes ``clamp_width``
     and ``conv_path`` as :class:`Problem` does. Each evolution steps at
     ``dt`` (``None``: that problem's comparison bound) and logs its
     progress every ``log_every`` steps under the stem
@@ -785,15 +787,7 @@ def robustness_experiment(
         )
     rep = Report("robustness")
     obstacles = {e: build_obstacle("deformed", {**section, "epsilon": e}, grid,
-                                   section["margin"]) for e in [0.0] + eps_sorted}
-
-    prev = obstacles[0.0].mask_K
-    nested = True
-    for e in eps_sorted:
-        nested &= bool(np.all(prev <= obstacles[e].mask_K))
-        prev = obstacles[e].mask_K
-    rep.add("mask_inclusion_chain", float(nested), "==", 1.0, 0.0,
-            note="K subset K_eps1 subset K_eps2 as cell masks")
+                                   section["margin"]) for e in eps_sorted}
 
     maxfp = f.max_fprime
     min_j_all = math.inf

@@ -286,7 +286,7 @@ def test_criterion_07_subsolution_certificate(ref_f):
     kc = kernel_constants(k, ref_f, [1.0])
     assert abs(kc.delta0 - 0.115) < 1e-3
     v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
-    w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
+    w = build_subsolution(v, kc.delta0 / 2.0, kc)
     wall = time.monotonic() - t0
     ok = w.verify_min >= -1e-12 and wall < 60.0
     _line(7, "sub-solution certificate", ok,

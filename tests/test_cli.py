@@ -582,6 +582,26 @@ def test_maximal_and_subsolution_commands(tmp_path):
     assert rep["passed"] is True
 
 
+def test_subsolution_command_resolves_the_cone(tmp_path):
+    # the steep well at h = 1/64: delta = 0.029 (delta0 = 0.0293) spans
+    # more than a cell, so the cone reaches past the discrete ball and the
+    # ball is solved on the box that holds B_{R+delta+R_J}
+    ini = (MAXIMAL_INI.replace("lo = -9,-9", "lo = -5,-5").replace("hi = 9,9", "hi = 5,5")
+           .replace("h = 0.125", "h = 0.015625") + "\n[subsolution]\ndelta = 0.029\n")
+    out = tmp_path / "o"
+    assert main(["--config", _cfg(tmp_path, ini), "--out", str(out), "--conv", "fast",
+                 "subsolution"]) == 0
+    with open(out / "subsolution.checks.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["name"] == "certificate_min" and row["verdict"] == "pass"
+    assert row["note"] == "delta = 0.029, 1452 positive shell cells"
+    # the box is ball_grid(0, 4 + 0.029 + 0.5 + 2h, h): 292 cells each side
+    # of the center, the first cell center at -(292 - 1/2) h
+    with open(out / "subsolution.csv") as fh:
+        assert fh.readline() == "x0,x1,value,mask\n"
+        assert fh.readline().startswith("-4.5546875,-4.5546875,0,")
+
+
 def test_verify_comparison_command(tmp_path):
     ini = """
 [grid]

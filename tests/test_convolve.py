@@ -176,7 +176,7 @@ def _reach1_kernel(dim):
     w = np.array([0.3, 1.7, 0.3])
     if dim == 2:
         w = np.outer(w, [0.6, 1.1, 0.6])
-    return Kernel(h=0.25, dim=dim, radius=0.25, weights=w, reach=1, r1=0.0, r2=0.25,
+    return Kernel(h=0.25, dim=dim, radius=0.25, weights=w, reach=1,
                   profile=KernelProfile("tophat", 0.25))
 
 

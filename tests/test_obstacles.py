@@ -158,6 +158,29 @@ def test_deformation_family_limits_and_inclusion(g8):
     assert np.all(base.mask_K <= K1.mask_K)
     assert np.all(K1.mask_K <= K2.mask_K)
     assert np.all(K1.mask_K <= outer.mask_K)
+    # the robustness sweep's chain K_0 subset K_eps1 subset ... on its own
+    # grid and default eps grid, which no report row checks
+    cfg = load_config(str(CONFIGS / "robustness.ini"))
+    g = build_grid(cfg)
+    masks = [_deformed(e, g).mask_K for e in [0.0] + sorted(cfg["experiment"]["epsilons"])]
+    assert all(np.all(a <= b) for a, b in zip(masks, masks[1:]))
+    assert all(np.any(b & ~a) for a, b in zip(masks, masks[1:]))
+
+
+@pytest.mark.parametrize("family,params,convex", [
+    ("none", {}, True),
+    ("ball", {"radius": 1.0}, True),
+    ("annulus", {"r1": 1.0, "r2": 2.0}, False),
+    ("deformed", {**DISK, "epsilon": 0.05}, True),
+    ("deformed", {**DISK, "epsilon": 0.1}, False),
+    ("deformed", {**DISK, "epsilon": 1.0}, False),
+])
+def test_convexity_is_computed_from_the_mask(family, params, convex):
+    # on the robustness grid the eps = 0.05 notches stay lattice-convex
+    g = build_grid(load_config(str(CONFIGS / "robustness.ini")))
+    K = build_obstacle(family, params, g)
+    assert K.convex is convex
+    assert K.convex == np.array_equal(K.mask_K, convex_hull_mask(g, K.mask_K))
 
 
 def test_deformation_hausdorff_monotone(g8):

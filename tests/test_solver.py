@@ -30,7 +30,7 @@ from nlrd.config import build_pieces, load_config
 from nlrd.convolve import convolve
 from nlrd.operators import ball_mask
 import nlrd.solver as solver_mod
-from nlrd.solver import _descend, _front_rate, _front_step, _MirrorFold, ball_grid
+from nlrd.solver import _descend, _front_step, _MirrorFold, _rate, ball_grid
 from nlrd.verify import counterexample_field
 
 
@@ -645,8 +645,8 @@ def test_front_even_kernel_reflection_invariance(kq8, ref_f):
     assert np.array_equal(phi1.values, phi2.values)
     # the direct path sums mirrored taps in pairs, so the rate of the
     # reflected front is the reflected rate, bit for bit
-    rate = _front_rate(phi1.values, j1, ref_f)
-    mirrored = _front_rate(phi1.values[::-1], j1, ref_f)
+    rate = _rate(phi1.values, j1, ref_f, "direct")
+    mirrored = _rate(phi1.values[::-1], j1, ref_f, "direct")
     assert mirrored.view(np.uint64).tolist() == rate[::-1].view(np.uint64).tolist()
 
 
@@ -662,7 +662,7 @@ def test_front_step_preserves_order(kq8, ref_f):
     assert tau == 0.99 / (1.0 - j1.center_weight * j1.h + ref_f.max_abs_fprime)
 
     def sweep(v, step):
-        return v + step * _front_rate(v, j1, ref_f)
+        return v + step * _rate(v, j1, ref_f, "direct")
 
     # an ordered pair in [0, 1]: equal on half the cells and on saturated
     # ends at 0 and 1, at least 1e-3 apart on the rest
@@ -734,11 +734,11 @@ def test_front_start_near_clamp_matches_centred_step(kq8, theta, amplitude, monk
 def subsolution_2d(ref_f):
     h = 1 / 8
     R = 20.0
-    g = ball_grid([0.0, 0.0], R + 0.5, h, pad=0.25)
+    g = ball_grid([0.0, 0.0], R + 0.75, h)
     k = build_kernel(KernelProfile("quartic", 0.5), g)
     kc = kernel_constants(k, ref_f, [1.0])
     v = maximal_solution(k, ref_f, [0.0, 0.0], R, kc.d0, grid=g)
-    w = build_subsolution(v, kc.delta0 / 2.0, kc, grid=g)
+    w = build_subsolution(v, kc.delta0 / 2.0, kc)
     return g, k, kc, v, w
 
 
@@ -797,28 +797,49 @@ def test_subsolution_is_the_brute_force_envelope(dim, strong_f, resolved_cone_ba
         k = build_kernel(KernelProfile("quartic", 0.5), g)
         kc = kernel_constants(k, strong_f, [1.0])
         v = maximal_solution(k, strong_f, [0.0], 4.0, kc.d0, grid=g)
-        box = (slice(None),)
-    else:
-        # a 48 x 48 window across the rim on the positive x0 axis
-        kc, v = resolved_cone_ball
-        g = v.field.grid
-        i0 = int(round((v.radius - g.lo[0]) / g.h))
-        box = (slice(i0 - 24, i0 + 24), slice(g.counts[1] // 2 - 24, g.counts[1] // 2 + 24))
-    lo = [g.lo[a] + (b.start or 0) * g.h for a, b in enumerate(box)]
-    vb = v.values[box]
-    window = make_grid(lo, [l + n * g.h for l, n in zip(lo, vb.shape)], g.h)
-    inside = ball_mask(window, v.center, v.radius)
-    assert np.any(inside) and not np.all(inside)
-    w = build_subsolution(v, kc.delta0, kc, grid=window)
-    assert w.shell_cells > 0
-    ref = oracles.sup_envelope(np.where(inside, vb, 0.0), inside, g.h, w.delta)
-    assert np.array_equal(w.field.values, ref)
+        w = build_subsolution(v, kc.delta0, kc)
+        assert w.shell_cells > 0
+        ref = oracles.sup_envelope(v.values, v.bmask, g.h, w.delta)
+        assert np.array_equal(w.field.values, ref)
+        return
+    # w on the whole grid, compared on a 48 x 48 window across the rim on
+    # the positive x0 axis; a cell's envelope reads only ball cells nearer
+    # than delta, so the oracle runs on the window grown by ceil(delta / h)
+    kc, v = resolved_cone_ball
+    g = v.field.grid
+    w = build_subsolution(v, kc.delta0, kc)
+    grow = math.ceil(w.delta / g.h)
+    i0, j0 = int(round((v.radius - g.lo[0]) / g.h)), g.counts[1] // 2
+    window = (slice(i0 - 24, i0 + 24), slice(j0 - 24, j0 + 24))
+    grown = (slice(i0 - 24 - grow, i0 + 24 + grow), slice(j0 - 24 - grow, j0 + 24 + grow))
+    core = v.bmask[window]
+    assert np.any(core) and not np.all(core)
+    ref = oracles.sup_envelope(v.values[grown], v.bmask[grown], g.h, w.delta)
+    assert np.count_nonzero(w.field.values[window][~core]) > 0
+    assert np.array_equal(w.field.values[window], ref[grow:-grow, grow:-grow])
+
+
+def test_subsolution_needs_room_past_the_ball(strong_f):
+    # the certificate over the box is the one over R^N only when the box
+    # holds B_{R+delta+R_J}: a ball solved on its tight default box does not
+    R = 4.0
+    k = build_kernel(KernelProfile("quartic", 0.5), make_grid([-5], [5], 1 / 64))
+    kc = kernel_constants(k, strong_f, [1.0])
+    tight = maximal_solution(k, strong_f, [0.0], R, kc.d0)
+    assert tight.field.grid.hi[0] < R + kc.delta0 + k.radius
+    with pytest.raises(PreconditionError, match="does not hold"):
+        build_subsolution(tight, kc.delta0, kc)
+    roomy = maximal_solution(k, strong_f, [0.0], R, kc.d0,
+                             grid=ball_grid([0.0], R + kc.delta0 + k.radius, k.h))
+    assert np.array_equal(roomy.values[roomy.bmask], tight.values[tight.bmask])
+    w = build_subsolution(roomy, kc.delta0, kc)
+    assert w.shell_cells > 0 and w.verify_min >= -1e-12
 
 
 def test_subsolution_delta_validation(subsolution_2d):
     g, k, kc, v, _ = subsolution_2d
     with pytest.raises(PreconditionError, match="delta"):
-        build_subsolution(v, kc.delta0 * 1.5, kc, grid=g)
+        build_subsolution(v, kc.delta0 * 1.5, kc)
 
 
 def test_subsolution_needs_w11_kernel(ref_f):
@@ -827,4 +848,4 @@ def test_subsolution_needs_w11_kernel(ref_f):
     kc = kernel_constants(k, ref_f, [1.0])
     v = maximal_solution(k, ref_f, [0.0], 20.0, 7.51, grid=g)
     with pytest.raises(PreconditionError, match="W\\^\\{1,1\\}|delta0"):
-        build_subsolution(v, 0.05, kc, grid=g)
+        build_subsolution(v, 0.05, kc)
